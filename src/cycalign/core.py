@@ -136,7 +136,39 @@ def canonical_pair(x: int, y: int) -> tuple[int, int]:
 
 
 def _encode_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    return lo.astype(np.int64) * np.int64(n) + hi.astype(np.int64)
+    """Key lo * n + hi of each int64 pair; keys order pairs by (lo, hi)."""
+    return lo * np.int64(n) + hi
+
+
+def _frozen_int64(a) -> np.ndarray:
+    """Read-only C-contiguous int64 array holding the values of a.
+
+    An input that already is one is kept as is. Anything else is copied,
+    so a caller's writeable array is never aliased or frozen.
+    """
+    if (isinstance(a, np.ndarray) and a.dtype == np.int64
+            and a.flags.c_contiguous and not a.flags.writeable):
+        return a
+    out = np.array(a, dtype=np.int64, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def _sort_order(enc: np.ndarray, duplicate: Exception) -> np.ndarray | None:
+    """Permutation that sorts the keys enc, or None if they are in order.
+
+    One O(m) check that the keys strictly increase proves both that they
+    are sorted and that none repeats, so ordered input is neither copied
+    nor re-sorted. Otherwise the keys are sorted stably and `duplicate`
+    is raised if two of them are equal.
+    """
+    if np.all(enc[1:] > enc[:-1]):
+        return None
+    order = np.argsort(enc, kind="stable")
+    srt = enc[order]
+    if np.any(srt[1:] == srt[:-1]):
+        raise duplicate
+    return order
 
 
 def _validate_pair_arrays(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
@@ -152,8 +184,10 @@ def _validate_pair_arrays(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
 class QueryPlan:
     """A set of unordered node pairs scheduled for querying.
 
-    Pairs are stored canonically oriented and deduplicated; iteration
-    order is sorted by (i, j) so plans are deterministic objects.
+    Pairs are stored canonically oriented and deduplicated in read-only
+    int64 arrays lo and hi, sorted by (i, j), so plans are deterministic
+    objects. The keys lo * n + hi therefore strictly increase; the
+    oracle and the transcript rely on that to skip sorting a plan.
     """
 
     __slots__ = ("n", "lo", "hi")
@@ -166,8 +200,14 @@ class QueryPlan:
         else:
             lo = hi = np.empty(0, dtype=np.int64)
         _validate_pair_arrays(lo, hi, n)
-        # np.unique also sorts, giving a canonical iteration order
-        _, idx = np.unique(_encode_pairs(lo, hi, n), return_index=True)
+        # a stable sort puts repeats of a pair next to each other, first
+        # occurrence first; keeping the first of each run dedups and sorts
+        enc = _encode_pairs(lo, hi, n)
+        order = np.argsort(enc, kind="stable")
+        srt = enc[order]
+        first = np.ones(srt.size, dtype=bool)
+        first[1:] = srt[1:] != srt[:-1]
+        idx = order[first]
         self.n = int(n)
         self.lo = np.ascontiguousarray(lo[idx])
         self.hi = np.ascontiguousarray(hi[idx])
@@ -176,17 +216,22 @@ class QueryPlan:
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "QueryPlan":
+        """Plan of the canonical pairs (lo[t], hi[t]); repeats are an error.
+
+        Read-only int64 arrays whose keys already strictly increase are
+        kept without a copy or a sort.
+        """
         plan = cls.__new__(cls)
-        lo = np.ascontiguousarray(lo, dtype=np.int64)
-        hi = np.ascontiguousarray(hi, dtype=np.int64)
+        lo = _frozen_int64(lo)
+        hi = _frozen_int64(hi)
         _validate_pair_arrays(lo, hi, n)
-        enc = _encode_pairs(lo, hi, n)
-        if np.unique(enc).size != enc.size:
-            raise ValueError("plan contains duplicate pairs")
-        srt = np.argsort(enc)
+        order = _sort_order(_encode_pairs(lo, hi, n),
+                            ValueError("plan contains duplicate pairs"))
+        if order is not None:
+            lo, hi = lo[order], hi[order]
         plan.n = int(n)
-        plan.lo = lo[srt]
-        plan.hi = hi[srt]
+        plan.lo = lo
+        plan.hi = hi
         plan.lo.flags.writeable = False
         plan.hi.flags.writeable = False
         return plan
@@ -211,6 +256,10 @@ class QueryTranscript:
     orientation (i, j) with i < j; the stored answer lies in [0, k).
     Reading a pair against its orientation negates the answer mod k,
     so both directions reflect a single underlying noise draw.
+
+    Pairs are held sorted by their keys i * n + j, which strictly
+    increase. Input already in that order, such as a plan's arrays, is
+    kept without a sort, and read-only int64 input without a copy.
     """
 
     __slots__ = ("n", "k", "_enc", "_ans", "_lo", "_hi", "_dict")
@@ -219,9 +268,9 @@ class QueryTranscript:
                  lo: np.ndarray | Sequence[int],
                  hi: np.ndarray | Sequence[int],
                  answers: np.ndarray | Sequence[int]):
-        lo = np.ascontiguousarray(lo, dtype=np.int64)
-        hi = np.ascontiguousarray(hi, dtype=np.int64)
-        ans = np.ascontiguousarray(answers, dtype=np.int64)
+        lo = _frozen_int64(lo)
+        hi = _frozen_int64(hi)
+        ans = _frozen_int64(answers)
         if not (lo.size == hi.size == ans.size):
             raise ValueError("lo, hi and answers must have equal length")
         if k < 2:
@@ -230,16 +279,15 @@ class QueryTranscript:
         if ans.size and (ans.min() < 0 or ans.max() >= k):
             raise ValueError(f"answers must lie in [0, {k})")
         enc = _encode_pairs(lo, hi, n)
-        srt = np.argsort(enc)
-        enc = enc[srt]
-        if enc.size > 1 and np.any(enc[1:] == enc[:-1]):
-            raise RepeatQueryError("transcript contains a duplicated pair")
+        order = _sort_order(enc, RepeatQueryError("transcript contains a duplicated pair"))
+        if order is not None:
+            enc, lo, hi, ans = enc[order], lo[order], hi[order], ans[order]
         self.n = int(n)
         self.k = int(k)
         self._enc = enc
-        self._lo = lo[srt]
-        self._hi = hi[srt]
-        self._ans = ans[srt]
+        self._lo = lo
+        self._hi = hi
+        self._ans = ans
         for a in (self._enc, self._lo, self._hi, self._ans):
             a.flags.writeable = False
         self._dict = None
@@ -286,24 +334,28 @@ class QueryTranscript:
         C = c[None, :]
         if np.any(R == C):
             raise IdentityPairError("row and column node sets overlap")
-        lo = np.minimum(R, C)
-        hi = np.maximum(R, C)
-        enc = lo * np.int64(self.n) + hi
+        enc = _encode_pairs(np.minimum(R, C), np.maximum(R, C), self.n)
         if self._enc.size == 0:
             if enc.size:
-                raise MissingPairError(
-                    f"pair ({int(lo.flat[0])}, {int(hi.flat[0])}) was never queried"
-                )
+                lo, hi = divmod(int(enc.flat[0]), self.n)
+                raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
             return np.zeros(enc.shape, dtype=np.int64)
-        pos = np.searchsorted(self._enc, enc)
-        pos_c = np.minimum(pos, self._enc.size - 1)
-        found = self._enc[pos_c] == enc
-        if not np.all(found):
-            i, j = np.argwhere(~found)[0]
-            raise MissingPairError(
-                f"pair ({int(lo[i, j])}, {int(hi[i, j])}) was never queried"
-            )
-        out = self._ans[pos_c].copy()
+        last = self._enc.size - 1
+        # First guess that each row's pairs sit side by side in the sorted
+        # store, as the rows of a seed x rest block do; that costs one
+        # binary search per row. Binary-search each entry the guess misses.
+        pos = np.searchsorted(self._enc, enc[:, :1]) + np.arange(enc.shape[1])
+        np.minimum(pos, last, out=pos)
+        found = self._enc[pos] == enc
+        if not found.all():
+            miss = ~found
+            pos[miss] = np.minimum(np.searchsorted(self._enc, enc[miss]), last)
+            found = self._enc[pos] == enc
+            if not found.all():
+                i, j = np.argwhere(~found)[0]
+                lo, hi = divmod(int(enc[i, j]), self.n)
+                raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
+        out = self._ans[pos]
         flip = R > C
         out[flip] = (self.k - out[flip]) % self.k
         return out
@@ -316,22 +368,37 @@ class QueryTranscript:
 
     @classmethod
     def from_text(cls, text: str) -> "QueryTranscript":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        """Parse the format written by to_text; blank lines are skipped.
+
+        Raises ValueError naming the header, or the line number and text
+        of the first line that is not three integers i,j,answer.
+        """
+        lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
+                 if ln.strip()]
         if not lines:
             raise ValueError("empty transcript text")
-        header = lines[0]
+        header = lines[0][1]
         try:
+            if not header.startswith("k="):
+                raise ValueError
             k_part, n_part = header.split(",")
+            if not n_part.startswith("n="):
+                raise ValueError
             k = int(k_part.removeprefix("k="))
             n = int(n_part.removeprefix("n="))
-            if not (header.startswith("k=") and n_part.startswith("n=")):
-                raise ValueError
         except ValueError:
             raise ValueError(f"malformed transcript header: {header!r}") from None
         triples = []
-        for ln in lines[1:]:
-            i_s, j_s, a_s = ln.split(",")
-            triples.append((int(i_s), int(j_s), int(a_s)))
+        for no, ln in lines[1:]:
+            fields = ln.split(",")
+            try:
+                if len(fields) != 3:
+                    raise ValueError
+                triples.append(tuple(int(f) for f in fields))
+            except ValueError:
+                raise ValueError(
+                    f"malformed transcript line {no}: {ln!r} (expected i,j,answer)"
+                ) from None
         if triples:
             arr = np.asarray(triples, dtype=np.int64)
             return cls(n, k, arr[:, 0], arr[:, 1], arr[:, 2])

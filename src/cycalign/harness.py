@@ -384,7 +384,7 @@ class MleComparisonReport:
 
 def full_pairwise_plan(n: int) -> QueryPlan:
     lo, hi = np.triu_indices(n, k=1)
-    return QueryPlan.from_arrays(lo.astype(np.int64), hi.astype(np.int64), n)
+    return QueryPlan.from_arrays(lo, hi, n)
 
 
 def run_mle_comparison(n: int, params: NoiseParams, trials: int,

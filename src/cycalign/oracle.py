@@ -13,6 +13,11 @@ Noise is derived statelessly from (rng_seed, i, j) with a SplitMix64-style
 mixer, so a transcript depends only on the seed and the set of pairs,
 never on query order. This keeps batched and incremental querying, and
 any parallel schedule, byte-for-byte reproducible.
+
+The oracle remembers what it answered as one sorted int64 array of pair
+keys i * n + j. A plan's keys already strictly increase (see QueryPlan),
+so checking a plan against that history is a binary search of the plan
+in the history, and recording it is a merge of two sorted arrays.
 """
 
 from __future__ import annotations
@@ -25,12 +30,17 @@ from .core import (
     QueryPlan,
     QueryTranscript,
     RepeatQueryError,
+    _encode_pairs,
     canonical_pair,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+# Pairs answered per block: the hash and noise temporaries of a block
+# stay in cache instead of each streaming a full plan-sized array.
+_BLOCK = 1 << 16
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -99,7 +109,7 @@ class FaultyOracle:
         self.params = params
         self.rng_seed = int(rng_seed)
         self.noiseless = bool(noiseless)
-        self._issued_keys: set[int] = set()
+        self._issued_keys = np.empty(0, dtype=np.int64)  # sorted, distinct
         self._lo_chunks: list[np.ndarray] = []
         self._hi_chunks: list[np.ndarray] = []
         self._ans_chunks: list[np.ndarray] = []
@@ -114,16 +124,20 @@ class FaultyOracle:
 
     @property
     def query_count(self) -> int:
-        return len(self._issued_keys)
+        return self._issued_keys.size
 
     def _answers_for(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         g = self._truth.labels
-        if self.noiseless:
-            eta = np.int64(0)
-        else:
-            u = pair_uniform(self.rng_seed, lo, hi)
-            eta = noise_from_uniform(u, self.k, self.params.delta)
-        return (g[lo] - g[hi] + eta) % self.k
+        out = np.empty(lo.size, dtype=np.int64)
+        for a in range(0, lo.size, _BLOCK):
+            blo, bhi = lo[a:a + _BLOCK], hi[a:a + _BLOCK]
+            if self.noiseless:
+                eta = np.int64(0)
+            else:
+                u = pair_uniform(self.rng_seed, blo, bhi)
+                eta = noise_from_uniform(u, self.k, self.params.delta)
+            out[a:a + _BLOCK] = (g[blo] - g[bhi] + eta) % self.k
+        return out
 
     def query(self, i: int, j: int) -> int:
         """Answer the unordered pair {i, j} under canonical orientation.
@@ -135,10 +149,11 @@ class FaultyOracle:
         if not 0 <= lo < hi < self.n:
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
         key = lo * self.n + hi
-        if key in self._issued_keys:
+        pos = int(np.searchsorted(self._issued_keys, key))
+        if pos < self._issued_keys.size and self._issued_keys[pos] == key:
             raise RepeatQueryError(f"pair ({lo}, {hi}) was already queried")
         ans = self._answers_for(np.asarray([lo]), np.asarray([hi]))
-        self._issued_keys.add(key)
+        self._issued_keys = np.insert(self._issued_keys, pos, key)
         self._lo_chunks.append(np.asarray([lo], dtype=np.int64))
         self._hi_chunks.append(np.asarray([hi], dtype=np.int64))
         self._ans_chunks.append(ans)
@@ -147,23 +162,33 @@ class FaultyOracle:
     def execute_plan(self, plan: QueryPlan) -> QueryTranscript:
         """Answer every pair in the plan and return their transcript.
 
-        The plan must be disjoint from everything queried so far;
-        the oracle's query count grows by len(plan).
+        The plan must be disjoint from everything queried so far, or
+        RepeatQueryError names the lowest repeated pair and nothing is
+        recorded; the oracle's query count grows by len(plan).
         """
         if plan.n != self.n:
             raise ValueError(f"plan is for n={plan.n}, oracle has n={self.n}")
-        keys = (plan.lo * np.int64(self.n) + plan.hi).tolist()
-        if self._issued_keys.intersection(keys):
-            dup = min(self._issued_keys.intersection(keys))
-            raise RepeatQueryError(
-                f"pair ({dup // self.n}, {dup % self.n}) was already queried"
-            )
+        issued = self._issued_keys
+        if issued.size:
+            keys = _encode_pairs(plan.lo, plan.hi, self.n)  # sorted: a plan invariant
+            pos = np.searchsorted(issued, keys)
+            repeated = issued[np.minimum(pos, issued.size - 1)] == keys
+            if repeated.any():
+                dup = int(keys[repeated.argmax()])
+                raise RepeatQueryError(
+                    f"pair ({dup // self.n}, {dup % self.n}) was already queried"
+                )
+            issued = np.insert(issued, pos, keys)
         ans = self._answers_for(plan.lo, plan.hi)
-        self._issued_keys.update(keys)
+        ans.flags.writeable = False
+        transcript = QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
+        # with no history yet, the history becomes this plan's keys, which
+        # the transcript already holds sorted
+        self._issued_keys = issued if self._issued_keys.size else transcript._enc
         self._lo_chunks.append(plan.lo)
         self._hi_chunks.append(plan.hi)
         self._ans_chunks.append(ans)
-        return QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
+        return transcript
 
     @property
     def issued(self) -> QueryTranscript:

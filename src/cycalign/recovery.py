@@ -120,7 +120,8 @@ def plurality(values: Sequence[int] | np.ndarray, k: int) -> int:
         raise ValueError("plurality of an empty multiset is undefined")
     if arr.min() < 0 or arr.max() >= k:
         raise ValueError(f"votes must lie in [0, {k})")
-    return int(np.bincount(arr, minlength=k).argmax())
+    winners, _ = _vote_rows(arr.reshape(1, -1), k)
+    return int(winners[0])
 
 
 def effective_bias(params: NoiseParams) -> float:
@@ -130,11 +131,17 @@ def effective_bias(params: NoiseParams) -> float:
 
 
 def _vote_rows(votes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise plurality winners and (top - runner-up) margins."""
-    rows, width = votes.shape
-    counts = np.zeros((rows, k), dtype=np.int64)
-    row_idx = np.repeat(np.arange(rows), width)
-    np.add.at(counts, (row_idx, votes.ravel()), 1)
+    """Row-wise plurality winners and (top - runner-up) margins.
+
+    votes is a (rows, width) array of labels in [0, k), in any memory
+    layout. This is the package's one vote kernel: a single bincount
+    over the cell index row * k + vote.
+    """
+    rows = votes.shape[0]
+    cells = np.arange(rows, dtype=np.int64)[:, None] * k + votes
+    # order="K" reads the cells in memory order, so transposed votes are
+    # not copied; the counts do not depend on the order
+    counts = np.bincount(cells.ravel(order="K"), minlength=rows * k).reshape(rows, k)
     winners = counts.argmax(axis=1)
     top2 = np.partition(counts, k - 2, axis=1)[:, k - 2:]
     margins = top2[:, 1] - top2[:, 0]
@@ -219,6 +226,10 @@ def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:
     rest = np.arange(seed_count, n, dtype=np.int64)
     lo = np.repeat(seed, rest.size)
     hi = np.tile(rest, seed.size)
+    # sorted by (lo, hi) and handed over read-only, so the plan keeps
+    # these arrays without a copy or a sort
+    lo.flags.writeable = False
+    hi.flags.writeable = False
     return QueryPlan.from_arrays(lo, hi, n)
 
 
@@ -247,7 +258,7 @@ def recover_from_transcript(transcript: QueryTranscript,
         labels[1:seed_count] = winners
         margins[1:seed_count] = m
 
-    ext_votes = (labels[seed][:, None] + (k - mat) % k) % k
+    ext_votes = (labels[:seed_count, None] - mat) % k
     winners, m = _vote_rows(ext_votes.T, k)
     labels[rest] = winners
     margins[rest] = m

@@ -94,6 +94,12 @@ def plurality_by_count(values, k: int) -> int:
     return counts.index(top)
 
 
+def plurality_margin_by_count(values, k: int) -> int:
+    """Count of the most frequent label minus the count of the runner-up."""
+    counts = sorted((list(values).count(v) for v in range(k)), reverse=True)
+    return counts[0] - counts[1]
+
+
 def pairwise_diffs_by_scan(labels, k: int) -> dict:
     """Exact (label(i) - label(j)) mod k for every canonical pair."""
     n = len(labels)

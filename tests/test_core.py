@@ -1,5 +1,7 @@
 """Domain-type contracts: labelings, shifts, plans, transcripts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,28 @@ class TestQueryTranscript:
         t = _transcript(5, 3, [(0, 1, 2)])
         assert (0, 1) in t and (1, 0) in t and (0, 2) not in t
 
+    def test_unsorted_input_is_sorted_with_its_answers(self):
+        t = _transcript(6, 4, [(3, 5, 1), (0, 2, 3), (1, 4, 0), (0, 1, 2)])
+        assert list(t.items()) == [(0, 1, 2), (0, 2, 3), (1, 4, 0), (3, 5, 1)]
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 1, 2), (0, 1, 1)],             # adjacent
+        [(0, 1, 2), (1, 2, 0), (0, 1, 1)],  # non-adjacent, sorted prefix
+        [(2, 3, 0), (0, 1, 2), (2, 3, 1)],  # non-adjacent, unsorted
+    ])
+    def test_duplicates_rejected_wherever_they_sit(self, entries):
+        with pytest.raises(RepeatQueryError):
+            _transcript(5, 3, entries)
+
+    def test_sorted_read_only_input_is_kept_and_writeable_input_copied(self):
+        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
+        ans = np.array([1, 0, 2])
+        lo.flags.writeable = hi.flags.writeable = False
+        t = QueryTranscript(3, 3, lo, hi, ans)
+        assert t._lo is lo and t._hi is hi
+        ans[0] = 0  # the caller's writeable array is not aliased or frozen
+        assert list(t.items()) == [(0, 1, 1), (0, 2, 0), (1, 2, 2)]
+
     def test_answers_dict(self):
         t = _transcript(5, 3, [(1, 2, 0), (0, 4, 1)])
         assert t.answers == {(0, 4): 1, (1, 2): 0}
@@ -171,6 +195,21 @@ class TestQueryTranscript:
         for ri, r in enumerate(rows):
             for ci, c in enumerate(cols):
                 assert mat[ri, ci] == t.lookup_oriented(r, c)
+
+    def test_oriented_matrix_reads_a_block_inside_a_larger_store(self):
+        # the store holds every pair but (1, 5); rows of the seed x rest
+        # block sit side by side in it except around the gap
+        n, k = 8, 5
+        lo, hi = np.triu_indices(n, k=1)
+        ans = np.random.default_rng(2).integers(0, k, lo.size)
+        keep = ~((lo == 1) & (hi == 5))
+        t = QueryTranscript(n, k, lo[keep], hi[keep], ans[keep])
+        rows, cols = [0, 2], [3, 4, 5, 6, 7]
+        mat = t.oriented_matrix(rows, cols)
+        assert mat.tolist() == [[t.lookup_oriented(r, c) for c in cols] for r in rows]
+        assert t.oriented_matrix(cols, rows).tolist() == ((k - mat.T) % k).tolist()
+        with pytest.raises(MissingPairError, match=r"pair \(1, 5\)"):
+            t.oriented_matrix([0, 1, 2], cols)
 
     def test_oriented_matrix_missing_pair(self):
         t = _transcript(5, 3, [(0, 1, 2)])
@@ -201,9 +240,23 @@ class TestSerialization:
         assert QueryTranscript.from_text(t.to_text()).to_text() == "k=2,n=4\n"
 
     @pytest.mark.parametrize("text", ["", "n=4,k=2\n", "k=two,n=4\n",
-                                      "k=2,n=4\n0,1\n"])
+                                      "k=2,n=4\n0,1\n", "k=2\n", "k=2,n=4,x=1\n",
+                                      "xk=2,n=4\n", "k=2,n=4\n0,1,1,1\n",
+                                      "k=2,n=4\n0,x,1\n", "k=2,n=4\n0,1,1.5\n"])
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
+            QueryTranscript.from_text(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty transcript"),
+        ("n=4,k=2\n", "header: 'n=4,k=2'"),
+        ("k=2\n", "header: 'k=2'"),
+        ("k=2,n=4\n0,1\n", "line 2: '0,1'"),
+        ("k=2,n=4\n0,1,1\n1,2,0,1\n", "line 3: '1,2,0,1'"),
+        ("k=2,n=4\n0,1,1\n\n1,x,0\n", "line 4: '1,x,0'"),
+    ])
+    def test_malformed_message_names_header_or_line(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             QueryTranscript.from_text(text)
 
 
@@ -218,9 +271,39 @@ class TestQueryPlan:
         assert list(plan) == [(1, 4)]
         assert (1, 4) in plan and (4, 1) in plan
 
+    def test_first_occurrence_kept_in_sorted_order(self):
+        plan = QueryPlan([(3, 4), (1, 0), (2, 0), (0, 1), (4, 3)], n=5)
+        assert list(plan) == [(0, 1), (0, 2), (3, 4)]
+
     def test_identity_pair_rejected(self):
         with pytest.raises(IdentityPairError):
             QueryPlan([(2, 2)], n=5)
+
+    def test_from_arrays_sorts_unsorted_input(self):
+        plan = QueryPlan.from_arrays(np.array([2, 0, 1, 0]), np.array([3, 4, 2, 1]), 5)
+        assert list(plan) == [(0, 1), (0, 4), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([0, 0, 1], [1, 1, 2]),        # adjacent
+        ([0, 1, 0], [1, 2, 1]),        # non-adjacent
+        ([2, 0, 1, 0], [3, 1, 2, 1]),  # unsorted
+    ])
+    def test_from_arrays_rejects_duplicates(self, lo, hi):
+        with pytest.raises(ValueError, match="duplicate pairs"):
+            QueryPlan.from_arrays(np.array(lo), np.array(hi), 5)
+
+    def test_from_arrays_keeps_sorted_read_only_input(self):
+        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
+        lo.flags.writeable = hi.flags.writeable = False
+        plan = QueryPlan.from_arrays(lo, hi, 3)
+        assert plan.lo is lo and plan.hi is hi
+
+    def test_from_arrays_copies_writeable_input(self):
+        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
+        plan = QueryPlan.from_arrays(lo, hi, 3)
+        lo[0] = 1
+        assert lo.flags.writeable
+        assert list(plan) == [(0, 1), (0, 2), (1, 2)]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,44 @@ class TestExecutePlan:
         # failed batch must not have been recorded
         assert oracle.query_count == 1
 
+    def test_repeat_across_plans_names_lowest_pair(self):
+        oracle = _oracle([0, 1, 2, 0, 1, 2], 3)
+        oracle.execute_plan(QueryPlan([(0, 5), (2, 3), (3, 4)], n=6))
+        before = oracle.issued.to_text()
+        with pytest.raises(RepeatQueryError, match=r"pair \(2, 3\) was already"):
+            oracle.execute_plan(QueryPlan([(0, 1), (3, 4), (2, 3), (4, 5)], n=6))
+        assert oracle.query_count == 3
+        assert oracle.issued.to_text() == before
+
+    def test_query_then_plan_repeat_rejected(self):
+        oracle = _oracle([0, 1, 2, 0], 3)
+        oracle.query(3, 2)
+        with pytest.raises(RepeatQueryError, match=r"pair \(2, 3\)"):
+            oracle.execute_plan(QueryPlan([(0, 1), (2, 3)], n=4))
+        assert oracle.query_count == 1
+
+    def test_plan_then_query_repeat_rejected(self):
+        oracle = _oracle([0, 1, 2, 0], 3)
+        oracle.execute_plan(QueryPlan([(0, 3), (1, 2)], n=4))
+        with pytest.raises(RepeatQueryError, match=r"pair \(0, 3\)"):
+            oracle.query(3, 0)
+        assert oracle.query_count == 2
+
+    def test_interleaved_plans_and_queries_count_exactly(self):
+        # later batches fall below, between and above earlier ones
+        oracle = _oracle([0, 1, 2, 0, 1, 2, 0, 1], 3)
+        oracle.execute_plan(QueryPlan([(3, 4), (5, 6)], n=8))
+        oracle.execute_plan(QueryPlan([(0, 1), (4, 5), (6, 7)], n=8))
+        oracle.query(2, 3)
+        oracle.execute_plan(QueryPlan([(0, 7), (1, 2)], n=8))
+        assert oracle.query_count == len(oracle.issued) == 8
+        for pair in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)]:
+            with pytest.raises(RepeatQueryError):
+                oracle.query(*pair)
+            with pytest.raises(RepeatQueryError):
+                oracle.execute_plan(QueryPlan([pair], n=8))
+        assert oracle.query_count == 8
+
     def test_wrong_size_plan_rejected(self):
         oracle = _oracle([0, 1, 2], 3)
         with pytest.raises(ValueError):

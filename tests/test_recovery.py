@@ -32,7 +32,8 @@ from cycalign import (
     shift_labeling,
     validity_threshold,
 )
-from oracles import pairwise_diffs_by_scan, plurality_by_count
+from cycalign.recovery import _vote_rows
+from oracles import pairwise_diffs_by_scan, plurality_by_count, plurality_margin_by_count
 
 # large-bias parameter points keep these unit tests inside the regime
 # where seed reconciliation is dependable; regime-boundary behavior is
@@ -121,6 +122,46 @@ class TestPlurality:
         shuffled = list(values)
         rnd.shuffle(shuffled)
         assert plurality(values, k) == plurality(shuffled, k) == want
+
+
+class TestVoteRows:
+    @staticmethod
+    def _check(votes, k):
+        winners, margins = _vote_rows(votes, k)
+        rows = votes.tolist()
+        assert winners.tolist() == [plurality_by_count(r, k) for r in rows]
+        assert margins.tolist() == [plurality_margin_by_count(r, k) for r in rows]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_counting_on_random_rows(self, k):
+        rng = np.random.default_rng(k)
+        self._check(rng.integers(0, k, (60, 7)), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_forced_ties_go_to_smallest_label(self, k):
+        # every row holds two labels twice each plus shuffled filler once
+        rng = np.random.default_rng(10 + k)
+        rows = []
+        for _ in range(40):
+            a, b = rng.choice(k, 2, replace=False)
+            row = [a, a, b, b] + list(rng.permutation(k))
+            rng.shuffle(row)
+            rows.append(row)
+        votes = np.array(rows)
+        _, margins = _vote_rows(votes, k)
+        assert (margins == 0).all()
+        self._check(votes, k)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 4, (9, 30))
+        self._check(base.T, 4)              # transposed
+        self._check(base[::2, 1::3], 4)     # strided
+        self._check(np.asfortranarray(base), 4)
+
+    def test_single_column_has_full_margin(self):
+        winners, margins = _vote_rows(np.array([[2], [0]]), 3)
+        assert winners.tolist() == [2, 0] and margins.tolist() == [1, 1]
 
 
 class TestEffectiveBias:
