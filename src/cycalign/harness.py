@@ -405,6 +405,7 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     plan = full_pairwise_plan(n)
+    s = seed_size(n, params, cfg)
     agreements = 0
     nonunique = 0
     for t in range(trials):
@@ -415,7 +416,6 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
         oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
                               noiseless=noiseless)
         transcript = oracle.execute_plan(plan)
-        s = seed_size(n, params, cfg)
         result = recover_from_transcript(transcript, s)
         normalized = Labeling(
             (result.labeling.labels - result.labeling.labels[0]) % params.k,

@@ -54,6 +54,27 @@ def tail_enum_patterns(vote_count: int, k: int, delta: float) -> Fraction:
     return total
 
 
+def tail_dp_full_array(vote_count: int, k: int, delta: float) -> float:
+    """P(sum of signed votes <= 0) by float convolution over all 2n + 1 sums.
+
+    The reference for the package's windowed dynamic program: the same
+    vote probabilities and the same three array operations per vote,
+    applied to the whole support, so both must agree bit for bit.
+    """
+    up = 1.0 / k + delta
+    down = 1.0 / k - delta / (k - 1)
+    zero = (k - 2) * down
+    n = vote_count
+    dist = np.zeros(2 * n + 1)
+    dist[n] = 1.0  # sum s lives at index s + n
+    for _ in range(n):
+        nxt = zero * dist
+        nxt[1:] += up * dist[:-1]
+        nxt[:-1] += down * dist[1:]
+        dist = nxt
+    return float(dist[: n + 1].sum())
+
+
 def hamming_by_scan(estimate, truth, k: int) -> int:
     """Min mismatches over all shifts, by explicit loop."""
     best = len(truth)

@@ -1,12 +1,14 @@
 """Analysis contracts: success scoring, likelihood, MLE, tail bounds."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from cycalign import analysis
 from cycalign import (
     DegenerateGridError,
     DegenerateLikelihoodError,
@@ -36,6 +38,7 @@ from oracles import (
     linear_fit_by_formula,
     mle_by_scan,
     success_by_scan,
+    tail_dp_full_array,
     tail_enum_multinomial,
     tail_enum_patterns,
 )
@@ -193,6 +196,57 @@ class TestBruteForceMle:
         with pytest.raises(InstanceTooLargeError):
             brute_force_mle(t, 10, NoiseParams(10, 0.05))
 
+    @given(st.data())
+    def test_matches_scan_on_partial_transcripts(self, data):
+        n = data.draw(st.integers(2, 6))
+        k = data.draw(st.sampled_from([2, 3, 4]))
+        pairs = data.draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                                   unique=True))
+        answers = {p: data.draw(st.integers(0, k - 1)) for p in pairs}
+        _check_mle_against_scan(n, k, answers)
+
+    def test_matches_scan_on_empty_transcript(self):
+        _check_mle_against_scan(4, 3, {})
+
+    def test_matches_scan_when_node_zero_is_untouched(self):
+        _check_mle_against_scan(5, 3, {(1, 2): 2, (1, 4): 0, (2, 3): 1,
+                                       (3, 4): 1, (2, 4): 0})
+
+    def test_labels_wider_than_int8(self):
+        for k in (127, 128, 129, 300):
+            _check_mle_against_scan(3, k, {(0, 1): k - 1, (1, 2): 1, (0, 2): 5})
+
+    @pytest.mark.parametrize("cells", [1, 6, 10, 29, 100])
+    def test_chunking_keeps_winners_and_order(self, monkeypatch, cells):
+        rng = np.random.default_rng(5)
+        pairs = list(combinations(range(5), 2))
+        cases = [(5, 3, {(0, 1): 2, (2, 3): 1}), (5, 2, {})]
+        for _ in range(4):
+            keep = rng.random(len(pairs)) < 0.5
+            cases.append((5, 3, {p: int(a) for p, a, m in zip(
+                pairs, rng.integers(0, 3, len(pairs)), keep) if m}))
+        for n, k, answers in cases:
+            t = _transcript(n, k, [(i, j, a) for (i, j), a in answers.items()])
+            params = NoiseParams(k, 0.2)
+            want = brute_force_mle(t, n, params)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_MLE_CHUNK_CELLS", cells)
+                got = brute_force_mle(t, n, params)
+            assert got == want
+
+
+def _mixed_radix_id(labels, k):
+    return sum(int(g) * k ** (i - 1) for i, g in enumerate(labels) if i > 0)
+
+
+def _check_mle_against_scan(n, k, answers):
+    """brute_force_mle gives the scan's winners, in mixed-radix order."""
+    t = _transcript(n, k, [(i, j, a) for (i, j), a in answers.items()])
+    got = [tuple(g.labels.tolist()) for g in brute_force_mle(t, n, NoiseParams(k, 0.2))]
+    assert sorted(got) == sorted(mle_by_scan(n, k, answers))
+    ids = [_mixed_radix_id(g, k) for g in got]
+    assert ids == sorted(set(ids))
+
 
 class TestTailExact:
     def test_single_vote(self):
@@ -249,6 +303,43 @@ class TestTailExact:
         assert (up, down, zero) == pytest.approx((0.8, 0.2, 0.0))
         up, down, zero = vote_probabilities(NoiseParams(4, 0.2))
         assert up + down + zero == pytest.approx(1.0)
+
+
+class TestTailExactWindow:
+    """The windowed DP gives exactly the floats of the full-width loop."""
+
+    @given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.floats(0.0, (k - 1) / k, exclude_min=True),
+        st.integers(1, 300))))
+    def test_equals_full_array(self, case):
+        k, delta, votes = case
+        spec = TailSpec(votes, NoiseParams(k, delta))
+        assert tail_probability_exact(spec) == tail_dp_full_array(votes, k, delta)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("votes", [1, 2, 51, 300])
+    def test_maximal_bias_window_moves_right(self, k, votes):
+        # delta = (k-1)/k: P[X=-1] = P[X=0] = 0 up to round-off
+        delta = (k - 1) / k
+        spec = TailSpec(votes, NoiseParams(k, delta))
+        assert tail_probability_exact(spec) == tail_dp_full_array(votes, k, delta)
+
+    @pytest.mark.parametrize("votes", [1, 2, 7, 8, 299, 300])
+    def test_two_labels_alternating_zeros(self, votes):
+        # k = 2 has no zero votes, so every other cell of the window is 0
+        for delta in (0.01, 0.3, 0.49):
+            spec = TailSpec(votes, NoiseParams(2, delta))
+            assert tail_probability_exact(spec) == tail_dp_full_array(votes, 2, delta)
+
+    @pytest.mark.parametrize("votes,k,delta,value", [
+        (2000, 2, 0.3, 3.5978498573685206e-196),
+        (4000, 2, 0.3, 0.0),  # underflows
+        (4000, 4, 0.05, 3.729442585351899e-09),
+    ])
+    def test_large_vote_counts(self, votes, k, delta, value):
+        got = tail_probability_exact(TailSpec(votes, NoiseParams(k, delta)))
+        assert got == tail_dp_full_array(votes, k, delta) == value
 
 
 class TestTailMonteCarlo:
