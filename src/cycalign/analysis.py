@@ -143,8 +143,10 @@ def brute_force_mle(transcript: QueryTranscript, n: int,
         )
     cell = np.min_scalar_type(-k)  # holds every d and every a - k
     lo, hi = transcript._lo, transcript._hi
-    ans = transcript._ans.astype(cell)[:, None]
-    ans_wrapped = (transcript._ans - k).astype(cell)[:, None]
+    # subtract k in int64: cell need not hold k (it is int8 at k = 128)
+    wide = transcript._ans.astype(np.int64)[:, None]
+    ans = wide.astype(cell)
+    ans_wrapped = (wide - k).astype(cell)
     chunk = max(1, _MLE_CHUNK_CELLS // max(n, lo.size))
     best_agree = -1
     best: list[np.ndarray] = []
@@ -202,12 +204,10 @@ def tail_probability_exact(spec: TailSpec) -> float:
     nor anything they feed is ever summed. The final sum runs over the
     full zero-padded array, so numpy's pairwise summation order is
     unchanged too, and the result equals that of the full-width
-    convolution bit for bit. (Where round-off makes P[X=-1] a tiny
-    negative number, at delta = (k-1)/k for some k, a zero result could
-    at most differ in the sign of the zero.) Cost is O(n * window): the
-    window stays near the width over which the tails have not
-    underflowed, ~4 600 cells on average at 20 000 votes for k = 4,
-    delta = 0.05, against 40 001 for the full support.
+    convolution bit for bit. Cost is O(n * window): the window stays
+    near the width over which the tails have not underflowed, ~4 600
+    cells on average at 20 000 votes for k = 4, delta = 0.05, against
+    40 001 for the full support.
 
     Float accumulation error is O(vote_count * machine epsilon); the
     test suite pins agreement with exact rational enumeration to 1e-12

@@ -11,6 +11,14 @@ Conventions used throughout the package:
 * every unordered pair is stored under its canonical orientation
   (i, j) with i < j, and the reversed reading is the negation mod k;
 * all mod-k arithmetic is on non-negative residues.
+
+A transcript stores its answers in the smallest signed integer type
+that holds every value in [-k, k] (int8 up to k = 127), so the dense
+seed x rest block of Algorithm 1 costs one byte per answer. Because k
+itself fits that type, k - a and a - k stay in range for every answer
+a. QueryTranscript.oriented_matrix returns a read-only view of the
+stored answers when the requested block lies back to back in the
+store, as the seed x rest block of a seed_rest_plan transcript does.
 """
 
 from __future__ import annotations
@@ -84,6 +92,11 @@ class NoiseParams:
     @property
     def p_nonzero(self) -> float:
         """Probability of each individual nonzero noise value."""
+        # At the largest allowed bias, delta = (k-1)/k, this is 0 in exact
+        # arithmetic, but float round-off leaves 1/k - delta/(k-1) off zero
+        # for some k (negative for k = 6, 24, 38, positive for k = 20).
+        if self.delta == (self.k - 1) / self.k:
+            return 0.0
         return 1.0 / self.k - self.delta / (self.k - 1)
 
 
@@ -152,6 +165,35 @@ def _frozen_int64(a) -> np.ndarray:
     out = np.array(a, dtype=np.int64, order="C")
     out.flags.writeable = False
     return out
+
+
+_INT8 = np.dtype(np.int8)
+
+
+def _answer_dtype(k: int) -> np.dtype:
+    """Smallest signed integer type that holds every value in [-k, k]."""
+    return _INT8 if k <= 127 else np.min_scalar_type(-k - 1)
+
+
+def _frozen_answers(a, k: int) -> np.ndarray:
+    """Read-only C-contiguous answers in [0, k) of type _answer_dtype(k).
+
+    A read-only array that already is one, such as the oracle's output,
+    is kept as is. Anything else is range-checked in int64 and then
+    converted with one copy, so out-of-range input never wraps and a
+    caller's writeable array is never aliased or frozen.
+    """
+    dtype = _answer_dtype(k)
+    keep = (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.c_contiguous and not a.flags.writeable)
+    if not keep:
+        a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= k):
+        raise ValueError(f"answers must lie in [0, {k})")
+    if not keep:
+        a = a.astype(dtype, order="C")
+        a.flags.writeable = False
+    return a
 
 
 def _sort_order(enc: np.ndarray, duplicate: Exception) -> np.ndarray | None:
@@ -259,7 +301,15 @@ class QueryTranscript:
 
     Pairs are held sorted by their keys i * n + j, which strictly
     increase. Input already in that order, such as a plan's arrays, is
-    kept without a sort, and read-only int64 input without a copy.
+    kept without a sort, and read-only int64 pairs without a copy.
+
+    Answers are stored as _answer_dtype(k): int8 up to k = 127, a wider
+    signed type above. A read-only array of that type, which is what
+    FaultyOracle.execute_plan hands over, is kept without a copy; any
+    other answers (lists, int64 arrays, parsed text) are range-checked
+    and converted once. oriented_matrix returns answers of the same
+    type, as a read-only view of the store when the block it reads is
+    stored back to back (see there).
     """
 
     __slots__ = ("n", "k", "_enc", "_ans", "_lo", "_hi", "_dict")
@@ -268,16 +318,14 @@ class QueryTranscript:
                  lo: np.ndarray | Sequence[int],
                  hi: np.ndarray | Sequence[int],
                  answers: np.ndarray | Sequence[int]):
-        lo = _frozen_int64(lo)
-        hi = _frozen_int64(hi)
-        ans = _frozen_int64(answers)
-        if not (lo.size == hi.size == ans.size):
-            raise ValueError("lo, hi and answers must have equal length")
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
+        lo = _frozen_int64(lo)
+        hi = _frozen_int64(hi)
+        ans = _frozen_answers(answers, k)
+        if not (lo.size == hi.size == ans.size):
+            raise ValueError("lo, hi and answers must have equal length")
         _validate_pair_arrays(lo, hi, n)
-        if ans.size and (ans.min() < 0 or ans.max() >= k):
-            raise ValueError(f"answers must lie in [0, {k})")
         enc = _encode_pairs(lo, hi, n)
         order = _sort_order(enc, RepeatQueryError("transcript contains a duplicated pair"))
         if order is not None:
@@ -325,38 +373,76 @@ class QueryTranscript:
     def oriented_matrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Matrix of oriented answers, entry [r, c] = answer read as (row, col).
 
-        Raises MissingPairError if any required pair is absent and
-        IdentityPairError if a row and column index coincide.
+        Entries have the transcript's answer type. When cols is one run
+        c0, c0 + 1, ..., c0 + w - 1 of nodes and every row lies below
+        c0, every read is canonical and _row_starts proves each row
+        present with two binary searches. If the rows' runs then sit
+        back to back in the store, as the seed x rest rows of a
+        seed_rest_plan transcript do, the result is a read-only view of
+        the stored answers; otherwise one gather copies them. Any other
+        read searches the store for every entry.
+
+        Raises MissingPairError if any required pair is absent,
+        IdentityPairError if a row and column index coincide and
+        ValueError if a node lies outside [0, n).
         """
         r = np.asarray(rows, dtype=np.int64)
         c = np.asarray(cols, dtype=np.int64)
+        starts = self._row_starts(r, c) if r.size and c.size else None
+        if starts is None:
+            return self._search_matrix(r, c)
+        w = c.size
+        if (starts[1:] - starts[:-1] == w).all():
+            first = int(starts[0])
+            return self._ans[first:first + r.size * w].reshape(r.size, w)
+        return self._ans[starts[:, None] + np.arange(w)]
+
+    def _row_starts(self, r: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+        """Store position of each pair (r[i], c[0]) when every row's pairs
+        with the run c are all stored, else None.
+
+        Applies only when c is a run c0, c0 + 1, ..., c0 + w - 1 below n,
+        so that row r's pairs have the w consecutive keys
+        r*n + c0 .. r*n + c0 + w - 1. The stored keys are distinct
+        integers, so the row is complete exactly when the store holds w
+        keys in [r*n + c0, r*n + c0 + w), which two binary searches per
+        row count whatever w is; the row then sits at positions
+        p .. p + w - 1 from the first search's p. Only canonical pairs
+        are stored, so a complete row lies below c0 and is read
+        unflipped; a row at or above c0, or a negative one, has keys
+        that are never stored.
+        """
+        c0, w = int(c[0]), c.size
+        if c[-1] >= self.n or (w > 1 and not (c[1:] - c[:-1] == 1).all()):
+            return None
+        first = r * self.n + c0
+        starts = self._enc.searchsorted(first)
+        if not (self._enc.searchsorted(first + w) - starts == w).all():
+            return None
+        return starts
+
+    def _search_matrix(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """oriented_matrix by one binary search of the store per entry."""
+        if (r.size and (r.min() < 0 or r.max() >= self.n)
+                or c.size and (c.min() < 0 or c.max() >= self.n)):
+            raise ValueError(f"nodes must lie in [0, {self.n})")
         R = r[:, None]
         C = c[None, :]
         if np.any(R == C):
             raise IdentityPairError("row and column node sets overlap")
         enc = _encode_pairs(np.minimum(R, C), np.maximum(R, C), self.n)
-        if self._enc.size == 0:
-            if enc.size:
-                lo, hi = divmod(int(enc.flat[0]), self.n)
-                raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
-            return np.zeros(enc.shape, dtype=np.int64)
-        last = self._enc.size - 1
-        # First guess that each row's pairs sit side by side in the sorted
-        # store, as the rows of a seed x rest block do; that costs one
-        # binary search per row. Binary-search each entry the guess misses.
-        pos = np.searchsorted(self._enc, enc[:, :1]) + np.arange(enc.shape[1])
-        np.minimum(pos, last, out=pos)
-        found = self._enc[pos] == enc
-        if not found.all():
-            miss = ~found
-            pos[miss] = np.minimum(np.searchsorted(self._enc, enc[miss]), last)
+        pos = np.searchsorted(self._enc, enc)
+        found = np.zeros(enc.shape, dtype=bool)
+        if self._enc.size:
+            np.minimum(pos, self._enc.size - 1, out=pos)
             found = self._enc[pos] == enc
-            if not found.all():
-                i, j = np.argwhere(~found)[0]
-                lo, hi = divmod(int(enc[i, j]), self.n)
-                raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
+        if not found.all():
+            i, j = np.argwhere(~found)[0]
+            lo, hi = divmod(int(enc[i, j]), self.n)
+            raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
         out = self._ans[pos]
         flip = R > C
+        # k fits the answer type, so k - a cannot overflow it
         out[flip] = (self.k - out[flip]) % self.k
         return out
 

@@ -18,6 +18,10 @@ The oracle remembers what it answered as one sorted int64 array of pair
 keys i * n + j. A plan's keys already strictly increase (see QueryPlan),
 so checking a plan against that history is a binary search of the plan
 in the history, and recording it is a merge of two sorted arrays.
+
+Answers are written straight into the transcript's compact answer type
+(int8 up to k = 127) and handed over read-only, so the transcript keeps
+them without a copy.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .core import (
     QueryPlan,
     QueryTranscript,
     RepeatQueryError,
+    _answer_dtype,
     _encode_pairs,
     canonical_pair,
 )
@@ -109,6 +114,7 @@ class FaultyOracle:
         self.params = params
         self.rng_seed = int(rng_seed)
         self.noiseless = bool(noiseless)
+        self._ans_dtype = _answer_dtype(params.k)  # the transcript's answer type
         self._issued_keys = np.empty(0, dtype=np.int64)  # sorted, distinct
         self._lo_chunks: list[np.ndarray] = []
         self._hi_chunks: list[np.ndarray] = []
@@ -128,7 +134,7 @@ class FaultyOracle:
 
     def _answers_for(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         g = self._truth.labels
-        out = np.empty(lo.size, dtype=np.int64)
+        out = np.empty(lo.size, dtype=self._ans_dtype)
         for a in range(0, lo.size, _BLOCK):
             blo, bhi = lo[a:a + _BLOCK], hi[a:a + _BLOCK]
             if self.noiseless:

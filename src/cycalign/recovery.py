@@ -18,6 +18,15 @@ delta >~ (ln n / (n k))^(1/4) below which seed reconciliation starves.
 
 All votes break ties toward the smallest label, making every outcome a
 deterministic function of the transcript.
+
+Every vote goes through one kernel, _vote_rows, which counts each row's
+values (a - ref) mod k without computing a modulus: with a and ref in
+[0, k), a - ref + k lies in (0, 2k), so one bincount over
+row * 2k + (a - ref + k) counts every residue v in two bins, v (from
+a < ref) and v + k (from a >= ref), which are then added. Step 2 reads
+a = the seed rows of the seed x rest answer block against ref = the
+anchor row, step 3 a = the seed labels against ref = the block's
+columns, so neither builds a vote array of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ import numpy as np
 
 from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript
 from .oracle import FaultyOracle
+
+# Vote cells counted per bincount; a block's int index array stays in
+# cache instead of streaming the whole vote matrix through memory.
+_VOTE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,22 +143,47 @@ def effective_bias(params: NoiseParams) -> float:
     return params.k * params.delta**2 / (params.k - 1)
 
 
-def _vote_rows(votes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise plurality winners and (top - runner-up) margins.
+def _vote_rows(a: np.ndarray, k: int,
+               ref: np.ndarray | int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise plurality winners and (top - runner-up) margins of the
+    votes (a - ref) mod k.
 
-    votes is a (rows, width) array of labels in [0, k), in any memory
-    layout. This is the package's one vote kernel: a single bincount
-    over the cell index row * k + vote.
+    a and ref hold labels in [0, k) of any integer type and memory
+    layout and broadcast together to a (rows, width) vote matrix. This
+    is the package's one vote kernel. a - ref + k lies in (0, 2k), so
+    one bincount over row * 2k + (a - ref + k) needs no modulus; the
+    count of residue v is then raw[v] + raw[v + k]. The cell indices
+    are built _VOTE_BLOCK at a time, a tile of whole rows or of one
+    row's columns, so the cost per vote does not depend on k.
     """
-    rows = votes.shape[0]
-    cells = np.arange(rows, dtype=np.int64)[:, None] * k + votes
-    # order="K" reads the cells in memory order, so transposed votes are
-    # not copied; the counts do not depend on the order
-    counts = np.bincount(cells.ravel(order="K"), minlength=rows * k).reshape(rows, k)
+    rows, width = np.broadcast(a, ref).shape
+    if rows * width <= _VOTE_BLOCK:
+        raw = _raw_vote_counts(a, ref, k)
+    else:
+        a, ref = np.broadcast_to(a, (rows, width)), np.broadcast_to(ref, (rows, width))
+        cols = min(width, _VOTE_BLOCK)
+        step = _VOTE_BLOCK // cols
+        raw = np.zeros((rows, 2 * k), dtype=np.intp)
+        for i in range(0, rows, step):
+            for j in range(0, width, cols):
+                tile = np.s_[i:i + step, j:j + cols]
+                raw[i:i + step] += _raw_vote_counts(a[tile], ref[tile], k)
+    counts = raw[:, :k] + raw[:, k:]
     winners = counts.argmax(axis=1)
     top2 = np.partition(counts, k - 2, axis=1)[:, k - 2:]
     margins = top2[:, 1] - top2[:, 0]
     return winners, margins
+
+
+def _raw_vote_counts(a, ref, k: int) -> np.ndarray:
+    """(rows, 2k) counts of a - ref + k per row of the broadcast (a, ref)."""
+    cells = np.subtract(a, ref, dtype=np.intp)
+    rows = cells.shape[0]
+    cells += np.arange(k, 2 * k * rows, 2 * k)[:, None]
+    # order="K" reads the cells in memory order, so a transposed ref is
+    # not copied; the counts do not depend on the order
+    return np.bincount(cells.ravel(order="K"),
+                       minlength=2 * k * rows).reshape(rows, 2 * k)
 
 
 def estimate_pairwise_diff(transcript: QueryTranscript, s: int, s_prime: int,
@@ -161,8 +199,8 @@ def estimate_pairwise_diff(transcript: QueryTranscript, s: int, s_prime: int,
     if others.size == 0:
         raise ValueError("others must be nonempty")
     mat = transcript.oriented_matrix([s, s_prime], others)
-    votes = (mat[0] - mat[1]) % transcript.k
-    return plurality(votes, transcript.k)
+    winners, _ = _vote_rows(mat[:1], transcript.k, mat[1])
+    return int(winners[0])
 
 
 def align_seed(transcript: QueryTranscript, seed: Sequence[int],
@@ -182,8 +220,7 @@ def align_seed(transcript: QueryTranscript, seed: Sequence[int],
     labels = {seed[0]: 0}
     if len(seed) > 1:
         mat = transcript.oriented_matrix(seed, rest)
-        diffs = (mat[1:] - mat[0:1]) % k
-        winners, _ = _vote_rows(diffs, k)
+        winners, _ = _vote_rows(mat[1:], k, mat[0])
         labels.update(zip(seed[1:], winners.tolist()))
     return labels
 
@@ -193,7 +230,8 @@ def extend_labels(transcript: QueryTranscript, seed_labels: Mapping[int, int],
     """Extend seed labels to the target nodes by plurality vote.
 
     Each target v gets the plurality over seed nodes s of
-    (seed_labels[s] + answer(v, s)) mod k; seed nodes keep their
+    (seed_labels[s] + answer(v, s)) mod k, that is
+    (seed_labels[s] - answer(s, v)) mod k; seed nodes keep their
     labels. seed and targets together must cover all nodes.
     """
     targets = np.asarray(targets, dtype=np.int64)
@@ -207,9 +245,8 @@ def extend_labels(transcript: QueryTranscript, seed_labels: Mapping[int, int],
     labels = np.zeros(n, dtype=np.int64)
     labels[seed_nodes] = [seed_labels[int(s)] for s in seed_nodes]
     if targets.size:
-        mat = transcript.oriented_matrix(targets, seed_nodes)
-        votes = (mat + labels[seed_nodes][None, :]) % k
-        winners, _ = _vote_rows(votes, k)
+        mat = transcript.oriented_matrix(seed_nodes, targets)
+        winners, _ = _vote_rows(labels[seed_nodes], k, mat.T)
         labels[targets] = winners
     return Labeling(labels, k)
 
@@ -253,15 +290,13 @@ def recover_from_transcript(transcript: QueryTranscript,
 
     margins[0] = rest.size  # anchor: fixed by convention, not by vote
     if seed_count > 1:
-        diffs = (mat[1:] - mat[0:1]) % k
-        winners, m = _vote_rows(diffs, k)
+        winners, m = _vote_rows(mat[1:], k, mat[0])
         labels[1:seed_count] = winners
         margins[1:seed_count] = m
 
-    ext_votes = (labels[:seed_count, None] - mat) % k
-    winners, m = _vote_rows(ext_votes.T, k)
-    labels[rest] = winners
-    margins[rest] = m
+    winners, m = _vote_rows(labels[:seed_count], k, mat.T)
+    labels[seed_count:] = winners
+    margins[seed_count:] = m
 
     return RecoveryResult(
         labeling=Labeling(labels, k),

@@ -60,9 +60,11 @@ def tail_dp_full_array(vote_count: int, k: int, delta: float) -> float:
     The reference for the package's windowed dynamic program: the same
     vote probabilities and the same three array operations per vote,
     applied to the whole support, so both must agree bit for bit.
+    P[X=-1] is exactly 0 at delta = (k-1)/k, as in NoiseParams.p_nonzero,
+    where float round-off would leave it off zero.
     """
     up = 1.0 / k + delta
-    down = 1.0 / k - delta / (k - 1)
+    down = 0.0 if delta == (k - 1) / k else 1.0 / k - delta / (k - 1)
     zero = (k - 2) * down
     n = vote_count
     dist = np.zeros(2 * n + 1)

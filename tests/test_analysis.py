@@ -365,6 +365,24 @@ class TestTailMonteCarlo:
                                 np.random.default_rng(0))
 
 
+class TestMaximalBias:
+    """delta = (k-1)/k makes every nonzero noise value impossible, which
+    float round-off must not turn into a negative probability."""
+
+    @pytest.mark.parametrize("k", range(2, 40))
+    def test_probabilities_stay_valid(self, k):
+        params = NoiseParams(k, (k - 1) / k)
+        assert params.p_nonzero == 0.0
+        assert min(vote_probabilities(params)) >= 0.0
+        for votes in (1, 2, 25):
+            spec = TailSpec(votes, params)
+            assert 0.0 <= tail_probability_exact(spec) < 1e-12
+            assert tail_probability_mc(spec, 1000, np.random.default_rng(k)).value == 0.0
+        t = _transcript(3, k, [(0, 1, 1), (1, 2, 0)])
+        with pytest.raises(DegenerateLikelihoodError):
+            log_likelihood(t, Labeling([0, 0, 0], k), params)
+
+
 class TestFitTailExponent:
     def test_regimes(self):
         assert tail_regime(NoiseParams(4, 0.125)) == "small"

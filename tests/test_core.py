@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycalign import (
+    FaultyOracle,
     IdentityPairError,
     Labeling,
+    LikelihoodSplit,
     MissingPairError,
     NoiseParams,
     QueryPlan,
     QueryTranscript,
     RepeatQueryError,
+    brute_force_mle,
     canonical_pair,
+    full_pairwise_plan,
+    likelihood_split,
     lookup_oriented,
+    recover_from_transcript,
+    recover_success,
+    seed_rest_plan,
     shift_labeling,
 )
 
@@ -220,6 +228,148 @@ class TestQueryTranscript:
         t = _transcript(5, 3, [(0, 1, 2)])
         with pytest.raises(IdentityPairError):
             t.oriented_matrix([0, 1], [1, 3])
+
+
+def _seed_rest_pairs(n, s):
+    return [(i, j) for i in range(s) for j in range(s, n)]
+
+
+def _from_pairs(n, k, pairs, seed=0):
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    ans = np.random.default_rng(seed).integers(0, k, lo.size)
+    return QueryTranscript(n, k, lo, hi, ans)
+
+
+class TestOrientedMatrixRuns:
+    """The block read of oriented_matrix against scalar lookups."""
+
+    @given(st.data())
+    def test_matches_lookups_or_names_an_absent_pair(self, data):
+        n = data.draw(st.integers(2, 12))
+        k = data.draw(st.integers(2, 6))
+        triangle = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        dropped = data.draw(st.sets(st.sampled_from(triangle), max_size=4))
+        store = ([p for p in triangle if p not in dropped] if data.draw(st.booleans())
+                 else [p for p in _seed_rest_pairs(n, n // 2) if p not in dropped])
+        t = _from_pairs(n, k, store, seed=data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):  # a run of columns above every row
+            c0 = data.draw(st.integers(1, n - 1))
+            cols = list(range(c0, data.draw(st.integers(c0 + 1, n))))
+            rows = data.draw(st.lists(st.integers(0, c0 - 1), min_size=1, max_size=n))
+        else:
+            rows = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+            cols = data.draw(st.lists(st.integers(0, n - 1).filter(lambda c: c not in rows),
+                                      max_size=n))
+        missing = {canonical_pair(r, c) for r in rows for c in cols} - set(store)
+        if missing:
+            with pytest.raises(MissingPairError) as err:
+                t.oriented_matrix(rows, cols)
+            named = re.search(r"pair \((\d+), (\d+)\)", str(err.value))
+            assert (int(named[1]), int(named[2])) in missing
+        else:
+            mat = t.oriented_matrix(rows, cols)
+            assert mat.shape == (len(rows), len(cols))
+            assert mat.tolist() == [[t.lookup_oriented(r, c) for c in cols] for r in rows]
+
+    @pytest.mark.parametrize("gap", [(1, 3), (1, 5), (1, 7)])  # first, interior, last
+    def test_gap_in_a_run_is_named(self, gap):
+        pairs = [p for p in _seed_rest_pairs(8, 3) if p != gap]
+        t = _from_pairs(8, 5, pairs)
+        with pytest.raises(MissingPairError, match=re.escape(f"pair {gap}")):
+            t.oriented_matrix([0, 1, 2], range(3, 8))
+        assert t.oriented_matrix([0, 2], range(3, 8)).tolist() == [
+            [t.lookup_oriented(r, c) for c in range(3, 8)] for r in (0, 2)]
+
+    def test_extra_pair_keeping_row_starts_in_step_is_caught(self):
+        # row 0 lacks (0, 4) but holds (0, 6), so row 1 still starts
+        # w = 3 positions after row 0; only the probe of (0, 5) sees the gap
+        t = _from_pairs(7, 4, [(0, 3), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5)])
+        with pytest.raises(MissingPairError, match=r"pair \(0, 4\)"):
+            t.oriented_matrix([0, 1], [3, 4, 5])
+
+    @pytest.mark.parametrize("rows,cols", [
+        ([0, 1], [3, 5, 4]),     # a run's nodes, out of order
+        ([0, 2], [3, 4, 4, 6]),  # starts and ends like the run 3..6
+        ([1, 0], [3, 3, 3]),
+        ([0, 6], [3, 4, 5]),     # a row above the run: read flipped
+        ([0, 4], [3, 4, 5]),     # a row inside the run
+    ])
+    def test_reads_that_are_not_a_run_below_the_rows(self, rows, cols):
+        n, k = 8, 5
+        t = _from_pairs(n, k, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        if set(rows) & set(cols):
+            with pytest.raises(IdentityPairError):
+                t.oriented_matrix(rows, cols)
+        else:
+            assert t.oriented_matrix(rows, cols).tolist() == [
+                [t.lookup_oriented(r, c) for c in cols] for r in rows]
+
+    def test_seed_rest_read_is_a_read_only_view(self):
+        n, s, k = 30, 7, 5
+        truth = Labeling(np.random.default_rng(4).integers(0, k, n), k)
+        t = FaultyOracle(truth, NoiseParams(k, 0.3), 9).execute_plan(seed_rest_plan(n, s))
+        mat = t.oriented_matrix(range(s), range(s, n))
+        assert np.shares_memory(mat, t._ans) and not mat.flags.writeable
+        assert mat.tolist() == [[t.lookup_oriented(r, c) for c in range(s, n)]
+                                for r in range(s)]
+
+    def test_nodes_out_of_range_rejected(self):
+        t = _from_pairs(4, 3, _seed_rest_pairs(4, 2))
+        with pytest.raises(ValueError, match="nodes must lie"):
+            t.oriented_matrix([0, 1], [2, 3, 4])
+        with pytest.raises(ValueError, match="nodes must lie"):
+            t.oriented_matrix([-1], [2, 3])
+        # keys -1*4 + 5 .. -1*4 + 7 are those of (0, 1) .. (0, 3)
+        full = _from_pairs(4, 3, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(ValueError, match="nodes must lie"):
+            full.oriented_matrix([-1], [5, 6, 7])
+
+
+@pytest.mark.parametrize("k", [127, 128, 129, 300])
+class TestAnswerTypeBoundary:
+    """Answers are int8 up to k = 127 and wider above, end to end."""
+
+    @staticmethod
+    def _holds_minus_k_to_k(t):
+        info = np.iinfo(t._ans.dtype)
+        return info.min <= -t.k and t.k <= info.max
+
+    def test_list_input_is_stored_compactly(self, k):
+        t = QueryTranscript(4, k, [0, 1], [2, 3], [0, k - 1])
+        assert t._ans.dtype == (np.int8 if k <= 127 else np.int16)
+        assert self._holds_minus_k_to_k(t)
+        assert list(t.items()) == [(0, 2, 0), (1, 3, k - 1)]
+        with pytest.raises(ValueError, match="answers must lie"):
+            QueryTranscript(4, k, [0], [2], [k])
+
+    def test_oracle_reads_and_noiseless_recovery(self, k):
+        n, s = 12, 4
+        labels = np.random.default_rng(k).integers(0, k, n)
+        labels[:3] = 0, k - 1, 1  # answers near both ends of [0, k)
+        truth = Labeling(labels, k)
+        oracle = FaultyOracle(truth, NoiseParams(k, 0.5), 3, noiseless=True)
+        t = oracle.execute_plan(seed_rest_plan(n, s))
+        assert self._holds_minus_k_to_k(t)
+        seed, rest = np.arange(s), np.arange(s, n)
+        want = (labels[:s, None] - labels[None, s:]) % k
+        assert t.oriented_matrix(seed, rest).tolist() == want.tolist()
+        assert t.oriented_matrix(rest, seed).tolist() == ((k - want.T) % k).tolist()
+        assert recover_success(recover_from_transcript(t, s).labeling, truth)
+
+    def test_full_triangle_likelihood_and_mle(self, k):
+        truth = Labeling([0, k - 1, 1], k)
+        params = NoiseParams(k, 0.5)
+        t = FaultyOracle(truth, params, 1, noiseless=True).execute_plan(full_pairwise_plan(3))
+        assert t.oriented_matrix([2, 1], [0]).tolist() == [[1], [k - 1]]
+        assert t.oriented_matrix([0], [1, 2]).tolist() == [[1, k - 1]]
+        assert likelihood_split(t, truth) == LikelihoodSplit(3, 0)
+        assert brute_force_mle(t, 3, params) == [truth]
+
+    def test_text_round_trip(self, k):
+        t = QueryTranscript(5, k, [0, 1, 3], [4, 2, 4], [k - 1, 0, 1])
+        back = QueryTranscript.from_text(t.to_text())
+        assert back.to_text() == t.to_text() == f"k={k},n=5\n0,4,{k - 1}\n1,2,0\n3,4,1\n"
+        assert back._ans.dtype == t._ans.dtype
 
 
 class TestSerialization:

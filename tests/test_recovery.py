@@ -32,6 +32,7 @@ from cycalign import (
     shift_labeling,
     validity_threshold,
 )
+from cycalign import recovery
 from cycalign.recovery import _vote_rows
 from oracles import pairwise_diffs_by_scan, plurality_by_count, plurality_margin_by_count
 
@@ -162,6 +163,46 @@ class TestVoteRows:
     def test_single_column_has_full_margin(self):
         winners, margins = _vote_rows(np.array([[2], [0]]), 3)
         assert winners.tolist() == [2, 0] and margins.tolist() == [1, 1]
+
+    @staticmethod
+    def _check_against_ref(a, ref, k):
+        # (a - ref) % k in int64: the reduction the kernel does without %
+        votes = (np.asarray(a, dtype=np.int64) - np.asarray(ref, dtype=np.int64)) % k
+        winners, margins = _vote_rows(a, k, ref)
+        rows = votes.tolist()
+        assert winners.tolist() == [plurality_by_count(r, k) for r in rows]
+        assert margins.tolist() == [plurality_margin_by_count(r, k) for r in rows]
+
+    @given(st.integers(2, 300), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from(["full", "row_ref", "transposed", "strided"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_counting_with_a_reference(self, k, rows, width, layout, seed):
+        rng = np.random.default_rng(seed)
+        dtype = np.int8 if k <= 127 else np.int16
+        if layout == "full":
+            a = rng.integers(0, k, (rows, width)).astype(dtype)
+            ref = rng.integers(0, k, (rows, width)).astype(dtype)
+        elif layout == "row_ref":  # seed reconciliation: rows against one row
+            a = rng.integers(0, k, (rows, width)).astype(dtype)
+            ref = rng.integers(0, k, width).astype(dtype)
+        elif layout == "transposed":  # extension: labels against a block's columns
+            a = rng.integers(0, k, width)
+            ref = rng.integers(0, k, (width, rows)).astype(dtype).T
+        else:
+            a = rng.integers(0, k, (2 * rows, 3 * width)).astype(dtype)[::2, ::3]
+            ref = rng.integers(0, k, (rows, 2 * width))[:, 1::2]
+        self._check_against_ref(a, ref, k)
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_rows_straddling_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(recovery, "_VOTE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for k, rows, width in [(2, 5, 9), (3, 7, 3), (5, 1, 20), (4, 13, 1), (300, 4, 11)]:
+            a = rng.integers(0, k, (rows, width))
+            self._check_against_ref(a, rng.integers(0, k, width), k)
+            self._check_against_ref(a[0], rng.integers(0, k, (width, rows)).T, k)
+            self._check_against_ref(a, 0, k)
+        self._check(rng.integers(0, 4, (9, 30)).T, 4)
 
 
 class TestEffectiveBias:
