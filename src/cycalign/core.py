@@ -16,9 +16,12 @@ A transcript stores its answers in the smallest signed integer type
 that holds every value in [-k, k] (int8 up to k = 127), so the dense
 seed x rest block of Algorithm 1 costs one byte per answer. Because k
 itself fits that type, k - a and a - k stay in range for every answer
-a. QueryTranscript.oriented_matrix returns a read-only view of the
-stored answers when the requested block lies back to back in the
-store, as the seed x rest block of a seed_rest_plan transcript does.
+a. QueryTranscript.oriented_matrix reads only that block: a run of
+columns c0 .. c0 + w - 1 against rows below c0, all in stored
+orientation. It returns a read-only view of the stored answers when
+the rows lie back to back in the store, as the seed x rest block of a
+seed_rest_plan transcript does. Single pairs are read with
+lookup_oriented, in either orientation.
 """
 
 from __future__ import annotations
@@ -175,108 +178,116 @@ def _answer_dtype(k: int) -> np.dtype:
     return _INT8 if k <= 127 else np.min_scalar_type(-k - 1)
 
 
-def _frozen_answers(a, k: int) -> np.ndarray:
-    """Read-only C-contiguous answers in [0, k) of type _answer_dtype(k).
-
-    A read-only array that already is one, such as the oracle's output,
-    is kept as is. Anything else is range-checked in int64 and then
-    converted with one copy, so out-of-range input never wraps and a
-    caller's writeable array is never aliased or frozen.
-    """
-    dtype = _answer_dtype(k)
-    keep = (isinstance(a, np.ndarray) and a.dtype == dtype
-            and a.flags.c_contiguous and not a.flags.writeable)
-    if not keep:
-        a = np.asarray(a, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= k):
-        raise ValueError(f"answers must lie in [0, {k})")
-    if not keep:
-        a = a.astype(dtype, order="C")
-        a.flags.writeable = False
-    return a
-
-
-def _sort_order(enc: np.ndarray, duplicate: Exception) -> np.ndarray | None:
+def _sort_order(enc: np.ndarray, n: int, repeat: type[ValueError],
+                message: str) -> np.ndarray | None:
     """Permutation that sorts the keys enc, or None if they are in order.
 
     One O(m) check that the keys strictly increase proves both that they
     are sorted and that none repeats, so ordered input is neither copied
-    nor re-sorted. Otherwise the keys are sorted stably and `duplicate`
-    is raised if two of them are equal.
+    nor re-sorted. Otherwise the keys are sorted stably, and if two of
+    them are equal, repeat is raised with message and the lowest pair
+    that repeats.
     """
     if np.all(enc[1:] > enc[:-1]):
         return None
     order = np.argsort(enc, kind="stable")
     srt = enc[order]
-    if np.any(srt[1:] == srt[:-1]):
-        raise duplicate
+    same = srt[1:] == srt[:-1]
+    if same.any():
+        lo, hi = divmod(int(srt[same.argmax()]), n)
+        raise repeat(f"{message}: ({lo}, {hi}) appears more than once")
     return order
 
 
-def _validate_pair_arrays(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
-    if lo.size and (lo.min() < 0 or hi.max() >= n):
-        raise ValueError(f"pair endpoints must lie in [0, {n})")
-    if np.any(lo >= hi):
-        bad = int(np.argmax(lo >= hi))
-        raise IdentityPairError(
-            f"pair ({int(lo[bad])}, {int(hi[bad])}) is not in canonical i < j form"
-        )
+def _check_entries(lo: np.ndarray, hi: np.ndarray, n: int,
+                   ans: np.ndarray | None = None, k: int = 0) -> None:
+    """Raise for the first entry t whose pair (lo[t], hi[t]) is not a
+    canonical pair i < j of nodes in [0, n), or whose answer ans[t]
+    lies outside [0, k).
+
+    The error is IdentityPairError for a pair in range but not in
+    i < j form and ValueError otherwise; its entry attribute holds t,
+    which QueryTranscript.from_text maps back to a line. Valid input
+    costs only the whole-array min, max and order tests.
+    """
+    if ((not lo.size or lo.min() >= 0 and hi.max() < n and (lo < hi).all())
+            and (ans is None or not ans.size or ans.min() >= 0 and ans.max() < k)):
+        return
+    bad = (lo < 0) | (hi >= n) | (lo >= hi)  # covers every node outside [0, n)
+    if ans is not None:
+        bad |= (ans < 0) | (ans >= k)
+    t = int(bad.argmax())
+    i, j = int(lo[t]), int(hi[t])
+    if not (0 <= i < n and 0 <= j < n):
+        err = ValueError(f"pair endpoints must lie in [0, {n}), got ({i}, {j})")
+    elif i >= j:
+        err = IdentityPairError(f"pair ({i}, {j}) is not in canonical i < j form")
+    else:
+        err = ValueError(f"answers must lie in [0, {k}), got {int(ans[t])} "
+                         f"for pair ({i}, {j})")
+    err.entry = t
+    raise err
+
+
+def _pair_position(lo: np.ndarray, hi: np.ndarray, n: int, x: int, y: int) -> int:
+    """Index of the unordered pair {x, y} in the sorted canonical pairs
+    (lo, hi), or -1 if they do not hold it.
+
+    A pair with a node outside [0, n) is never held. lo is searched for
+    the run of pairs that start at min(x, y) and hi within that run, so
+    no key is encoded. Raises IdentityPairError if x == y.
+    """
+    a, b = canonical_pair(x, y)
+    if a < 0 or b >= n:
+        return -1
+    start, stop = lo.searchsorted(a), lo.searchsorted(a, "right")
+    pos = start + int(hi[start:stop].searchsorted(b))
+    return pos if pos < stop and hi[pos] == b else -1
 
 
 class QueryPlan:
     """A set of unordered node pairs scheduled for querying.
 
-    Pairs are stored canonically oriented and deduplicated in read-only
-    int64 arrays lo and hi, sorted by (i, j), so plans are deterministic
-    objects. The keys lo * n + hi therefore strictly increase; the
-    oracle and the transcript rely on that to skip sorting a plan.
+    Pairs are stored canonically oriented in read-only int64 arrays lo
+    and hi, sorted by (i, j), so plans are deterministic objects. The
+    keys lo * n + hi therefore strictly increase; the oracle and the
+    transcript rely on that to skip sorting a plan. Each pair may be
+    queried only once, so a plan that names a pair twice, in either
+    orientation, is an error.
     """
 
     __slots__ = ("n", "lo", "hi")
 
     def __init__(self, pairs: Iterable[tuple[int, int]], n: int):
+        """Plan of the pairs (x, y), each in either orientation."""
         canon = [canonical_pair(x, y) for x, y in pairs]
-        if canon:
-            arr = np.asarray(canon, dtype=np.int64)
-            lo, hi = arr[:, 0], arr[:, 1]
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
-        _validate_pair_arrays(lo, hi, n)
-        # a stable sort puts repeats of a pair next to each other, first
-        # occurrence first; keeping the first of each run dedups and sorts
-        enc = _encode_pairs(lo, hi, n)
-        order = np.argsort(enc, kind="stable")
-        srt = enc[order]
-        first = np.ones(srt.size, dtype=bool)
-        first[1:] = srt[1:] != srt[:-1]
-        idx = order[first]
-        self.n = int(n)
-        self.lo = np.ascontiguousarray(lo[idx])
-        self.hi = np.ascontiguousarray(hi[idx])
-        self.lo.flags.writeable = False
-        self.hi.flags.writeable = False
+        arr = np.array(canon, dtype=np.int64).reshape(-1, 2)
+        self._set_pairs(arr[:, 0], arr[:, 1], n)
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "QueryPlan":
-        """Plan of the canonical pairs (lo[t], hi[t]); repeats are an error.
+        """Plan of the canonical pairs (lo[t], hi[t]).
 
         Read-only int64 arrays whose keys already strictly increase are
         kept without a copy or a sort.
         """
         plan = cls.__new__(cls)
+        plan._set_pairs(lo, hi, n)
+        return plan
+
+    def _set_pairs(self, lo, hi, n: int) -> None:
         lo = _frozen_int64(lo)
         hi = _frozen_int64(hi)
-        _validate_pair_arrays(lo, hi, n)
-        order = _sort_order(_encode_pairs(lo, hi, n),
-                            ValueError("plan contains duplicate pairs"))
+        _check_entries(lo, hi, n)
+        order = _sort_order(_encode_pairs(lo, hi, n), n, ValueError,
+                            "plan contains duplicate pairs")
         if order is not None:
             lo, hi = lo[order], hi[order]
-        plan.n = int(n)
-        plan.lo = lo
-        plan.hi = hi
-        plan.lo.flags.writeable = False
-        plan.hi.flags.writeable = False
-        return plan
+        self.n = int(n)
+        self.lo = lo
+        self.hi = hi
+        self.lo.flags.writeable = False
+        self.hi.flags.writeable = False
 
     def __len__(self) -> int:
         return self.lo.size
@@ -285,10 +296,7 @@ class QueryPlan:
         return zip(self.lo.tolist(), self.hi.tolist())
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        lo, hi = canonical_pair(*pair)
-        enc = _encode_pairs(self.lo, self.hi, self.n)
-        pos = np.searchsorted(enc, lo * self.n + hi)
-        return bool(pos < enc.size and enc[pos] == lo * self.n + hi)
+        return _pair_position(self.lo, self.hi, self.n, *pair) >= 0
 
 
 class QueryTranscript:
@@ -307,12 +315,12 @@ class QueryTranscript:
     signed type above. A read-only array of that type, which is what
     FaultyOracle.execute_plan hands over, is kept without a copy; any
     other answers (lists, int64 arrays, parsed text) are range-checked
-    and converted once. oriented_matrix returns answers of the same
-    type, as a read-only view of the store when the block it reads is
-    stored back to back (see there).
+    in int64 and converted once, so out-of-range input never wraps and
+    a caller's writeable array is never aliased or frozen.
+    oriented_matrix returns answers of the same type (see there).
     """
 
-    __slots__ = ("n", "k", "_enc", "_ans", "_lo", "_hi", "_dict")
+    __slots__ = ("n", "k", "_enc", "_ans", "_lo", "_hi")
 
     def __init__(self, n: int, k: int,
                  lo: np.ndarray | Sequence[int],
@@ -322,12 +330,20 @@ class QueryTranscript:
             raise ValueError(f"k must be >= 2, got {k}")
         lo = _frozen_int64(lo)
         hi = _frozen_int64(hi)
-        ans = _frozen_answers(answers, k)
+        dtype = _answer_dtype(k)
+        ans = answers
+        keep = (isinstance(ans, np.ndarray) and ans.dtype == dtype
+                and ans.flags.c_contiguous and not ans.flags.writeable)
+        if not keep:
+            ans = np.asarray(ans, dtype=np.int64)
         if not (lo.size == hi.size == ans.size):
             raise ValueError("lo, hi and answers must have equal length")
-        _validate_pair_arrays(lo, hi, n)
+        _check_entries(lo, hi, n, ans, k)
+        if not keep:
+            ans = ans.astype(dtype, order="C")
         enc = _encode_pairs(lo, hi, n)
-        order = _sort_order(enc, RepeatQueryError("transcript contains a duplicated pair"))
+        order = _sort_order(enc, n, RepeatQueryError,
+                            "transcript contains a duplicated pair")
         if order is not None:
             enc, lo, hi, ans = enc[order], lo[order], hi[order], ans[order]
         self.n = int(n)
@@ -338,23 +354,12 @@ class QueryTranscript:
         self._ans = ans
         for a in (self._enc, self._lo, self._hi, self._ans):
             a.flags.writeable = False
-        self._dict = None
 
     def __len__(self) -> int:
         return self._enc.size
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        lo, hi = canonical_pair(*pair)
-        pos = np.searchsorted(self._enc, lo * self.n + hi)
-        return bool(pos < self._enc.size and self._enc[pos] == lo * self.n + hi)
-
-    @property
-    def answers(self) -> dict[tuple[int, int], int]:
-        """Mapping from canonical pair (i, j) to the stored answer."""
-        if self._dict is None:
-            self._dict = dict(zip(zip(self._lo.tolist(), self._hi.tolist()),
-                                  self._ans.tolist()))
-        return self._dict
+        return _pair_position(self._lo, self._hi, self.n, *pair) >= 0
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, answer) triples in sorted (i, j) order."""
@@ -362,89 +367,74 @@ class QueryTranscript:
 
     def lookup_oriented(self, x: int, y: int) -> int:
         """Answer for the ordered read (x, y): stored value if x < y,
-        its negation mod k if x > y."""
-        lo, hi = canonical_pair(x, y)
-        pos = np.searchsorted(self._enc, lo * self.n + hi)
-        if pos >= self._enc.size or self._enc[pos] != lo * self.n + hi:
-            raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
+        its negation mod k if x > y.
+
+        Raises ValueError if a node lies outside [0, n), IdentityPairError
+        if x == y and MissingPairError if the pair was never queried.
+        """
+        pos = _pair_position(self._lo, self._hi, self.n, x, y)
+        if pos < 0:
+            if not (0 <= x < self.n and 0 <= y < self.n):
+                raise ValueError(f"nodes must lie in [0, {self.n}), got ({x}, {y})")
+            raise MissingPairError(f"pair {canonical_pair(x, y)} was never queried")
         a = int(self._ans[pos])
         return a if x < y else (self.k - a) % self.k
 
     def oriented_matrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Matrix of oriented answers, entry [r, c] = answer read as (row, col).
+        """The block of answers of the pairs (row, col), entry [i, t] for
+        (rows[i], cols[t]), in the transcript's answer type.
 
-        Entries have the transcript's answer type. When cols is one run
-        c0, c0 + 1, ..., c0 + w - 1 of nodes and every row lies below
-        c0, every read is canonical and _row_starts proves each row
-        present with two binary searches. If the rows' runs then sit
-        back to back in the store, as the seed x rest rows of a
-        seed_rest_plan transcript do, the result is a read-only view of
-        the stored answers; otherwise one gather copies them. Any other
-        read searches the store for every entry.
+        cols must be one run c0, c0 + 1, ..., c0 + w - 1 of nodes below
+        n and every row must lie in [0, c0), so each pair is read in its
+        stored orientation. Row r's pairs then have the w consecutive
+        keys r*n + c0 .. r*n + c0 + w - 1, and the stored keys are
+        distinct and sorted, so the row is complete exactly when the
+        store holds w keys in [r*n + c0, r*n + c0 + w): two binary
+        searches per row, whatever w is. If the rows' runs sit back to
+        back in the store, as the seed x rest rows of a seed_rest_plan
+        transcript do, the result is a read-only view of the stored
+        answers; otherwise one gather copies them. Empty rows or cols
+        give an empty (len(rows), len(cols)) array.
 
-        Raises MissingPairError if any required pair is absent,
-        IdentityPairError if a row and column index coincide and
-        ValueError if a node lies outside [0, n).
+        Raises ValueError if cols is not such a run or a row lies
+        outside [0, c0), IdentityPairError if a row is also a column
+        and MissingPairError naming the first absent pair in row-major
+        order.
         """
         r = np.asarray(rows, dtype=np.int64)
         c = np.asarray(cols, dtype=np.int64)
-        starts = self._row_starts(r, c) if r.size and c.size else None
-        if starts is None:
-            return self._search_matrix(r, c)
-        w = c.size
-        if (starts[1:] - starts[:-1] == w).all():
-            first = int(starts[0])
-            return self._ans[first:first + r.size * w].reshape(r.size, w)
-        return self._ans[starts[:, None] + np.arange(w)]
-
-    def _row_starts(self, r: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-        """Store position of each pair (r[i], c[0]) when every row's pairs
-        with the run c are all stored, else None.
-
-        Applies only when c is a run c0, c0 + 1, ..., c0 + w - 1 below n,
-        so that row r's pairs have the w consecutive keys
-        r*n + c0 .. r*n + c0 + w - 1. The stored keys are distinct
-        integers, so the row is complete exactly when the store holds w
-        keys in [r*n + c0, r*n + c0 + w), which two binary searches per
-        row count whatever w is; the row then sits at positions
-        p .. p + w - 1 from the first search's p. Only canonical pairs
-        are stored, so a complete row lies below c0 and is read
-        unflipped; a row at or above c0, or a negative one, has keys
-        that are never stored.
-        """
+        if not (r.size and c.size):
+            return np.empty((r.size, c.size), dtype=self._ans.dtype)
         c0, w = int(c[0]), c.size
-        if c[-1] >= self.n or (w > 1 and not (c[1:] - c[:-1] == 1).all()):
-            return None
+        if c0 < 0 or c[-1] >= self.n:
+            raise ValueError(f"nodes must lie in [0, {self.n}), got columns "
+                             f"{c0} .. {int(c[-1])}")
+        if w > 1 and not (c[1:] - c[:-1] == 1).all():
+            raise ValueError("cols must be one run c0, c0 + 1, ..., c0 + w - 1")
         first = r * self.n + c0
         starts = self._enc.searchsorted(first)
-        if not (self._enc.searchsorted(first + w) - starts == w).all():
-            return None
-        return starts
-
-    def _search_matrix(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """oriented_matrix by one binary search of the store per entry."""
-        if (r.size and (r.min() < 0 or r.max() >= self.n)
-                or c.size and (c.min() < 0 or c.max() >= self.n)):
-            raise ValueError(f"nodes must lie in [0, {self.n})")
-        R = r[:, None]
-        C = c[None, :]
-        if np.any(R == C):
-            raise IdentityPairError("row and column node sets overlap")
-        enc = _encode_pairs(np.minimum(R, C), np.maximum(R, C), self.n)
-        pos = np.searchsorted(self._enc, enc)
-        found = np.zeros(enc.shape, dtype=bool)
-        if self._enc.size:
-            np.minimum(pos, self._enc.size - 1, out=pos)
-            found = self._enc[pos] == enc
-        if not found.all():
-            i, j = np.argwhere(~found)[0]
-            lo, hi = divmod(int(enc[i, j]), self.n)
-            raise MissingPairError(f"pair ({lo}, {hi}) was never queried")
-        out = self._ans[pos]
-        flip = R > C
-        # k fits the answer type, so k - a cannot overflow it
-        out[flip] = (self.k - out[flip]) % self.k
-        return out
+        ends = self._enc.searchsorted(first + w)
+        complete = ends - starts == w
+        if not complete.all():
+            # a row outside [0, c0) has no stored key in its range, so
+            # it always lands here and valid reads never check rows
+            bad = (r < 0) | (r >= c0)
+            if bad.any():
+                x = int(r[bad.argmax()])
+                if c0 <= x < c0 + w:
+                    raise IdentityPairError(f"node {x} is both a row and a column")
+                if not 0 <= x < self.n:
+                    raise ValueError(f"nodes must lie in [0, {self.n}), got row {x}")
+                raise ValueError(f"rows must lie below the first column {c0}, "
+                                 f"got row {x}")
+            i = int(complete.argmin())
+            held = np.isin(first[i] + np.arange(w), self._enc[starts[i]:ends[i]])
+            raise MissingPairError(f"pair ({int(r[i])}, {c0 + int(held.argmin())}) "
+                                   "was never queried")
+        if (starts[1:] - starts[:-1] == w).all():
+            p = int(starts[0])
+            return self._ans[p:p + r.size * w].reshape(r.size, w)
+        return self._ans[starts[:, None] + np.arange(w)]
 
     def to_text(self) -> str:
         """Serialize as a header line ``k=<k>,n=<n>`` then ``i,j,answer`` lines."""
@@ -457,7 +447,11 @@ class QueryTranscript:
         """Parse the format written by to_text; blank lines are skipped.
 
         Raises ValueError naming the header, or the line number and text
-        of the first line that is not three integers i,j,answer.
+        of the first line that is not three integers i,j,answer; else
+        the line number and text of the first triple whose pair is not
+        i < j in [0, n) (IdentityPairError when only the order is wrong)
+        or whose answer is not in [0, k). A pair given on two lines
+        raises RepeatQueryError naming the pair.
         """
         lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
                  if ln.strip()]
@@ -485,12 +479,11 @@ class QueryTranscript:
                 raise ValueError(
                     f"malformed transcript line {no}: {ln!r} (expected i,j,answer)"
                 ) from None
-        if triples:
-            arr = np.asarray(triples, dtype=np.int64)
+        arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        try:
             return cls(n, k, arr[:, 0], arr[:, 1], arr[:, 2])
-        return cls(n, k, [], [], [])
-
-
-def lookup_oriented(transcript: QueryTranscript, x: int, y: int) -> int:
-    """Oriented read of the unordered pair {x, y} from a transcript."""
-    return transcript.lookup_oriented(x, y)
+        except ValueError as err:
+            if not hasattr(err, "entry"):
+                raise
+            no, ln = lines[1 + err.entry]
+            raise type(err)(f"transcript line {no}: {ln!r}: {err}") from None

@@ -165,39 +165,27 @@ def run_trial(n: int, params: NoiseParams, cfg: SeedConfig, trial_seed: int,
                               noiseless=noiseless)[2]
 
 
-def _cell_is_valid(n: int, k: int, delta: float, constant_c: float) -> str | None:
-    """None when the cell is runnable, else the reason to skip it."""
-    if n < 4:
-        return f"n={n} is below the minimum instance size 4"
-    if k < 2:
-        return f"k={k} is below 2"
-    if not 0.0 < delta <= (k - 1) / k:
-        return f"delta={delta:g} outside (0, {(k - 1) / k:g}] for k={k}"
-    if not constant_c > 0:
-        return f"constant_c={constant_c:g} is not positive"
-    return None
-
-
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:
     """One ExperimentRecord per valid (n, k, delta, constant_c) cell.
 
-    Invalid cells are skipped with a logged reason; trial errors abort
-    with the offending cell in the exception chain. Deterministic for
-    a fixed config (timing column aside).
+    A cell that NoiseParams, SeedConfig or seed_size rejects is skipped
+    with their message logged; trial errors abort with the offending
+    cell in the exception chain. Deterministic for a fixed config
+    (timing column aside).
     """
     records = []
     grid = itertools.product(config.n_values, config.k_values,
                              config.delta_values, config.constant_c_values)
     for n, k, delta, constant_c in grid:
-        reason = _cell_is_valid(n, k, delta, constant_c)
-        if reason is not None:
+        try:
+            params = NoiseParams(k, delta)
+            cfg = SeedConfig(constant_c=constant_c)
+            eff_cfg = _effective_config(n, params, cfg, config.budget_scale)
+            cell_seed_size = seed_size(n, params, eff_cfg)
+        except ValueError as exc:
             logger.warning("skipping cell (n=%s, k=%s, delta=%s, c=%s): %s",
-                           n, k, delta, constant_c, reason)
+                           n, k, delta, constant_c, exc)
             continue
-        params = NoiseParams(k, delta)
-        cfg = SeedConfig(constant_c=constant_c)
-        eff_cfg = _effective_config(n, params, cfg, config.budget_scale)
-        cell_seed_size = seed_size(n, params, eff_cfg)
         cell = (n, k, delta, constant_c, config.budget_scale)
         start = time.perf_counter()
         successes = 0

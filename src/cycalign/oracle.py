@@ -116,9 +116,6 @@ class FaultyOracle:
         self.noiseless = bool(noiseless)
         self._ans_dtype = _answer_dtype(params.k)  # the transcript's answer type
         self._issued_keys = np.empty(0, dtype=np.int64)  # sorted, distinct
-        self._lo_chunks: list[np.ndarray] = []
-        self._hi_chunks: list[np.ndarray] = []
-        self._ans_chunks: list[np.ndarray] = []
 
     @property
     def n(self) -> int:
@@ -160,9 +157,6 @@ class FaultyOracle:
             raise RepeatQueryError(f"pair ({lo}, {hi}) was already queried")
         ans = self._answers_for(np.asarray([lo]), np.asarray([hi]))
         self._issued_keys = np.insert(self._issued_keys, pos, key)
-        self._lo_chunks.append(np.asarray([lo], dtype=np.int64))
-        self._hi_chunks.append(np.asarray([hi], dtype=np.int64))
-        self._ans_chunks.append(ans)
         return int(ans[0])
 
     def execute_plan(self, plan: QueryPlan) -> QueryTranscript:
@@ -174,35 +168,21 @@ class FaultyOracle:
         """
         if plan.n != self.n:
             raise ValueError(f"plan is for n={plan.n}, oracle has n={self.n}")
-        issued = self._issued_keys
-        if issued.size:
+        history = self._issued_keys
+        if history.size:
             keys = _encode_pairs(plan.lo, plan.hi, self.n)  # sorted: a plan invariant
-            pos = np.searchsorted(issued, keys)
-            repeated = issued[np.minimum(pos, issued.size - 1)] == keys
+            pos = np.searchsorted(history, keys)
+            repeated = history[np.minimum(pos, history.size - 1)] == keys
             if repeated.any():
                 dup = int(keys[repeated.argmax()])
                 raise RepeatQueryError(
                     f"pair ({dup // self.n}, {dup % self.n}) was already queried"
                 )
-            issued = np.insert(issued, pos, keys)
+            history = np.insert(history, pos, keys)
         ans = self._answers_for(plan.lo, plan.hi)
         ans.flags.writeable = False
         transcript = QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
         # with no history yet, the history becomes this plan's keys, which
         # the transcript already holds sorted
-        self._issued_keys = issued if self._issued_keys.size else transcript._enc
-        self._lo_chunks.append(plan.lo)
-        self._hi_chunks.append(plan.hi)
-        self._ans_chunks.append(ans)
+        self._issued_keys = history if self._issued_keys.size else transcript._enc
         return transcript
-
-    @property
-    def issued(self) -> QueryTranscript:
-        """Snapshot transcript of every answer issued so far."""
-        if self._lo_chunks:
-            lo = np.concatenate(self._lo_chunks)
-            hi = np.concatenate(self._hi_chunks)
-            ans = np.concatenate(self._ans_chunks)
-        else:
-            lo = hi = ans = np.empty(0, dtype=np.int64)
-        return QueryTranscript(self.n, self.k, lo, hi, ans)

@@ -19,6 +19,12 @@ delta >~ (ln n / (n k))^(1/4) below which seed reconciliation starves.
 All votes break ties toward the smallest label, making every outcome a
 deterministic function of the transcript.
 
+recover_from_transcript is the one place that runs steps 1-3: it reads
+the seed x rest block once, with QueryTranscript.oriented_matrix, and
+returns every node's label and vote margin, so each step's outcome can
+be read off its RecoveryResult. run_algorithm1 sizes the seed, queries
+the block from a fresh oracle and hands the transcript to it.
+
 Every vote goes through one kernel, _vote_rows, which counts each row's
 values (a - ref) mod k without computing a modulus: with a and ref in
 [0, k), a - ref + k lies in (0, 2k), so one bincount over
@@ -34,7 +40,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,17 +131,6 @@ def seed_size(n: int, params: NoiseParams, cfg: SeedConfig = SeedConfig()) -> in
     return max(1, min(size, n // 2))
 
 
-def plurality(values: Sequence[int] | np.ndarray, k: int) -> int:
-    """Most frequent label in a multiset; ties go to the smallest label."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("plurality of an empty multiset is undefined")
-    if arr.min() < 0 or arr.max() >= k:
-        raise ValueError(f"votes must lie in [0, {k})")
-    winners, _ = _vote_rows(arr.reshape(1, -1), k)
-    return int(winners[0])
-
-
 def effective_bias(params: NoiseParams) -> float:
     """Zero-bias of the difference of two independent noise draws,
     k * delta^2 / (k - 1)."""
@@ -184,71 +178,6 @@ def _raw_vote_counts(a, ref, k: int) -> np.ndarray:
     # not copied; the counts do not depend on the order
     return np.bincount(cells.ravel(order="K"),
                        minlength=2 * k * rows).reshape(rows, 2 * k)
-
-
-def estimate_pairwise_diff(transcript: QueryTranscript, s: int, s_prime: int,
-                           others: Sequence[int]) -> int:
-    """Estimate (label(s) - label(s_prime)) mod k from shared neighbors.
-
-    Takes the plurality over b in others of
-    (answer(s, b) - answer(s_prime, b)) mod k, using oriented reads.
-    """
-    if s == s_prime:
-        raise ValueError("need two distinct nodes to estimate a difference")
-    others = np.asarray(others, dtype=np.int64)
-    if others.size == 0:
-        raise ValueError("others must be nonempty")
-    mat = transcript.oriented_matrix([s, s_prime], others)
-    winners, _ = _vote_rows(mat[:1], transcript.k, mat[1])
-    return int(winners[0])
-
-
-def align_seed(transcript: QueryTranscript, seed: Sequence[int],
-               rest: Sequence[int], k: int) -> dict[int, int]:
-    """Labels for the seed set, reconciled up to one shared cyclic shift.
-
-    The first seed node is the anchor and gets label 0; every other
-    seed node gets its estimated difference to the anchor. With all
-    votes correct the result is truth shifted by (0 - truth(anchor)).
-    """
-    seed = list(seed)
-    rest = np.asarray(rest, dtype=np.int64)
-    if len(seed) < 1:
-        raise ValueError("seed must contain at least one node")
-    if rest.size == 0:
-        raise ValueError("rest must be nonempty")
-    labels = {seed[0]: 0}
-    if len(seed) > 1:
-        mat = transcript.oriented_matrix(seed, rest)
-        winners, _ = _vote_rows(mat[1:], k, mat[0])
-        labels.update(zip(seed[1:], winners.tolist()))
-    return labels
-
-
-def extend_labels(transcript: QueryTranscript, seed_labels: Mapping[int, int],
-                  targets: Sequence[int], k: int) -> Labeling:
-    """Extend seed labels to the target nodes by plurality vote.
-
-    Each target v gets the plurality over seed nodes s of
-    (seed_labels[s] + answer(v, s)) mod k, that is
-    (seed_labels[s] - answer(s, v)) mod k; seed nodes keep their
-    labels. seed and targets together must cover all nodes.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    seed_nodes = np.asarray(sorted(seed_labels), dtype=np.int64)
-    n = transcript.n
-    covered = np.zeros(n, dtype=bool)
-    covered[seed_nodes] = True
-    covered[targets] = True
-    if not covered.all():
-        raise ValueError("seed and targets must cover every node")
-    labels = np.zeros(n, dtype=np.int64)
-    labels[seed_nodes] = [seed_labels[int(s)] for s in seed_nodes]
-    if targets.size:
-        mat = transcript.oriented_matrix(seed_nodes, targets)
-        winners, _ = _vote_rows(labels[seed_nodes], k, mat.T)
-        labels[targets] = winners
-    return Labeling(labels, k)
 
 
 def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:
@@ -321,8 +250,6 @@ def run_algorithm1(n: int, params: NoiseParams, cfg: SeedConfig,
     if params.k != oracle.k:
         raise ValueError(f"params.k={params.k} does not match oracle k={oracle.k}")
     s = seed_size(n, params, cfg)
-    if s >= n:
-        raise ValueError(f"seed size {s} leaves no rest nodes for n={n}")
     plan = seed_rest_plan(n, s)
     transcript = oracle.execute_plan(plan)
     return recover_from_transcript(transcript, s)

@@ -182,7 +182,7 @@ class TestBruteForceMle:
             oracle = FaultyOracle(Labeling(labels, 3), params, int(trial))
             t = oracle.execute_plan(full_pairwise_plan(5))
             got = [tuple(g.labels.tolist()) for g in brute_force_mle(t, 5, params)]
-            want = mle_by_scan(5, 3, t.answers)
+            want = mle_by_scan(5, 3, {(i, j): a for i, j, a in t.items()})
             assert sorted(got) == sorted(want)
 
     def test_enumeration_order_is_deterministic(self):

@@ -20,7 +20,6 @@ from cycalign import (
     canonical_pair,
     full_pairwise_plan,
     likelihood_split,
-    lookup_oriented,
     recover_from_transcript,
     recover_success,
     seed_rest_plan,
@@ -117,21 +116,21 @@ def _transcript(n, k, entries):
 class TestLookupOriented:
     def test_forward_read_is_stored_value(self):
         t = _transcript(6, 7, [(2, 5, 0)])
-        assert lookup_oriented(t, 2, 5) == 0
+        assert t.lookup_oriented(2, 5) == 0
 
     def test_reverse_read_negates(self):
         t = _transcript(6, 7, [(2, 5, 3)])
-        assert lookup_oriented(t, 5, 2) == 4
+        assert t.lookup_oriented(5, 2) == 4
 
     def test_missing_pair(self):
         t = _transcript(6, 7, [(2, 5, 3)])
         with pytest.raises(MissingPairError):
-            lookup_oriented(t, 1, 2)
+            t.lookup_oriented(1, 2)
 
     def test_identity_pair(self):
         t = _transcript(6, 7, [(2, 5, 3)])
         with pytest.raises(IdentityPairError):
-            lookup_oriented(t, 2, 2)
+            t.lookup_oriented(2, 2)
 
     def test_both_reads_cancel_mod_k(self):
         rng = np.random.default_rng(3)
@@ -140,8 +139,18 @@ class TestLookupOriented:
         ans = rng.integers(0, k, lo.size)
         t = QueryTranscript(n, k, lo, hi, ans)
         for x, y in zip(lo.tolist(), hi.tolist()):
-            total = lookup_oriented(t, x, y) + lookup_oriented(t, y, x)
+            total = t.lookup_oriented(x, y) + t.lookup_oriented(y, x)
             assert total % k == 0
+
+    @pytest.mark.parametrize("x,y", [(0, 6), (6, 0), (-1, 10)])
+    def test_out_of_range_nodes_do_not_alias_a_stored_pair(self, x, y):
+        # with n = 4, (0, 6) and (-1, 10) share the key 6 = 1 * 4 + 2 of (1, 2)
+        t = _transcript(4, 3, [(1, 2, 1)])
+        with pytest.raises(ValueError, match=re.escape("nodes must lie in [0, 4)")):
+            t.lookup_oriented(x, y)
+        assert (x, y) not in t
+        assert (x, y) not in QueryPlan([(1, 2)], n=4)
+        assert (1, 2) in t and (2, 1) in QueryPlan([(1, 2)], n=4)
 
 
 class TestQueryTranscript:
@@ -177,7 +186,9 @@ class TestQueryTranscript:
         [(2, 3, 0), (0, 1, 2), (2, 3, 1)],  # non-adjacent, unsorted
     ])
     def test_duplicates_rejected_wherever_they_sit(self, entries):
-        with pytest.raises(RepeatQueryError):
+        pairs = [(i, j) for i, j, _ in entries]
+        repeated = next(p for p in pairs if pairs.count(p) > 1)
+        with pytest.raises(RepeatQueryError, match=re.escape(f"{repeated} appears")):
             _transcript(5, 3, entries)
 
     def test_sorted_read_only_input_is_kept_and_writeable_input_copied(self):
@@ -191,14 +202,14 @@ class TestQueryTranscript:
 
     def test_answers_dict(self):
         t = _transcript(5, 3, [(1, 2, 0), (0, 4, 1)])
-        assert t.answers == {(0, 4): 1, (1, 2): 0}
+        assert {(i, j): a for i, j, a in t.items()} == {(0, 4): 1, (1, 2): 0}
 
     def test_oriented_matrix_matches_scalar_lookups(self):
         rng = np.random.default_rng(11)
         n, k = 9, 4
         lo, hi = np.triu_indices(n, k=1)
         t = QueryTranscript(n, k, lo, hi, rng.integers(0, k, lo.size))
-        rows, cols = [7, 0, 3], [1, 8, 2]
+        rows, cols = [3, 0, 2, 0], [4, 5, 6, 7, 8]
         mat = t.oriented_matrix(rows, cols)
         for ri, r in enumerate(rows):
             for ci, c in enumerate(cols):
@@ -215,7 +226,6 @@ class TestQueryTranscript:
         rows, cols = [0, 2], [3, 4, 5, 6, 7]
         mat = t.oriented_matrix(rows, cols)
         assert mat.tolist() == [[t.lookup_oriented(r, c) for c in cols] for r in rows]
-        assert t.oriented_matrix(cols, rows).tolist() == ((k - mat.T) % k).tolist()
         with pytest.raises(MissingPairError, match=r"pair \(1, 5\)"):
             t.oriented_matrix([0, 1, 2], cols)
 
@@ -226,8 +236,8 @@ class TestQueryTranscript:
 
     def test_oriented_matrix_overlap_rejected(self):
         t = _transcript(5, 3, [(0, 1, 2)])
-        with pytest.raises(IdentityPairError):
-            t.oriented_matrix([0, 1], [1, 3])
+        with pytest.raises(IdentityPairError, match="node 1 is both"):
+            t.oriented_matrix([0, 1], [1, 2])
 
 
 def _seed_rest_pairs(n, s):
@@ -252,20 +262,14 @@ class TestOrientedMatrixRuns:
         store = ([p for p in triangle if p not in dropped] if data.draw(st.booleans())
                  else [p for p in _seed_rest_pairs(n, n // 2) if p not in dropped])
         t = _from_pairs(n, k, store, seed=data.draw(st.integers(0, 2**32 - 1)))
-        if data.draw(st.booleans()):  # a run of columns above every row
-            c0 = data.draw(st.integers(1, n - 1))
-            cols = list(range(c0, data.draw(st.integers(c0 + 1, n))))
-            rows = data.draw(st.lists(st.integers(0, c0 - 1), min_size=1, max_size=n))
-        else:
-            rows = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
-            cols = data.draw(st.lists(st.integers(0, n - 1).filter(lambda c: c not in rows),
-                                      max_size=n))
-        missing = {canonical_pair(r, c) for r in rows for c in cols} - set(store)
-        if missing:
-            with pytest.raises(MissingPairError) as err:
+        c0 = data.draw(st.integers(1, n - 1))
+        cols = list(range(c0, data.draw(st.integers(c0 + 1, n))))
+        rows = data.draw(st.lists(st.integers(0, c0 - 1), min_size=1, max_size=n))
+        stored = set(store)
+        missing = [(r, c) for r in rows for c in cols if (r, c) not in stored]
+        if missing:  # the first absent pair in row-major order is named
+            with pytest.raises(MissingPairError, match=re.escape(f"pair {missing[0]} ")):
                 t.oriented_matrix(rows, cols)
-            named = re.search(r"pair \((\d+), (\d+)\)", str(err.value))
-            assert (int(named[1]), int(named[2])) in missing
         else:
             mat = t.oriented_matrix(rows, cols)
             assert mat.shape == (len(rows), len(cols))
@@ -295,14 +299,23 @@ class TestOrientedMatrixRuns:
         ([0, 4], [3, 4, 5]),     # a row inside the run
     ])
     def test_reads_that_are_not_a_run_below_the_rows(self, rows, cols):
+        # only the seed x rest shape is read; a full store changes nothing
         n, k = 8, 5
         t = _from_pairs(n, k, [(i, j) for i in range(n) for j in range(i + 1, n)])
         if set(rows) & set(cols):
-            with pytest.raises(IdentityPairError):
-                t.oriented_matrix(rows, cols)
+            error, message = IdentityPairError, "is both a row and a column"
+        elif sorted(set(cols)) == cols and len(set(cols)) == len(cols):
+            error, message = ValueError, "rows must lie below the first column 3"
         else:
-            assert t.oriented_matrix(rows, cols).tolist() == [
-                [t.lookup_oriented(r, c) for c in cols] for r in rows]
+            error, message = ValueError, "cols must be one run"
+        with pytest.raises(error, match=message):
+            t.oriented_matrix(rows, cols)
+
+    def test_empty_rows_or_cols_give_an_empty_block(self):
+        t = _from_pairs(6, 4, _seed_rest_pairs(6, 2))
+        assert t.oriented_matrix([], range(2, 6)).shape == (0, 4)
+        assert t.oriented_matrix([0, 1], []).shape == (2, 0)
+        assert t.oriented_matrix([], []).dtype == t._ans.dtype
 
     def test_seed_rest_read_is_a_read_only_view(self):
         n, s, k = 30, 7, 5
@@ -353,14 +366,14 @@ class TestAnswerTypeBoundary:
         seed, rest = np.arange(s), np.arange(s, n)
         want = (labels[:s, None] - labels[None, s:]) % k
         assert t.oriented_matrix(seed, rest).tolist() == want.tolist()
-        assert t.oriented_matrix(rest, seed).tolist() == ((k - want.T) % k).tolist()
+        assert t.lookup_oriented(s, 0) == (k - want[0, 0]) % k
         assert recover_success(recover_from_transcript(t, s).labeling, truth)
 
     def test_full_triangle_likelihood_and_mle(self, k):
         truth = Labeling([0, k - 1, 1], k)
         params = NoiseParams(k, 0.5)
         t = FaultyOracle(truth, params, 1, noiseless=True).execute_plan(full_pairwise_plan(3))
-        assert t.oriented_matrix([2, 1], [0]).tolist() == [[1], [k - 1]]
+        assert [t.lookup_oriented(2, 0), t.lookup_oriented(1, 0)] == [1, k - 1]
         assert t.oriented_matrix([0], [1, 2]).tolist() == [[1, k - 1]]
         assert likelihood_split(t, truth) == LikelihoodSplit(3, 0)
         assert brute_force_mle(t, 3, params) == [truth]
@@ -409,21 +422,99 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             QueryTranscript.from_text(text)
 
+    @pytest.mark.parametrize("text,error,message", [
+        ("k=3,n=4\n0,1,1\n0,9,1\n", ValueError, "line 3: '0,9,1': pair endpoints"),
+        ("k=3,n=4\n\n2,1,1\n", IdentityPairError, "line 3: '2,1,1': pair (2, 1)"),
+        ("k=3,n=4\n0,1,5\n1,2,0\n", ValueError, "line 2: '0,1,5': answers must lie"),
+        # the first bad triple is named, whichever rule it breaks
+        ("k=3,n=4\n1,3,0\n0,1,5\n2,1,1\n", ValueError, "line 3: '0,1,5'"),
+        ("k=3,n=4\n1,3,0\n2,1,1\n0,1,5\n", IdentityPairError, "line 3: '2,1,1'"),
+        ("k=3,n=4\n0,1,1\n1,2,0\n1,0,2\n", IdentityPairError, "line 4: '1,0,2'"),
+        ("k=3,n=4\n0,1,1\n1,2,0\n0,1,2\n", RepeatQueryError,
+         "duplicated pair: (0, 1) appears more than once"),
+    ])
+    def test_bad_triple_names_its_line_or_pair(self, text, error, message):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            QueryTranscript.from_text(text)
+        assert type(err.value) is error
+
+    @given(st.data())
+    def test_round_trip_any_subset(self, data):
+        n, k, triples, text = data.draw(_transcript_texts())
+        t = QueryTranscript.from_text(text)
+        assert (t.n, t.k) == (n, k)
+        assert list(t.items()) == sorted(triples)
+        back = QueryTranscript.from_text(t.to_text())
+        assert list(back.items()) == list(t.items())
+        assert back.to_text() == t.to_text()
+
+    @given(st.data())
+    def test_a_corrupt_line_is_named(self, data):
+        n, k, triples, text = data.draw(_transcript_texts(min_pairs=2))
+        lines = text.split("\n")
+        no = data.draw(st.sampled_from([no for no, ln in enumerate(lines, start=1)
+                                        if no > 1 and ln.strip()]))
+        i, j, a = (int(f) for f in lines[no - 1].split(","))
+        kind = data.draw(st.sampled_from(
+            ["fields", "integer", "node", "order", "answer", "repeat"]))
+        far = data.draw(st.integers(0, 5))
+        error = ValueError
+        if kind == "fields":
+            bad = data.draw(st.sampled_from([f"{i},{j}", f"{i},{j},{a},0", f"{i}"]))
+        elif kind == "integer":
+            bad = data.draw(st.sampled_from([f"{i},{j},x", f"{i}.0,{j},{a}", f"{i},,{a}"]))
+        elif kind == "node":
+            bad = data.draw(st.sampled_from([f"{i},{n + far},{a}", f"{-1 - far},{j},{a}"]))
+        elif kind == "order":
+            bad, error = data.draw(st.sampled_from([f"{j},{i},{a}", f"{i},{i},{a}"])), \
+                IdentityPairError
+        elif kind == "answer":
+            bad = data.draw(st.sampled_from([f"{i},{j},{k + far}", f"{i},{j},{-1 - far}"]))
+        else:
+            other = data.draw(st.sampled_from([(p, q) for p, q, _ in triples if (p, q) != (i, j)]))
+            bad, error = f"{other[0]},{other[1]},{a}", RepeatQueryError
+        lines[no - 1] = bad
+        with pytest.raises(ValueError) as err:
+            QueryTranscript.from_text("\n".join(lines))
+        assert type(err.value) is error
+        if kind == "repeat":
+            assert f"{other} appears more than once" in str(err.value)
+        else:
+            assert f"line {no}: {bad!r}" in str(err.value)
+
+
+@st.composite
+def _transcript_texts(draw, min_pairs=0):
+    """(n, k, triples, text): a transcript's text with its lines shuffled
+    and blank lines between them; k spans both sides of the int8 limit."""
+    n = draw(st.integers(max(2, min_pairs + 1), 12))
+    k = draw(st.integers(2, 300))
+    triangle = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.sets(st.sampled_from(triangle), min_size=min_pairs))
+    pairs = draw(st.permutations(sorted(pairs)))
+    triples = [(i, j, draw(st.integers(0, k - 1))) for i, j in pairs]
+    lines = [f"{i},{j},{a}" for i, j, a in triples]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+    return n, k, triples, "\n".join([f"k={k},n={n}", *lines]) + "\n"
+
 
 class TestQueryPlan:
     def test_set_semantics(self):
-        plan = QueryPlan([(0, 1), (1, 0), (2, 3)], n=5)
-        assert len(plan) == 2
-        assert list(plan) == [(0, 1), (2, 3)]
+        # a plan is a set of pairs: sorted, and a pair named twice, in
+        # either orientation, is an error since it may be queried once
+        plan = QueryPlan([(3, 4), (1, 0), (2, 0)], n=5)
+        assert len(plan) == 3
+        assert list(plan) == [(0, 1), (0, 2), (3, 4)]
+        for pairs, repeated in [([(0, 1), (1, 0), (2, 3)], (0, 1)),
+                                ([(2, 3), (0, 1), (2, 3)], (2, 3))]:
+            with pytest.raises(ValueError, match=re.escape(f"{repeated} appears")):
+                QueryPlan(pairs, n=5)
 
     def test_canonicalizes_orientation(self):
         plan = QueryPlan([(4, 1)], n=5)
         assert list(plan) == [(1, 4)]
         assert (1, 4) in plan and (4, 1) in plan
-
-    def test_first_occurrence_kept_in_sorted_order(self):
-        plan = QueryPlan([(3, 4), (1, 0), (2, 0), (0, 1), (4, 3)], n=5)
-        assert list(plan) == [(0, 1), (0, 2), (3, 4)]
 
     def test_identity_pair_rejected(self):
         with pytest.raises(IdentityPairError):
@@ -439,7 +530,7 @@ class TestQueryPlan:
         ([2, 0, 1, 0], [3, 1, 2, 1]),  # unsorted
     ])
     def test_from_arrays_rejects_duplicates(self, lo, hi):
-        with pytest.raises(ValueError, match="duplicate pairs"):
+        with pytest.raises(ValueError, match=re.escape("duplicate pairs: (0, 1) appears")):
             QueryPlan.from_arrays(np.array(lo), np.array(hi), 5)
 
     def test_from_arrays_keeps_sorted_read_only_input(self):

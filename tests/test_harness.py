@@ -105,6 +105,21 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert [r.delta for r in records] == [0.4]
 
+    def test_skipped_cell_logs_the_validator_message(self, caplog):
+        # each reason is the message of the check that rejects the cell
+        cfg = SweepConfig(n_values=(3, 20), k_values=(1, 2), delta_values=(0.4, 0.9),
+                          constant_c_values=(-1.0, 40.0), trials=1)
+        with caplog.at_level("WARNING", logger="cycalign.harness"):
+            records = run_sweep(cfg)
+        assert [(r.n, r.k, r.delta, r.constant_c) for r in records] == [(20, 2, 0.4, 40.0)]
+        assert len(caplog.records) == 15
+        text = caplog.text
+        for reason in ["k must be an integer >= 2, got 1",
+                       "delta must lie in (0, (k-1)/k] = (0, 0.5], got 0.9",
+                       "constant_c must be positive, got -1.0",
+                       "need n >= 4 for a seeded split, got n=3"]:
+            assert reason in text
+
     def test_rerun_is_byte_identical_without_timing(self):
         cfg = SweepConfig(n_values=(16, 24), k_values=(2, 3),
                           delta_values=(0.45,), trials=5, base_seed=7)

@@ -1,0 +1,45 @@
+"""The package's exports and the README's quickstart stay in step with the code."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import cycalign
+from cycalign import FaultyOracle, QueryTranscript, core, harness, recovery
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# step functions and readers that copied the seed x rest pipeline;
+# recover_from_transcript and QueryTranscript.lookup_oriented replace them
+DELETED = ["plurality", "estimate_pairwise_diff", "align_seed", "extend_labels",
+           "lookup_oriented"]
+
+
+def test_all_names_are_unique_and_resolve():
+    assert len(cycalign.__all__) == len(set(cycalign.__all__))
+    for name in cycalign.__all__:
+        assert getattr(cycalign, name) is not None, name
+
+
+def test_deleted_names_are_gone():
+    for name in DELETED:
+        assert name not in cycalign.__all__
+        for module in (cycalign, core, recovery):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(QueryTranscript, "answers")
+    assert not hasattr(FaultyOracle, "issued")
+    assert not hasattr(harness, "_cell_is_valid")
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[0] == "True"

@@ -1,4 +1,8 @@
-"""Recovery contracts: seed sizing, votes, alignment, extension."""
+"""Recovery contracts: seed sizing, votes, alignment, extension.
+
+Alignment and extension are steps of recover_from_transcript; their
+tests read each step's outcome off its RecoveryResult.
+"""
 
 import math
 import warnings
@@ -14,14 +18,12 @@ from cycalign import (
     MissingPairError,
     NoiseParams,
     QueryTranscript,
+    RepeatQueryError,
     SeedConfig,
     ValidityRegimeWarning,
-    align_seed,
     derive_trial_seed,
     effective_bias,
-    estimate_pairwise_diff,
-    extend_labels,
-    plurality,
+    recover_from_transcript,
     recover_success,
     run_algorithm1,
     run_trial,
@@ -96,6 +98,13 @@ class TestSeedSize:
 
 
 class TestPlurality:
+    """Winners of one-row inputs to _vote_rows, the one vote kernel."""
+
+    @staticmethod
+    def _winner(values, k):
+        winners, _ = _vote_rows(np.array([values]), k)
+        return int(winners[0])
+
     @pytest.mark.parametrize("values,k,want", [
         ([1, 1, 2], 3, 1),
         ([0, 1], 2, 0),        # tie -> smallest label
@@ -103,15 +112,7 @@ class TestPlurality:
         ([3, 3, 1, 1], 4, 1),  # tie -> smallest label
     ])
     def test_examples(self, values, k, want):
-        assert plurality(values, k) == want
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            plurality([], 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            plurality([0, 3], 3)
+        assert self._winner(values, k) == want
 
     @given(st.integers(2, 6).flatmap(
         lambda k: st.tuples(
@@ -122,7 +123,7 @@ class TestPlurality:
         want = plurality_by_count(values, k)
         shuffled = list(values)
         rnd.shuffle(shuffled)
-        assert plurality(values, k) == plurality(shuffled, k) == want
+        assert self._winner(values, k) == self._winner(shuffled, k) == want
 
 
 class TestVoteRows:
@@ -233,43 +234,39 @@ def _noiseless_transcript(labels, k, seed_count):
 
 
 class TestEstimatePairwiseDiff:
+    """A seed node's estimated difference to the anchor, which
+    recover_from_transcript reports as that node's label."""
+
     def test_noiseless_is_exact(self):
         labels = [2, 0, 1, 2, 0, 1]
         t = _noiseless_transcript(labels, 3, 2)
-        assert estimate_pairwise_diff(t, 0, 1, [2, 3, 4, 5]) == 2
+        assert recover_from_transcript(t, 2).labeling.labels[1] == (0 - 2) % 3
 
     def test_noiseless_tiny_instance_matches_scan(self):
         labels = [0, 3, 1, 2, 0, 3]
         t = _noiseless_transcript(labels, 4, 2)
         want = pairwise_diffs_by_scan(labels, 4)
-        assert estimate_pairwise_diff(t, 0, 1, range(2, 6)) == want[(0, 1)]
-        assert estimate_pairwise_diff(t, 1, 0, range(2, 6)) == (4 - want[(0, 1)]) % 4
-
-    def test_same_node_rejected(self):
-        t = _noiseless_transcript([0, 1, 2, 0], 3, 2)
-        with pytest.raises(ValueError):
-            estimate_pairwise_diff(t, 1, 1, [2, 3])
-
-    def test_empty_others_rejected(self):
-        t = _noiseless_transcript([0, 1, 2, 0], 3, 2)
-        with pytest.raises(ValueError):
-            estimate_pairwise_diff(t, 0, 1, [])
+        assert recover_from_transcript(t, 2).labeling.labels[1] == (4 - want[(0, 1)]) % 4
 
     def test_missing_pair(self):
-        t = _noiseless_transcript([0, 1, 2, 0], 3, 2)
-        with pytest.raises(MissingPairError):
-            estimate_pairwise_diff(t, 0, 3, [1, 2])
+        t = _noiseless_transcript([0, 1, 2, 0], 3, 1)  # holds no pair of node 1
+        with pytest.raises(MissingPairError, match=r"pair \(1, 2\)"):
+            recover_from_transcript(t, 2)
 
 
 class TestAlignSeed:
+    """Seed reconciliation, the first vote of recover_from_transcript."""
+
     def test_single_seed(self):
         t = _noiseless_transcript([0, 1, 2, 0], 3, 1)
-        assert align_seed(t, [0], [1, 2, 3], 3) == {0: 0}
+        result = recover_from_transcript(t, 1)
+        assert result.seed == (0,) and result.labeling.labels[0] == 0
+        assert result.per_node_margin[0] == 3  # the anchor's sentinel
 
     def test_noiseless_recovers_shifted_truth(self):
         labels = [2, 0, 1, 1, 2, 0, 1]
         t = _noiseless_transcript(labels, 3, 3)
-        got = align_seed(t, [0, 1, 2], list(range(3, 7)), 3)
+        got = recover_from_transcript(t, 3).labeling.labels
         for s in (0, 1, 2):
             assert got[s] == (labels[s] - labels[0]) % 3
 
@@ -282,46 +279,37 @@ class TestAlignSeed:
             truth = sample_truth(8, 3, np.random.default_rng(ts))
             oracle = FaultyOracle(truth, params, ts ^ 0xABCDEF)
             tr = oracle.execute_plan(seed_rest_plan(8, 2))
-            got = align_seed(tr, [0, 1], list(range(2, 8)), 3)
+            got = recover_from_transcript(tr, 2).labeling.labels
             wins += got[1] == (truth.labels[1] - truth.labels[0]) % 3
         assert wins >= 990
 
     def test_empty_rest_rejected(self):
         t = _noiseless_transcript([0, 1, 2, 0], 3, 2)
-        with pytest.raises(ValueError):
-            align_seed(t, [0, 1], [], 3)
+        with pytest.raises(ValueError, match="seed_count must lie in"):
+            recover_from_transcript(t, 4)
 
 
 class TestExtendLabels:
+    """Extension to the rest, the second vote of recover_from_transcript."""
+
     def test_noiseless_equals_truth_up_to_shift(self):
         labels = [2, 0, 1, 1, 2, 0, 1, 0]
         t = _noiseless_transcript(labels, 3, 3)
-        seed_labels = align_seed(t, [0, 1, 2], list(range(3, 8)), 3)
-        full = extend_labels(t, seed_labels, list(range(3, 8)), 3)
+        full = recover_from_transcript(t, 3).labeling
         expected = shift_labeling(Labeling(labels, 3), (0 - labels[0]) % 3)
         assert full == expected
 
     def test_single_seed_noiseless(self):
         labels = [1, 0, 2, 1]
         t = _noiseless_transcript(labels, 3, 1)
-        full = extend_labels(t, {0: 0}, [1, 2, 3], 3)
+        full = recover_from_transcript(t, 1).labeling
         expected = shift_labeling(Labeling(labels, 3), (0 - labels[0]) % 3)
         assert full == expected
 
-    def test_seed_labels_preserved(self):
-        t = _noiseless_transcript([0, 1, 0, 1], 2, 2)
-        full = extend_labels(t, {0: 1, 1: 0}, [2, 3], 2)
-        assert full.labels[0] == 1 and full.labels[1] == 0
-
-    def test_partial_cover_rejected(self):
-        t = _noiseless_transcript([0, 1, 0, 1], 2, 2)
-        with pytest.raises(ValueError):
-            extend_labels(t, {0: 0, 1: 1}, [2], 2)
-
     def test_missing_pair(self):
         empty = QueryTranscript(4, 2, [], [], [])
-        with pytest.raises(MissingPairError):
-            extend_labels(empty, {0: 0, 1: 1}, [2, 3], 2)
+        with pytest.raises(MissingPairError, match=r"pair \(0, 2\)"):
+            recover_from_transcript(empty, 2)
 
 
 class TestRunAlgorithm:
@@ -358,8 +346,10 @@ class TestRunAlgorithm:
         truth = sample_truth(60, 3, np.random.default_rng(2))
         oracle = FaultyOracle(truth, params, 3)
         run_algorithm1(60, params, SeedConfig(), oracle)
-        issued = {(i, j) for i, j, _ in oracle.issued.items()}
-        assert issued == expected
+        assert oracle.query_count == len(expected)
+        for pair in expected:  # each planned pair was issued, so none is free
+            with pytest.raises(RepeatQueryError):
+                oracle.query(*pair)
 
     def test_shift_covariance_at_fixed_noise(self):
         # shifting the hidden truth leaves the output labeling unchanged:
