@@ -187,6 +187,15 @@ def vote_probabilities(params: NoiseParams) -> tuple[float, float, float]:
     return up, down, zero
 
 
+def _check_dp_votes(vote_count: int) -> None:
+    """Raise InstanceTooLargeError above the exact tail's vote guard."""
+    if vote_count > _DP_VOTE_LIMIT:
+        raise InstanceTooLargeError(
+            f"vote_count {vote_count} exceeds the dynamic-programming guard "
+            f"{_DP_VOTE_LIMIT}"
+        )
+
+
 def tail_probability_exact(spec: TailSpec) -> float:
     """Exact P(sum of signed votes <= 0) by convolution over {-n, ..., n}.
 
@@ -214,10 +223,7 @@ def tail_probability_exact(spec: TailSpec) -> float:
     at small sizes.
     """
     n = spec.vote_count
-    if n > _DP_VOTE_LIMIT:
-        raise InstanceTooLargeError(
-            f"vote_count {n} exceeds the dynamic-programming guard {_DP_VOTE_LIMIT}"
-        )
+    _check_dp_votes(n)
     up, down, zero = vote_probabilities(spec.params)
     cur = np.zeros(2 * n + 1)
     nxt = np.zeros(2 * n + 1)

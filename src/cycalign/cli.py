@@ -10,7 +10,10 @@ Subcommands:
 * ``mle-check``   agreement of vote-based recovery with brute-force
                   maximum likelihood on tiny instances
 
-Exit codes: 0 success, 2 invalid configuration, 3 internal error.
+Each command first validates its arguments and configuration, then
+runs. Exit codes: 0 success; 2 invalid arguments or configuration,
+found before anything is computed (the message is printed); 3 an error
+raised while computing (the traceback is printed).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+import warnings
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +30,8 @@ from .core import NoiseParams
 from .harness import (
     ConfigError,
     SweepConfig,
+    check_lemma_grid,
+    check_mle_comparison,
     derive_trial_seed,
     lemma_report_to_csv,
     lemma_report_to_json,
@@ -38,7 +45,7 @@ from .harness import (
     run_trial_detailed,
 )
 from .analysis import TailSpec
-from .recovery import SeedConfig, seed_size
+from .recovery import SeedConfig, ValidityRegimeWarning, seed_size
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -125,35 +132,47 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_simulate(args) -> int:
+# A command validates its arguments (raising ValueError or OSError) and
+# returns the run, which main calls only once validation has passed.
+Run = Callable[[], int]
+
+
+def _cmd_simulate(args) -> Run:
     params = NoiseParams(args.k, args.delta)
     cfg = SeedConfig(constant_c=args.constant_c)
-    trial_seed = derive_trial_seed(args.seed, ("simulate", args.n, args.k,
-                                               args.delta, args.constant_c), 0)
-    truth, result, outcome = run_trial_detailed(
-        args.n, params, cfg, trial_seed,
-        budget_scale=args.budget_scale, noiseless=args.noiseless)
-    mismatch = (result.labeling.labels - truth.labels) % args.k
-    shift_counts = np.bincount(mismatch, minlength=args.k)
-    best_shift = int(shift_counts.argmax())
-    wrong = np.nonzero(mismatch != best_shift)[0]
-    print(f"n={args.n} k={args.k} delta={args.delta:g} "
-          f"constant_c={args.constant_c:g} noiseless={args.noiseless}")
-    print(f"seed size      : {len(result.seed)}")
-    print(f"query count    : {result.query_count}")
-    print(f"recovered      : {'yes' if outcome.success else 'no'} "
-          f"(hamming after best shift = {outcome.hamming})")
-    print(f"aligning shift : {best_shift}")
-    if wrong.size:
-        head = ", ".join(
-            f"{v}:{int(result.labeling.labels[v])}!={(int(truth.labels[v]) + best_shift) % args.k}"
-            for v in wrong[:10].tolist())
-        more = "" if wrong.size <= 10 else f" (+{wrong.size - 10} more)"
-        print(f"mismatched     : {head}{more}")
-    margins = result.per_node_margin
-    print(f"vote margins   : min={int(margins.min())} "
-          f"median={float(np.median(margins)):g} max={int(margins.max())}")
-    return 0
+    with warnings.catch_warnings():  # the run gives the validity warning
+        warnings.simplefilter("ignore", ValidityRegimeWarning)
+        seed_size(args.n, params, cfg)  # rejects n < 4
+
+    def run() -> int:
+        trial_seed = derive_trial_seed(args.seed, ("simulate", args.n, args.k,
+                                                   args.delta, args.constant_c), 0)
+        truth, result, outcome = run_trial_detailed(
+            args.n, params, cfg, trial_seed,
+            budget_scale=args.budget_scale, noiseless=args.noiseless)
+        mismatch = (result.labeling.labels - truth.labels) % args.k
+        shift_counts = np.bincount(mismatch, minlength=args.k)
+        best_shift = int(shift_counts.argmax())
+        wrong = np.nonzero(mismatch != best_shift)[0]
+        print(f"n={args.n} k={args.k} delta={args.delta:g} "
+              f"constant_c={args.constant_c:g} noiseless={args.noiseless}")
+        print(f"seed size      : {len(result.seed)}")
+        print(f"query count    : {result.query_count}")
+        print(f"recovered      : {'yes' if outcome.success else 'no'} "
+              f"(hamming after best shift = {outcome.hamming})")
+        print(f"aligning shift : {best_shift}")
+        if wrong.size:
+            head = ", ".join(
+                f"{v}:{int(result.labeling.labels[v])}!="
+                f"{(int(truth.labels[v]) + best_shift) % args.k}"
+                for v in wrong[:10].tolist())
+            more = "" if wrong.size <= 10 else f" (+{wrong.size - 10} more)"
+            print(f"mismatched     : {head}{more}")
+        margins = result.per_node_margin
+        print(f"vote margins   : min={int(margins.min())} "
+              f"median={float(np.median(margins)):g} max={int(margins.max())}")
+        return 0
+    return run
 
 
 def _sweep_config_from_args(args) -> dict:
@@ -177,51 +196,60 @@ def _sweep_config_from_args(args) -> dict:
     return base
 
 
-def _cmd_sweep(args) -> int:
+def _run_sweeps(args, configs: list[SweepConfig]) -> Run:
+    def run() -> int:
+        records = []
+        for config in configs:
+            records.extend(run_sweep(config, noiseless=args.noiseless))
+        render = records_to_csv if args.format == "csv" else records_to_json
+        _emit(render(records, include_timing=not args.no_timing), args.out)
+        return 0
+    return run
+
+
+def _cmd_sweep(args) -> Run:
     base = _sweep_config_from_args(args)
     if args.budget_scale is not None:
         base["budget_scale"] = args.budget_scale
-    config = SweepConfig(**base)
-    records = run_sweep(config, noiseless=args.noiseless)
-    render = records_to_csv if args.format == "csv" else records_to_json
-    _emit(render(records, include_timing=not args.no_timing), args.out)
-    return 0
+    return _run_sweeps(args, [SweepConfig(**base)])
 
 
-def _cmd_phase(args) -> int:
+def _cmd_phase(args) -> Run:
     base = _sweep_config_from_args(args)
-    records = []
-    for scale in args.budget_scale:
-        config = SweepConfig(**base, budget_scale=scale)
-        records.extend(run_sweep(config, noiseless=args.noiseless))
-    render = records_to_csv if args.format == "csv" else records_to_json
-    _emit(render(records, include_timing=not args.no_timing), args.out)
-    return 0
+    return _run_sweeps(args, [SweepConfig(**base, budget_scale=scale)
+                              for scale in args.budget_scale])
 
 
-def _cmd_lemma_check(args) -> int:
+def _cmd_lemma_check(args) -> Run:
     params = NoiseParams(args.k, args.delta)
     specs = [TailSpec(v, params) for v in args.n]
-    report = run_lemma_check(specs, args.trials, base_seed=args.seed)
-    if args.out is None:
+    check_lemma_grid(specs, args.trials)
+
+    def run() -> int:
+        report = run_lemma_check(specs, args.trials, base_seed=args.seed)
+        if args.out is not None:
+            render = lemma_report_to_csv if args.format == "csv" else lemma_report_to_json
+            _emit(render(report), args.out)
         sys.stdout.write(lemma_report_to_text(report))
-    else:
-        render = lemma_report_to_csv if args.format == "csv" else lemma_report_to_json
-        _emit(render(report), args.out)
-        sys.stdout.write(lemma_report_to_text(report))
-    return 0
+        return 0
+    return run
 
 
-def _cmd_mle_check(args) -> int:
+def _cmd_mle_check(args) -> Run:
     params = NoiseParams(args.k, args.delta)
-    report = run_mle_comparison(args.n, params, args.trials,
-                                base_seed=args.seed, noiseless=args.noiseless)
-    print(f"n={args.n} k={args.k} delta={args.delta:g} trials={report.trials}")
-    print(f"seed size          : {seed_size(args.n, params)}")
-    print(f"agreement          : {report.agreements}/{report.trials} "
-          f"({report.agreement_rate:.3f})")
-    print(f"non-unique ML sets : {report.nonunique_mle}/{report.trials}")
-    return 0
+    check_mle_comparison(args.n, params, args.trials)
+    s = seed_size(args.n, params)  # rejects n < 4
+
+    def run() -> int:
+        report = run_mle_comparison(args.n, params, args.trials,
+                                    base_seed=args.seed, noiseless=args.noiseless)
+        print(f"n={args.n} k={args.k} delta={args.delta:g} trials={report.trials}")
+        print(f"seed size          : {s}")
+        print(f"agreement          : {report.agreements}/{report.trials} "
+              f"({report.agreement_rate:.3f})")
+        print(f"non-unique ML sets : {report.nonunique_mle}/{report.trials}")
+        return 0
+    return run
 
 
 _COMMANDS = {
@@ -237,10 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+        run = _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return run()
     except Exception:
         traceback.print_exc()
         return 3

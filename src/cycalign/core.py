@@ -18,14 +18,28 @@ seed x rest block of Algorithm 1 costs one byte per answer. Because k
 itself fits that type, k - a and a - k stay in range for every answer
 a. QueryTranscript.oriented_matrix reads only that block: a run of
 columns c0 .. c0 + w - 1 against rows below c0, all in stored
-orientation. It returns a read-only view of the stored answers when
-the rows lie back to back in the store, as the seed x rest block of a
-seed_rest_plan transcript does. Single pairs are read with
-lookup_oriented, in either orientation.
+orientation. Single pairs are read with lookup_oriented, in either
+orientation.
+
+Plans and transcripts come in two forms with one interface:
+
+* the seed x rest block, the pairs (i, j) with i < s <= j for a seed
+  of the first s nodes, as Algorithm 1 queries it. A block plan holds
+  only (n, s); a block transcript holds only the answers, row-major,
+  which is also their sorted-key order. Size, membership and lookups
+  are range tests; the pair arrays lo and hi, and a transcript's keys,
+  are built on first use only, and the algorithm itself never asks for
+  them. oriented_matrix slices the block, so the whole seed x rest
+  read is a read-only view of the stored answers;
+* any other set of pairs, held as sorted int64 pair arrays with their
+  keys i * n + j, which strictly increase. This form serves the text
+  format, the full triangle of the small-instance MLE check and plans
+  built from explicit pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -245,18 +259,42 @@ def _pair_position(lo: np.ndarray, hi: np.ndarray, n: int, x: int, y: int) -> in
     return pos if pos < stop and hi[pos] == b else -1
 
 
+def _block_position(n: int, s: int, x: int, y: int) -> int:
+    """Row-major index of the unordered pair {x, y} in the seed x rest
+    block of the first s of n nodes, or -1 if the block lacks it.
+
+    Raises IdentityPairError if x == y.
+    """
+    a, b = canonical_pair(x, y)
+    return a * (n - s) + b - s if 0 <= a < s <= b < n else -1
+
+
+def _block_pairs(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pair arrays (lo, hi) of the seed x rest block, in
+    row-major (sorted) order."""
+    lo = np.repeat(np.arange(s, dtype=np.int64), n - s)
+    hi = np.tile(np.arange(s, n, dtype=np.int64), s)
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    return lo, hi
+
+
 class QueryPlan:
     """A set of unordered node pairs scheduled for querying.
 
-    Pairs are stored canonically oriented in read-only int64 arrays lo
-    and hi, sorted by (i, j), so plans are deterministic objects. The
-    keys lo * n + hi therefore strictly increase; the oracle and the
-    transcript rely on that to skip sorting a plan. Each pair may be
-    queried only once, so a plan that names a pair twice, in either
-    orientation, is an error.
+    Pairs are canonically oriented and sorted by (i, j), so plans are
+    deterministic objects; lo and hi are read-only int64 arrays of
+    them, and their keys lo * n + hi strictly increase, which the
+    oracle and the transcript rely on to skip sorting a plan. Each pair
+    may be queried only once, so a plan that names a pair twice, in
+    either orientation, is an error.
+
+    A seed x rest plan (see _seed_rest) stores only n and the seed
+    size; its lo and hi are built and cached on first access, and its
+    size, membership and iteration are range computations.
     """
 
-    __slots__ = ("n", "lo", "hi")
+    __slots__ = ("n", "_s", "_lo", "_hi")
 
     def __init__(self, pairs: Iterable[tuple[int, int]], n: int):
         """Plan of the pairs (x, y), each in either orientation."""
@@ -275,6 +313,14 @@ class QueryPlan:
         plan._set_pairs(lo, hi, n)
         return plan
 
+    @classmethod
+    def _seed_rest(cls, n: int, s: int) -> "QueryPlan":
+        """Plan of the pairs (i, j) with i < s <= j < n; needs 1 <= s < n."""
+        plan = cls.__new__(cls)
+        plan.n, plan._s = int(n), int(s)
+        plan._lo = plan._hi = None
+        return plan
+
     def _set_pairs(self, lo, hi, n: int) -> None:
         lo = _frozen_int64(lo)
         hi = _frozen_int64(hi)
@@ -283,20 +329,39 @@ class QueryPlan:
                             "plan contains duplicate pairs")
         if order is not None:
             lo, hi = lo[order], hi[order]
+        lo.flags.writeable = False
+        hi.flags.writeable = False
         self.n = int(n)
-        self.lo = lo
-        self.hi = hi
-        self.lo.flags.writeable = False
-        self.hi.flags.writeable = False
+        self._s = None
+        self._lo = lo
+        self._hi = hi
+
+    @property
+    def lo(self) -> np.ndarray:
+        if self._lo is None:
+            self._lo, self._hi = _block_pairs(self.n, self._s)
+        return self._lo
+
+    @property
+    def hi(self) -> np.ndarray:
+        if self._hi is None:
+            self._lo, self._hi = _block_pairs(self.n, self._s)
+        return self._hi
 
     def __len__(self) -> int:
-        return self.lo.size
+        if self._s is None:
+            return self._lo.size
+        return self._s * (self.n - self._s)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.lo.tolist(), self.hi.tolist())
+        if self._s is None:
+            return zip(self._lo.tolist(), self._hi.tolist())
+        return itertools.product(range(self._s), range(self._s, self.n))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return _pair_position(self.lo, self.hi, self.n, *pair) >= 0
+        if self._s is None:
+            return _pair_position(self._lo, self._hi, self.n, *pair) >= 0
+        return _block_position(self.n, self._s, *pair) >= 0
 
 
 class QueryTranscript:
@@ -318,9 +383,13 @@ class QueryTranscript:
     in int64 and converted once, so out-of-range input never wraps and
     a caller's writeable array is never aliased or frozen.
     oriented_matrix returns answers of the same type (see there).
+
+    A transcript of a seed x rest block (see _from_block) stores only
+    the answers; its pair arrays _lo and _hi and keys _enc are derived
+    on first use and cached.
     """
 
-    __slots__ = ("n", "k", "_enc", "_ans", "_lo", "_hi")
+    __slots__ = ("n", "k", "_s", "_ans", "_pair_lo", "_pair_hi", "_keys")
 
     def __init__(self, n: int, k: int,
                  lo: np.ndarray | Sequence[int],
@@ -348,18 +417,66 @@ class QueryTranscript:
             enc, lo, hi, ans = enc[order], lo[order], hi[order], ans[order]
         self.n = int(n)
         self.k = int(k)
-        self._enc = enc
-        self._lo = lo
-        self._hi = hi
+        self._s = None
+        self._keys = enc
+        self._pair_lo = lo
+        self._pair_hi = hi
         self._ans = ans
-        for a in (self._enc, self._lo, self._hi, self._ans):
+        for a in (enc, lo, hi, ans):
             a.flags.writeable = False
 
+    @classmethod
+    def _from_block(cls, n: int, k: int, s: int, answers: np.ndarray) -> "QueryTranscript":
+        """Transcript of the seed x rest block of the first s of n nodes.
+
+        answers holds the s * (n - s) answers, that of pair (i, j) at
+        [i, j - s], or at i * (n - s) + j - s when flat, as a C-contiguous
+        array of _answer_dtype(k); it is frozen and kept without a copy.
+        Raises ValueError naming the first pair whose answer is not in
+        [0, k).
+        """
+        t = cls.__new__(cls)
+        t.n, t.k, t._s = int(n), int(k), int(s)
+        if answers.min() < 0 or answers.max() >= k:
+            bad = int(((answers < 0) | (answers >= k)).argmax())
+            i, j = divmod(bad, n - s)
+            raise ValueError(f"answers must lie in [0, {k}), got "
+                             f"{int(answers.flat[bad])} for pair ({i}, {j + s})")
+        answers.flags.writeable = False
+        t._ans = answers.reshape(-1)
+        t._pair_lo = t._pair_hi = t._keys = None
+        return t
+
+    @property
+    def _lo(self) -> np.ndarray:
+        if self._pair_lo is None:
+            self._pair_lo, self._pair_hi = _block_pairs(self.n, self._s)
+        return self._pair_lo
+
+    @property
+    def _hi(self) -> np.ndarray:
+        if self._pair_hi is None:
+            self._pair_lo, self._pair_hi = _block_pairs(self.n, self._s)
+        return self._pair_hi
+
+    @property
+    def _enc(self) -> np.ndarray:
+        if self._keys is None:
+            self._keys = _encode_pairs(self._lo, self._hi, self.n)
+            self._keys.flags.writeable = False
+        return self._keys
+
+    def _position(self, x: int, y: int) -> int:
+        """Index of the unordered pair {x, y} in _ans, or -1 if absent."""
+        if self._s is None:
+            return _pair_position(self._pair_lo, self._pair_hi, self.n, x, y)
+        return _block_position(self.n, self._s, x, y)
+
     def __len__(self) -> int:
-        return self._enc.size
+        return self._ans.size
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return _pair_position(self._lo, self._hi, self.n, *pair) >= 0
+        return self._position(*pair) >= 0
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, answer) triples in sorted (i, j) order."""
@@ -372,7 +489,7 @@ class QueryTranscript:
         Raises ValueError if a node lies outside [0, n), IdentityPairError
         if x == y and MissingPairError if the pair was never queried.
         """
-        pos = _pair_position(self._lo, self._hi, self.n, x, y)
+        pos = self._position(x, y)
         if pos < 0:
             if not (0 <= x < self.n and 0 <= y < self.n):
                 raise ValueError(f"nodes must lie in [0, {self.n}), got ({x}, {y})")
@@ -386,15 +503,17 @@ class QueryTranscript:
 
         cols must be one run c0, c0 + 1, ..., c0 + w - 1 of nodes below
         n and every row must lie in [0, c0), so each pair is read in its
-        stored orientation. Row r's pairs then have the w consecutive
-        keys r*n + c0 .. r*n + c0 + w - 1, and the stored keys are
-        distinct and sorted, so the row is complete exactly when the
-        store holds w keys in [r*n + c0, r*n + c0 + w): two binary
-        searches per row, whatever w is. If the rows' runs sit back to
-        back in the store, as the seed x rest rows of a seed_rest_plan
-        transcript do, the result is a read-only view of the stored
-        answers; otherwise one gather copies them. Empty rows or cols
-        give an empty (len(rows), len(cols)) array.
+        stored orientation.
+
+        A seed x rest transcript holds row r's pairs exactly when r < s
+        <= c0, and the read is a slice of its answer block: a read-only
+        view when rows are a run, one gather otherwise. In any other
+        transcript, row r's pairs have the w consecutive keys r*n + c0
+        .. r*n + c0 + w - 1, and the stored keys are distinct and
+        sorted, so the row is complete exactly when the store holds w
+        keys in [r*n + c0, r*n + c0 + w): two binary searches per row,
+        whatever w is, and one gather copies the answers. Empty rows or
+        cols give an empty (len(rows), len(cols)) array.
 
         Raises ValueError if cols is not such a run or a row lies
         outside [0, c0), IdentityPairError if a row is also a column
@@ -411,12 +530,16 @@ class QueryTranscript:
                              f"{c0} .. {int(c[-1])}")
         if w > 1 and not (c[1:] - c[:-1] == 1).all():
             raise ValueError("cols must be one run c0, c0 + 1, ..., c0 + w - 1")
-        first = r * self.n + c0
-        starts = self._enc.searchsorted(first)
-        ends = self._enc.searchsorted(first + w)
-        complete = ends - starts == w
+        s = self._s
+        if s is None:
+            first = r * self.n + c0
+            starts = self._keys.searchsorted(first)
+            ends = self._keys.searchsorted(first + w)
+            complete = ends - starts == w
+        else:
+            complete = (r >= 0) & (r < s) if c0 >= s else np.zeros(r.size, bool)
         if not complete.all():
-            # a row outside [0, c0) has no stored key in its range, so
+            # a row outside [0, c0) has no stored pair in its range, so
             # it always lands here and valid reads never check rows
             bad = (r < 0) | (r >= c0)
             if bad.any():
@@ -428,12 +551,18 @@ class QueryTranscript:
                 raise ValueError(f"rows must lie below the first column {c0}, "
                                  f"got row {x}")
             i = int(complete.argmin())
-            held = np.isin(first[i] + np.arange(w), self._enc[starts[i]:ends[i]])
-            raise MissingPairError(f"pair ({int(r[i])}, {c0 + int(held.argmin())}) "
-                                   "was never queried")
-        if (starts[1:] - starts[:-1] == w).all():
-            p = int(starts[0])
-            return self._ans[p:p + r.size * w].reshape(r.size, w)
+            # a seed x rest transcript misses all of row i's pairs or,
+            # when c0 < s, the pairs with c0 .. s - 1: c0 comes first
+            gap = 0
+            if s is None:
+                held = np.isin(first[i] + np.arange(w), self._keys[starts[i]:ends[i]])
+                gap = int(held.argmin())
+            raise MissingPairError(f"pair ({int(r[i])}, {c0 + gap}) was never queried")
+        if s is not None:
+            block = self._ans.reshape(s, self.n - s)
+            if (r[1:] - r[:-1] == 1).all():  # a run of rows: a view
+                r = slice(int(r[0]), int(r[0]) + r.size)
+            return block[r, c0 - s:c0 - s + w]
         return self._ans[starts[:, None] + np.arange(w)]
 
     def to_text(self) -> str:

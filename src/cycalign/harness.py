@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import (
     TailFit,
     TailSpec,
+    _check_dp_votes,
     brute_force_mle,
     fit_tail_exponent,
     hamming_after_best_shift,
@@ -34,7 +35,13 @@ from .analysis import (
     tail_probability_mc,
     tail_regime,
 )
-from .core import Labeling, NoiseParams, QueryPlan, RegimeMixingError
+from .core import (
+    DegenerateGridError,
+    Labeling,
+    NoiseParams,
+    QueryPlan,
+    RegimeMixingError,
+)
 from .oracle import FaultyOracle
 from .recovery import (
     RecoveryResult,
@@ -273,6 +280,25 @@ class LemmaCheckReport:
     trials: int
 
 
+def check_lemma_grid(specs: Sequence[TailSpec], trials: int) -> None:
+    """Raise ValueError for a grid that run_lemma_check rejects.
+
+    Only the grid's shape is checked, before any tail is computed: it
+    is nonempty, in one bias regime and within the exact tail's vote
+    guard; a grid of 5 or more points, which gets a fit, spans more
+    than one predictor value; and trials is at least 1.
+    """
+    if not specs:
+        raise ValueError("need at least one tail spec")
+    if len({tail_regime(s.params) for s in specs}) != 1:
+        raise RegimeMixingError("grid straddles the delta = 1/(2k) regime boundary")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_dp_votes(max(s.vote_count for s in specs))
+    if len(specs) >= 5 and len({tail_predictor(s) for s in specs}) == 1:
+        raise DegenerateGridError("predictor is constant across the grid")
+
+
 def run_lemma_check(specs: Sequence[TailSpec], trials: int,
                     base_seed: int = 0) -> LemmaCheckReport:
     """Evaluate each spec exactly and by Monte Carlo; fit the exponent.
@@ -281,10 +307,7 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     points the report carries no fit.
     """
     specs = list(specs)
-    if not specs:
-        raise ValueError("need at least one tail spec")
-    if len({tail_regime(s.params) for s in specs}) != 1:
-        raise RegimeMixingError("grid straddles the delta = 1/(2k) regime boundary")
+    check_lemma_grid(specs, trials)
     points = []
     exact_tails = []
     for idx, spec in enumerate(specs):
@@ -375,6 +398,15 @@ def full_pairwise_plan(n: int) -> QueryPlan:
     return QueryPlan.from_arrays(lo, hi, n)
 
 
+def check_mle_comparison(n: int, params: NoiseParams, trials: int) -> None:
+    """Raise ValueError for a size that run_mle_comparison rejects."""
+    if n > 8 or params.k > 3:
+        raise ValueError(f"comparison supports n <= 8 and k <= 3, "
+                         f"got n={n}, k={params.k}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def run_mle_comparison(n: int, params: NoiseParams, trials: int,
                        base_seed: int = 0,
                        cfg: SeedConfig = SeedConfig(),
@@ -387,11 +419,7 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     recovery output is one of the maximum-likelihood labelings.
     Restricted to n <= 8, k <= 3 to keep enumeration exhaustive.
     """
-    if n > 8 or params.k > 3:
-        raise ValueError(f"comparison supports n <= 8 and k <= 3, "
-                         f"got n={n}, k={params.k}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_mle_comparison(n, params, trials)
     plan = full_pairwise_plan(n)
     s = seed_size(n, params, cfg)
     agreements = 0

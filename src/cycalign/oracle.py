@@ -14,10 +14,20 @@ mixer, so a transcript depends only on the seed and the set of pairs,
 never on query order. This keeps batched and incremental querying, and
 any parallel schedule, byte-for-byte reproducible.
 
-The oracle remembers what it answered as one sorted int64 array of pair
-keys i * n + j. A plan's keys already strictly increase (see QueryPlan),
-so checking a plan against that history is a binary search of the plan
-in the history, and recording it is a merge of two sorted arrays.
+The oracle remembers what it answered in two parts: the seed x rest
+block it answered, as its seed size s (0 for none), and every other
+pair as one sorted int64 array of keys i * n + j. Any two seed x rest
+blocks share the pair (0, n - 1), so an oracle answers at most one
+block. Pairs are checked against the block by range tests (i < s <= j)
+and against the keys by binary search: a plan's keys already strictly
+increase (see QueryPlan), so recording a plan is a merge of two sorted
+arrays.
+
+A seed x rest plan is answered one tile of whole rows at a time from
+g[rows, None] - g[None, rest] and the noise of the broadcast pairs, so
+no pair array is gathered or built. The noise of a pair depends only
+on its (i, j), so the block's answers are those of the same pairs
+answered one by one or in any other plan.
 
 Answers are written straight into the transcript's compact answer type
 (int8 up to k = 127) and handed over read-only, so the transcript keeps
@@ -43,16 +53,19 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Pairs answered per block: the hash and noise temporaries of a block
+# Pairs answered per tile: the hash and noise temporaries of a tile
 # stay in cache instead of each streaming a full plan-sized array.
 _BLOCK = 1 << 16
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; wraps mod 2^64."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer; wraps mod 2^64. z itself is not modified."""
+    z = z ^ (z >> np.uint64(30))  # a new array: the rest updates it in place
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def pair_uniform(seed: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -114,8 +127,13 @@ class FaultyOracle:
         self.params = params
         self.rng_seed = int(rng_seed)
         self.noiseless = bool(noiseless)
-        self._ans_dtype = _answer_dtype(params.k)  # the transcript's answer type
-        self._issued_keys = np.empty(0, dtype=np.int64)  # sorted, distinct
+        # (a mod k) at index a + k for every a in [-k, 2k), in the
+        # transcript's answer type: a lookup is ~4x cheaper than the
+        # integer division of %
+        self._residues = (np.arange(-self.k, 2 * self.k) % self.k).astype(
+            _answer_dtype(self.k))
+        self._block_s = 0  # seed size of the answered seed x rest block, 0 if none
+        self._issued_keys = np.empty(0, dtype=np.int64)  # the other pairs: sorted, distinct
 
     @property
     def n(self) -> int:
@@ -127,19 +145,33 @@ class FaultyOracle:
 
     @property
     def query_count(self) -> int:
-        return self._issued_keys.size
+        s = self._block_s
+        return s * (self.n - s) + self._issued_keys.size
+
+    def _answer_tile(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
+        """Write the answers of the pairs (lo, hi), broadcast together, to out."""
+        g = self._truth.labels
+        d = g[lo] - g[hi]  # in (-k, k)
+        if not self.noiseless:
+            d += noise_from_uniform(pair_uniform(self.rng_seed, lo, hi),
+                                    self.k, self.params.delta)  # now in (-k, 2k)
+        d += self.k
+        out[...] = self._residues[d]
 
     def _answers_for(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        g = self._truth.labels
-        out = np.empty(lo.size, dtype=self._ans_dtype)
+        out = np.empty(lo.size, dtype=self._residues.dtype)
         for a in range(0, lo.size, _BLOCK):
-            blo, bhi = lo[a:a + _BLOCK], hi[a:a + _BLOCK]
-            if self.noiseless:
-                eta = np.int64(0)
-            else:
-                u = pair_uniform(self.rng_seed, blo, bhi)
-                eta = noise_from_uniform(u, self.k, self.params.delta)
-            out[a:a + _BLOCK] = (g[blo] - g[bhi] + eta) % self.k
+            self._answer_tile(lo[a:a + _BLOCK], hi[a:a + _BLOCK], out[a:a + _BLOCK])
+        return out
+
+    def _block_answers(self, s: int) -> np.ndarray:
+        """The (s, n - s) answers of the seed x rest block, row-major."""
+        rest = np.arange(s, self.n, dtype=np.int64)
+        out = np.empty((s, rest.size), dtype=self._residues.dtype)
+        step = max(1, _BLOCK // rest.size)  # whole rows per tile
+        for r in range(0, s, step):
+            rows = np.arange(r, min(r + step, s), dtype=np.int64)[:, None]
+            self._answer_tile(rows, rest, out[r:r + step])
         return out
 
     def query(self, i: int, j: int) -> int:
@@ -153,7 +185,8 @@ class FaultyOracle:
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
         key = lo * self.n + hi
         pos = int(np.searchsorted(self._issued_keys, key))
-        if pos < self._issued_keys.size and self._issued_keys[pos] == key:
+        if (lo < self._block_s <= hi or pos < self._issued_keys.size
+                and self._issued_keys[pos] == key):
             raise RepeatQueryError(f"pair ({lo}, {hi}) was already queried")
         ans = self._answers_for(np.asarray([lo]), np.asarray([hi]))
         self._issued_keys = np.insert(self._issued_keys, pos, key)
@@ -168,21 +201,41 @@ class FaultyOracle:
         """
         if plan.n != self.n:
             raise ValueError(f"plan is for n={plan.n}, oracle has n={self.n}")
-        history = self._issued_keys
+        if plan._s is not None:
+            return self._execute_block(plan._s)
+        s, history = self._block_s, self._issued_keys
+        # pairs inside the answered block, found by range tests
+        repeated = (plan.lo < s) & (plan.hi >= s) if s else np.zeros(len(plan), bool)
         if history.size:
             keys = _encode_pairs(plan.lo, plan.hi, self.n)  # sorted: a plan invariant
             pos = np.searchsorted(history, keys)
-            repeated = history[np.minimum(pos, history.size - 1)] == keys
-            if repeated.any():
-                dup = int(keys[repeated.argmax()])
-                raise RepeatQueryError(
-                    f"pair ({dup // self.n}, {dup % self.n}) was already queried"
-                )
-            history = np.insert(history, pos, keys)
+            repeated |= history[np.minimum(pos, history.size - 1)] == keys
+        if repeated.any():
+            t = int(repeated.argmax())  # plans are sorted: the lowest pair
+            raise RepeatQueryError(
+                f"pair ({int(plan.lo[t])}, {int(plan.hi[t])}) was already queried")
         ans = self._answers_for(plan.lo, plan.hi)
         ans.flags.writeable = False
         transcript = QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
         # with no history yet, the history becomes this plan's keys, which
         # the transcript already holds sorted
-        self._issued_keys = history if self._issued_keys.size else transcript._enc
+        self._issued_keys = (np.insert(history, pos, keys) if history.size
+                             else transcript._enc)
+        return transcript
+
+    def _execute_block(self, s: int) -> QueryTranscript:
+        """execute_plan for the seed x rest block of the first s nodes."""
+        if self._block_s:
+            # two blocks share the pairs (i, j) with i < min(s, s') and
+            # j >= max(s, s'), the lowest of which is (0, max(s, s'))
+            raise RepeatQueryError(
+                f"pair (0, {max(s, self._block_s)}) was already queried")
+        lo, hi = np.divmod(self._issued_keys, self.n)
+        inside = (lo < s) & (hi >= s)
+        if inside.any():
+            t = int(inside.argmax())  # keys are sorted: the lowest pair
+            raise RepeatQueryError(
+                f"pair ({int(lo[t])}, {int(hi[t])}) was already queried")
+        transcript = QueryTranscript._from_block(self.n, self.k, s, self._block_answers(s))
+        self._block_s = s
         return transcript

@@ -23,7 +23,12 @@ recover_from_transcript is the one place that runs steps 1-3: it reads
 the seed x rest block once, with QueryTranscript.oriented_matrix, and
 returns every node's label and vote margin, so each step's outcome can
 be read off its RecoveryResult. run_algorithm1 sizes the seed, queries
-the block from a fresh oracle and hands the transcript to it.
+the block from a fresh oracle and hands the transcript to it. On that
+path no pair array exists: seed_rest_plan records only (n, s), the
+oracle fills the s x (n - s) answer block directly, and the read is a
+view of that block. Any other transcript that holds the block, such as
+the full triangle of the small-instance MLE check, is read the same
+way through its sorted pair keys.
 
 Every vote goes through one kernel, _vote_rows, which counts each row's
 values (a - ref) mod k without computing a modulus: with a and ref in
@@ -184,19 +189,13 @@ def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:
     """All pairs between the first seed_count nodes and the rest.
 
     This is the full non-adaptive query set: a pure function of
-    (n, seed_count), computable before any answer is observed.
+    (n, seed_count), computable before any answer is observed. The plan
+    records only the rectangle; its pair arrays lo and hi are built on
+    first access, which the oracle and the recovery never make.
     """
     if not 1 <= seed_count < n:
         raise ValueError(f"seed_count must lie in [1, n), got {seed_count}")
-    seed = np.arange(seed_count, dtype=np.int64)
-    rest = np.arange(seed_count, n, dtype=np.int64)
-    lo = np.repeat(seed, rest.size)
-    hi = np.tile(rest, seed.size)
-    # sorted by (lo, hi) and handed over read-only, so the plan keeps
-    # these arrays without a copy or a sort
-    lo.flags.writeable = False
-    hi.flags.writeable = False
-    return QueryPlan.from_arrays(lo, hi, n)
+    return QueryPlan._seed_rest(n, seed_count)
 
 
 def recover_from_transcript(transcript: QueryTranscript,

@@ -156,3 +156,44 @@ def test_mle_check_oversize_is_config_error(capsys):
     code = main(["mle-check", "--n", "9", "--k", "2", "--delta", "0.45",
                  "--trials", "5"])
     assert code == 2
+
+
+def test_lemma_underflow_is_an_internal_error(capsys):
+    # a valid grid whose exact tails underflow to 0 inside the fit: the
+    # computation fails, not the configuration
+    code = main(["lemma-check", "--n", "2000,4000,6000,8000,10000", "--k", "2",
+                 "--delta", "0.3", "--trials", "1000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" in err and "tail probabilities must lie strictly" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lemma-check", "--n", "200000", "--k", "2", "--delta", "0.3"],
+     "exceeds the dynamic-programming guard"),
+    (["lemma-check", "--n", "50,50,50,50,50", "--k", "2", "--delta", "0.3"],
+     "predictor is constant"),
+    (["lemma-check", "--n", "20", "--k", "2", "--delta", "0.3", "--trials", "0"],
+     "trials must be >= 1"),
+    (["mle-check", "--n", "6", "--k", "2", "--delta", "0.45", "--trials", "0"],
+     "trials must be >= 1"),
+    (["mle-check", "--n", "3", "--k", "2", "--delta", "0.45"], "need n >= 4"),
+    (["simulate", "--n", "3", "--k", "2", "--delta", "0.45"], "need n >= 4"),
+    (["simulate", "--n", "30", "--k", "2", "--delta", "0.45", "--constant-c", "0"],
+     "constant_c must be positive"),
+    (["phase", "--n", "20", "--k", "2", "--delta", "0.45", "--budget-scale", "1,-1"],
+     "budget_scale must be positive"),
+    (["sweep", "--config", "no/such/sweep.cfg"], "No such file"),
+])
+def test_invalid_configuration_exits_2_before_running(argv, message, monkeypatch, capsys):
+    import cycalign.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started despite an invalid configuration")
+
+    for name in ("run_lemma_check", "run_mle_comparison", "run_trial_detailed",
+                 "run_sweep"):
+        monkeypatch.setattr(cli_mod, name, never)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

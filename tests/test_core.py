@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cycalign import (
     FaultyOracle,
@@ -336,6 +336,93 @@ class TestOrientedMatrixRuns:
         full = _from_pairs(4, 3, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="nodes must lie"):
             full.oriented_matrix([-1], [5, 6, 7])
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and message of what it raised."""
+    try:
+        return read(*args)
+    except Exception as err:  # compared, not swallowed
+        return type(err), str(err)
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+def _runs(n):
+    return [range(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+
+
+class TestBlockTranscript:
+    """A seed x rest transcript reads exactly like the same pairs
+    answered through a plan of explicit pair arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_and_sparse_transcripts_agree(self, data):
+        n = data.draw(st.integers(2, 40))
+        s = data.draw(st.integers(1, n - 1))
+        k = data.draw(st.sampled_from([2, 3, 4, 5, 6, 127, 128, 300]))
+        delta = data.draw(st.floats(0.05, 1.0)) * (k - 1) / k
+        noiseless = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        truth = Labeling(rng.integers(0, k, n), k)
+        seed = int(rng.integers(0, 2**63))
+
+        plan = seed_rest_plan(n, s)
+        lo, hi = plan.lo, plan.hi
+        assert lo.tolist() == np.repeat(np.arange(s), n - s).tolist()
+        assert hi.tolist() == np.tile(np.arange(s, n), s).tolist()
+        assert not (lo.flags.writeable or hi.flags.writeable)
+        assert plan.lo is lo and list(plan) == list(zip(lo.tolist(), hi.tolist()))
+        assert len(plan) == s * (n - s)
+
+        def oracle():
+            return FaultyOracle(truth, NoiseParams(k, delta), seed, noiseless=noiseless)
+        block = oracle().execute_plan(seed_rest_plan(n, s))
+        sparse = oracle().execute_plan(QueryPlan.from_arrays(lo, hi, n))
+
+        assert len(block) == len(sparse) == s * (n - s)
+        assert block._ans.dtype == sparse._ans.dtype
+        assert list(block.items()) == list(sparse.items())
+        assert block.to_text() == sparse.to_text()
+        for x in range(n):
+            for y in range(n):
+                if x != y:
+                    assert ((x, y) in block) == ((x, y) in sparse) == ((x, y) in plan)
+                    assert (_outcome(block.lookup_oriented, x, y)
+                            == _outcome(sparse.lookup_oriented, x, y))
+
+        mat = block.oriented_matrix(range(s), range(s, n))
+        assert np.shares_memory(mat, block._ans) and not mat.flags.writeable
+        reads = ([(r, c) for r in _runs(n) for c in _runs(n)] if n <= 8 else
+                 [(data.draw(st.sampled_from(_runs(n))), data.draw(st.sampled_from(_runs(n))))
+                  for _ in range(25)])
+        reads.append((data.draw(st.lists(st.integers(-1, n), min_size=1, max_size=6)),
+                      data.draw(st.sampled_from(_runs(n)))))
+        for rows, cols in reads:
+            assert _same_outcome(_outcome(block.oriented_matrix, rows, cols),
+                                 _outcome(sparse.oriented_matrix, rows, cols)), (rows, cols)
+
+    def test_derived_pairs_match_the_sparse_form(self):
+        n, s, k = 9, 3, 4
+        truth = Labeling(np.random.default_rng(1).integers(0, k, n), k)
+        block = FaultyOracle(truth, NoiseParams(k, 0.4), 5).execute_plan(seed_rest_plan(n, s))
+        assert block._pair_lo is None and block._keys is None  # nothing built yet
+        lo, hi = np.triu_indices(n, k=1)
+        keep = (lo < s) & (hi >= s)
+        assert block._lo.tolist() == lo[keep].tolist()
+        assert block._hi.tolist() == hi[keep].tolist()
+        assert block._enc.tolist() == (lo[keep] * n + hi[keep]).tolist()
+        assert block._lo is block._lo  # built once, then cached
+
+    def test_block_answers_are_range_checked(self):
+        ans = np.array([[0, 1, 2], [1, 3, 0]], dtype=np.int8)
+        with pytest.raises(ValueError, match=re.escape("got 3 for pair (1, 3)")):
+            QueryTranscript._from_block(5, 3, 2, ans)
 
 
 @pytest.mark.parametrize("k", [127, 128, 129, 300])

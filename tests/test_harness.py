@@ -1,5 +1,7 @@
 """Harness contracts: trials, sweeps, reports, config parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from cycalign import (
     run_mle_comparison,
     run_sweep,
     run_trial,
+    run_trial_detailed,
     sample_truth,
     seed_size,
 )
@@ -85,6 +88,22 @@ class TestRunTrial:
         full = run_trial(100, params, SeedConfig(), 5)
         tiny = run_trial(100, params, SeedConfig(), 5, budget_scale=0.05)
         assert tiny.query_count < full.query_count
+
+    def test_large_trial_memory_stays_near_the_answer_block(self):
+        # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.
+        # The one-byte answer block is the only trial-sized allocation;
+        # the oracle and the votes work in tiles of _BLOCK / _VOTE_BLOCK
+        # cells, for which a fixed 4 MiB is allowed (8 int64 arrays).
+        n, params, cfg = 10_000, NoiseParams(4, 0.5), SeedConfig(constant_c=40.0)
+        s = seed_size(n, params, cfg)
+        tracemalloc.start()
+        try:
+            outcome = run_trial_detailed(n, params, cfg, 1)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.query_count == s * (n - s) == 6_826_831
+        assert peak <= 2 * s * (n - s) + 8 * 8 * (1 << 16), f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRunSweep:

@@ -1,5 +1,7 @@
 """Oracle contracts: noise law, query-once semantics, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -195,6 +197,86 @@ class TestExecutePlan:
         t = oracle.execute_plan(seed_rest_plan(6, 3))
         for i, j, a in t.items():
             assert a == (labels[i] - labels[j]) % 3
+
+
+class TestHistoryAcrossForms:
+    """The answered seed x rest block and the other answered pairs are
+    one history: every repeat is caught, named and not recorded."""
+
+    N, S = 8, 3  # the block is (i, j) with i < 3 <= j
+
+    def _oracle(self):
+        return _oracle([0, 1, 2, 0, 1, 2, 0, 1], 3)
+
+    def test_block_then_query(self):
+        oracle = self._oracle()
+        oracle.execute_plan(seed_rest_plan(self.N, self.S))
+        assert oracle.query_count == 15
+        for pair in [(0, 3), (7, 2), (1, 5)]:
+            with pytest.raises(RepeatQueryError, match=re.escape(
+                    f"pair {tuple(sorted(pair))} was already queried")):
+                oracle.query(*pair)
+        assert oracle.query_count == 15
+        oracle.query(1, 2)  # inside the seed
+        oracle.query(3, 7)  # inside the rest
+        assert oracle.query_count == 17
+        with pytest.raises(RepeatQueryError, match=re.escape("pair (3, 7)")):
+            oracle.query(7, 3)
+
+    def test_block_then_sparse_plan(self):
+        oracle = self._oracle()
+        oracle.execute_plan(seed_rest_plan(self.N, self.S))
+        oracle.query(4, 5)
+        for pairs, lowest in [([(0, 1), (0, 5), (4, 5)], (0, 5)),   # block first
+                              ([(0, 1), (2, 6), (4, 5)], (2, 6)),
+                              ([(0, 1), (4, 5), (5, 6)], (4, 5)),   # history only
+                              ([(1, 2), (2, 3)], (2, 3))]:
+            with pytest.raises(RepeatQueryError, match=re.escape(f"pair {lowest} was")):
+                oracle.execute_plan(QueryPlan(pairs, n=self.N))
+            assert oracle.query_count == 16
+        t = oracle.execute_plan(QueryPlan([(0, 1), (5, 6), (1, 2)], n=self.N))
+        assert len(t) == 3 and oracle.query_count == 19
+        for pair in [(0, 1), (1, 2), (5, 6), (4, 5), (0, 3)]:
+            with pytest.raises(RepeatQueryError):
+                oracle.query(*pair)
+        assert oracle.query_count == 19
+
+    def test_sparse_history_then_block(self):
+        oracle = self._oracle()
+        oracle.query(0, 1)  # outside the block
+        oracle.query(5, 4)  # outside the block
+        oracle.execute_plan(QueryPlan([(2, 6), (6, 7)], n=self.N))
+        oracle.query(7, 1)  # the lowest pair inside the block
+        assert oracle.query_count == 5
+        with pytest.raises(RepeatQueryError, match=re.escape("pair (1, 7) was already")):
+            oracle.execute_plan(seed_rest_plan(self.N, self.S))
+        assert oracle.query_count == 5
+        # nothing of the block was recorded: its other pairs are still free
+        oracle.query(0, 3)
+        assert oracle.query_count == 6
+        # a block that misses the history is answered and counted
+        other = _oracle([0, 1, 2, 0, 1, 2, 0, 1], 3)
+        other.query(0, 1)
+        other.query(4, 5)
+        t = other.execute_plan(seed_rest_plan(self.N, 4))
+        assert len(t) == 16 and other.query_count == 18
+
+    @pytest.mark.parametrize("first,second", [(3, 3), (3, 5), (5, 2), (1, 7)])
+    def test_block_then_block(self, first, second):
+        oracle = self._oracle()
+        oracle.execute_plan(seed_rest_plan(self.N, first))
+        count = first * (self.N - first)
+        with pytest.raises(RepeatQueryError, match=re.escape(
+                f"pair (0, {max(first, second)}) was already queried")):
+            oracle.execute_plan(seed_rest_plan(self.N, second))
+        assert oracle.query_count == count
+
+    def test_block_answers_match_single_queries(self):
+        labels = [0, 1, 2, 0, 1, 2, 0, 1]
+        block = _oracle(labels, 3).execute_plan(seed_rest_plan(self.N, self.S))
+        single = _oracle(labels, 3)
+        for i, j, a in block.items():
+            assert single.query(j, i) == a
 
 
 class TestNoiseDistribution:
