@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -30,6 +29,7 @@ from .core import NoiseParams
 from .harness import (
     ConfigError,
     SweepConfig,
+    check_budget_scale,
     check_lemma_grid,
     check_mle_comparison,
     derive_trial_seed,
@@ -45,7 +45,7 @@ from .harness import (
     run_trial_detailed,
 )
 from .analysis import TailSpec
-from .recovery import SeedConfig, ValidityRegimeWarning, seed_size
+from .recovery import SeedConfig, _seed_size
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -140,9 +140,8 @@ Run = Callable[[], int]
 def _cmd_simulate(args) -> Run:
     params = NoiseParams(args.k, args.delta)
     cfg = SeedConfig(constant_c=args.constant_c)
-    with warnings.catch_warnings():  # the run gives the validity warning
-        warnings.simplefilter("ignore", ValidityRegimeWarning)
-        seed_size(args.n, params, cfg)  # rejects n < 4
+    check_budget_scale(args.budget_scale)
+    _seed_size(args.n, params, cfg)  # rejects n < 4; the run warns
 
     def run() -> int:
         trial_seed = derive_trial_seed(args.seed, ("simulate", args.n, args.k,
@@ -238,7 +237,7 @@ def _cmd_lemma_check(args) -> Run:
 def _cmd_mle_check(args) -> Run:
     params = NoiseParams(args.k, args.delta)
     check_mle_comparison(args.n, params, args.trials)
-    s = seed_size(args.n, params)  # rejects n < 4
+    s = _seed_size(args.n, params, SeedConfig())  # rejects n < 4; the run warns
 
     def run() -> int:
         report = run_mle_comparison(args.n, params, args.trials,

@@ -27,10 +27,10 @@ Plans and transcripts come in two forms with one interface:
   of the first s nodes, as Algorithm 1 queries it. A block plan holds
   only (n, s); a block transcript holds only the answers, row-major,
   which is also their sorted-key order. Size, membership and lookups
-  are range tests; the pair arrays lo and hi, and a transcript's keys,
-  are built on first use only, and the algorithm itself never asks for
-  them. oriented_matrix slices the block, so the whole seed x rest
-  read is a read-only view of the stored answers;
+  are range tests; the pair arrays lo and hi are built on first use
+  only, and the algorithm itself never asks for them. oriented_matrix
+  slices the block, so the whole seed x rest read is a read-only view
+  of the stored answers;
 * any other set of pairs, held as sorted int64 pair arrays with their
   keys i * n + j, which strictly increase. This form serves the text
   format, the full triangle of the small-instance MLE check and plans
@@ -78,6 +78,13 @@ class DegenerateGridError(ValueError):
     """A fit was requested on a grid with no predictor variation."""
 
 
+def _check_size(name: str, value) -> None:
+    """Raise ValueError naming the size unless it is an integer >= 2,
+    as a label count k and a node count n that holds a pair must be."""
+    if not isinstance(value, (int, np.integer)) or value < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Parameters (k, delta) of the zero-biased noise law.
@@ -91,8 +98,7 @@ class NoiseParams:
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        _check_size("k", self.k)
         d = float(self.delta)
         if not (0.0 < d <= (self.k - 1) / self.k):
             raise ValueError(
@@ -126,8 +132,7 @@ class Labeling:
         arr = np.asarray(labels, dtype=np.int64).copy()
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a labeling needs a 1-d sequence of at least 2 labels")
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
+        _check_size("k", k)
         if arr.min() < 0 or arr.max() >= k:
             raise ValueError(f"labels must lie in [0, {k}), got range "
                              f"[{arr.min()}, {arr.max()}]")
@@ -285,9 +290,9 @@ class QueryPlan:
     Pairs are canonically oriented and sorted by (i, j), so plans are
     deterministic objects; lo and hi are read-only int64 arrays of
     them, and their keys lo * n + hi strictly increase, which the
-    oracle and the transcript rely on to skip sorting a plan. Each pair
-    may be queried only once, so a plan that names a pair twice, in
-    either orientation, is an error.
+    transcript relies on to skip sorting a plan. Each pair may be
+    queried only once, so a plan that names a pair twice, in either
+    orientation, is an error, and an oracle answers only one plan.
 
     A seed x rest plan (see _seed_rest) stores only n and the seed
     size; its lo and hi are built and cached on first access, and its
@@ -322,6 +327,7 @@ class QueryPlan:
         return plan
 
     def _set_pairs(self, lo, hi, n: int) -> None:
+        _check_size("n", n)
         lo = _frozen_int64(lo)
         hi = _frozen_int64(hi)
         _check_entries(lo, hi, n)
@@ -385,8 +391,8 @@ class QueryTranscript:
     oriented_matrix returns answers of the same type (see there).
 
     A transcript of a seed x rest block (see _from_block) stores only
-    the answers; its pair arrays _lo and _hi and keys _enc are derived
-    on first use and cached.
+    the answers; its pair arrays _lo and _hi are derived on first use
+    and cached, and it holds no keys.
     """
 
     __slots__ = ("n", "k", "_s", "_ans", "_pair_lo", "_pair_hi", "_keys")
@@ -395,8 +401,8 @@ class QueryTranscript:
                  lo: np.ndarray | Sequence[int],
                  hi: np.ndarray | Sequence[int],
                  answers: np.ndarray | Sequence[int]):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
+        _check_size("n", n)
+        _check_size("k", k)
         lo = _frozen_int64(lo)
         hi = _frozen_int64(hi)
         dtype = _answer_dtype(k)
@@ -458,13 +464,6 @@ class QueryTranscript:
         if self._pair_hi is None:
             self._pair_lo, self._pair_hi = _block_pairs(self.n, self._s)
         return self._pair_hi
-
-    @property
-    def _enc(self) -> np.ndarray:
-        if self._keys is None:
-            self._keys = _encode_pairs(self._lo, self._hi, self.n)
-            self._keys.flags.writeable = False
-        return self._keys
 
     def _position(self, x: int, y: int) -> int:
         """Index of the unordered pair {x, y} in _ans, or -1 if absent."""
@@ -597,6 +596,9 @@ class QueryTranscript:
             n = int(n_part.removeprefix("n="))
         except ValueError:
             raise ValueError(f"malformed transcript header: {header!r}") from None
+        if n < 2:
+            raise ValueError(f"transcript header {header!r}: n must be an "
+                             f"integer >= 2, got {n}")
         triples = []
         for no, ln in lines[1:]:
             fields = ln.split(",")

@@ -46,6 +46,7 @@ from .oracle import FaultyOracle
 from .recovery import (
     RecoveryResult,
     SeedConfig,
+    _seed_size,
     recover_from_transcript,
     run_algorithm1,
     seed_size,
@@ -61,6 +62,13 @@ CSV_HEADER = ("n,k,delta,constant_c,seed_size,query_count,"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
+
+
+def check_budget_scale(budget_scale: float | None) -> None:
+    """Raise ConfigError unless budget_scale is None or finite and > 0."""
+    if budget_scale is not None and not 0 < budget_scale < math.inf:
+        raise ConfigError(
+            f"budget_scale must be positive and finite, got {budget_scale}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,7 @@ class SweepConfig:
             object.__setattr__(self, name, vals)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.budget_scale is not None and not self.budget_scale > 0:
-            raise ConfigError(
-                f"budget_scale must be positive, got {self.budget_scale}"
-            )
+        check_budget_scale(self.budget_scale)
         object.__setattr__(self, "base_seed", int(self.base_seed) & _MASK64)
 
 
@@ -136,9 +141,10 @@ def sample_truth(n: int, k: int, rng: np.random.Generator) -> Labeling:
 
 def _effective_config(n: int, params: NoiseParams, cfg: SeedConfig,
                       budget_scale: float | None) -> SeedConfig:
+    check_budget_scale(budget_scale)
     if budget_scale is None or budget_scale == 1.0:
         return cfg
-    base = seed_size(n, params, cfg)
+    base = _seed_size(n, params, cfg)
     scaled = max(1, min(n // 2, math.ceil(budget_scale * base)))
     return replace(cfg, explicit_size=scaled)
 
@@ -188,7 +194,7 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
             params = NoiseParams(k, delta)
             cfg = SeedConfig(constant_c=constant_c)
             eff_cfg = _effective_config(n, params, cfg, config.budget_scale)
-            cell_seed_size = seed_size(n, params, eff_cfg)
+            cell_seed_size = _seed_size(n, params, eff_cfg)
         except ValueError as exc:
             logger.warning("skipping cell (n=%s, k=%s, delta=%s, c=%s): %s",
                            n, k, delta, constant_c, exc)

@@ -6,28 +6,24 @@ unordered pair {i, j} (canonically i < j) with
     (truth(i) - truth(j) + noise) mod k
 
 where the noise draw is 0 with probability 1/k + delta and each nonzero
-value with probability 1/k - delta/(k-1). Each pair is answered exactly
-once and the answer is fixed thereafter.
+value with probability 1/k - delta/(k-1).
 
 Noise is derived statelessly from (rng_seed, i, j) with a SplitMix64-style
 mixer, so a transcript depends only on the seed and the set of pairs,
-never on query order. This keeps batched and incremental querying, and
+never on query order. This keeps any split of a plan into chunks, and
 any parallel schedule, byte-for-byte reproducible.
 
-The oracle remembers what it answered in two parts: the seed x rest
-block it answered, as its seed size s (0 for none), and every other
-pair as one sorted int64 array of keys i * n + j. Any two seed x rest
-blocks share the pair (0, n - 1), so an oracle answers at most one
-block. Pairs are checked against the block by range tests (i < s <= j)
-and against the keys by binary search: a plan's keys already strictly
-increase (see QueryPlan), so recording a plan is a merge of two sorted
-arrays.
+An oracle answers one plan. Algorithm 1 is non-adaptive: its whole
+query set is fixed before any answer is seen, so it is one plan, and a
+second plan on the same oracle is an error whatever pairs it holds.
+The oracle keeps no history of pairs, only the size of the plan it
+answered.
 
 A seed x rest plan is answered one tile of whole rows at a time from
 g[rows, None] - g[None, rest] and the noise of the broadcast pairs, so
 no pair array is gathered or built. The noise of a pair depends only
 on its (i, j), so the block's answers are those of the same pairs
-answered one by one or in any other plan.
+answered in any other plan by an oracle with the same seed.
 
 Answers are written straight into the transcript's compact answer type
 (int8 up to k = 127) and handed over read-only, so the transcript keeps
@@ -43,10 +39,7 @@ from .core import (
     NoiseParams,
     QueryPlan,
     QueryTranscript,
-    RepeatQueryError,
     _answer_dtype,
-    _encode_pairs,
-    canonical_pair,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -103,7 +96,7 @@ def sample_noise(params: NoiseParams, rng: np.random.Generator,
 
 
 class FaultyOracle:
-    """Answers pairwise-difference queries about a hidden labeling.
+    """Answers one plan of pairwise-difference queries about a hidden labeling.
 
     Parameters
     ----------
@@ -132,8 +125,7 @@ class FaultyOracle:
         # integer division of %
         self._residues = (np.arange(-self.k, 2 * self.k) % self.k).astype(
             _answer_dtype(self.k))
-        self._block_s = 0  # seed size of the answered seed x rest block, 0 if none
-        self._issued_keys = np.empty(0, dtype=np.int64)  # the other pairs: sorted, distinct
+        self._answered: int | None = None  # size of the answered plan, None before it
 
     @property
     def n(self) -> int:
@@ -145,8 +137,7 @@ class FaultyOracle:
 
     @property
     def query_count(self) -> int:
-        s = self._block_s
-        return s * (self.n - s) + self._issued_keys.size
+        return self._answered or 0
 
     def _answer_tile(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
         """Write the answers of the pairs (lo, hi), broadcast together, to out."""
@@ -174,68 +165,23 @@ class FaultyOracle:
             self._answer_tile(rows, rest, out[r:r + step])
         return out
 
-    def query(self, i: int, j: int) -> int:
-        """Answer the unordered pair {i, j} under canonical orientation.
-
-        Raises RepeatQueryError if the pair was queried before and
-        IdentityPairError if i == j.
-        """
-        lo, hi = canonical_pair(i, j)
-        if not 0 <= lo < hi < self.n:
-            raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
-        key = lo * self.n + hi
-        pos = int(np.searchsorted(self._issued_keys, key))
-        if (lo < self._block_s <= hi or pos < self._issued_keys.size
-                and self._issued_keys[pos] == key):
-            raise RepeatQueryError(f"pair ({lo}, {hi}) was already queried")
-        ans = self._answers_for(np.asarray([lo]), np.asarray([hi]))
-        self._issued_keys = np.insert(self._issued_keys, pos, key)
-        return int(ans[0])
-
     def execute_plan(self, plan: QueryPlan) -> QueryTranscript:
         """Answer every pair in the plan and return their transcript.
 
-        The plan must be disjoint from everything queried so far, or
-        RepeatQueryError names the lowest repeated pair and nothing is
-        recorded; the oracle's query count grows by len(plan).
+        An oracle answers one plan: a second call raises ValueError and
+        changes nothing. The query count becomes len(plan).
         """
         if plan.n != self.n:
             raise ValueError(f"plan is for n={plan.n}, oracle has n={self.n}")
+        if self._answered is not None:
+            raise ValueError(f"oracle already answered a plan of {self._answered} "
+                             "pairs; an oracle answers one plan")
         if plan._s is not None:
-            return self._execute_block(plan._s)
-        s, history = self._block_s, self._issued_keys
-        # pairs inside the answered block, found by range tests
-        repeated = (plan.lo < s) & (plan.hi >= s) if s else np.zeros(len(plan), bool)
-        if history.size:
-            keys = _encode_pairs(plan.lo, plan.hi, self.n)  # sorted: a plan invariant
-            pos = np.searchsorted(history, keys)
-            repeated |= history[np.minimum(pos, history.size - 1)] == keys
-        if repeated.any():
-            t = int(repeated.argmax())  # plans are sorted: the lowest pair
-            raise RepeatQueryError(
-                f"pair ({int(plan.lo[t])}, {int(plan.hi[t])}) was already queried")
-        ans = self._answers_for(plan.lo, plan.hi)
-        ans.flags.writeable = False
-        transcript = QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
-        # with no history yet, the history becomes this plan's keys, which
-        # the transcript already holds sorted
-        self._issued_keys = (np.insert(history, pos, keys) if history.size
-                             else transcript._enc)
-        return transcript
-
-    def _execute_block(self, s: int) -> QueryTranscript:
-        """execute_plan for the seed x rest block of the first s nodes."""
-        if self._block_s:
-            # two blocks share the pairs (i, j) with i < min(s, s') and
-            # j >= max(s, s'), the lowest of which is (0, max(s, s'))
-            raise RepeatQueryError(
-                f"pair (0, {max(s, self._block_s)}) was already queried")
-        lo, hi = np.divmod(self._issued_keys, self.n)
-        inside = (lo < s) & (hi >= s)
-        if inside.any():
-            t = int(inside.argmax())  # keys are sorted: the lowest pair
-            raise RepeatQueryError(
-                f"pair ({int(lo[t])}, {int(hi[t])}) was already queried")
-        transcript = QueryTranscript._from_block(self.n, self.k, s, self._block_answers(s))
-        self._block_s = s
+            transcript = QueryTranscript._from_block(
+                self.n, self.k, plan._s, self._block_answers(plan._s))
+        else:
+            ans = self._answers_for(plan.lo, plan.hi)
+            ans.flags.writeable = False
+            transcript = QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
+        self._answered = len(plan)
         return transcript

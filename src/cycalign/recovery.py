@@ -112,8 +112,7 @@ def seed_size(n: int, params: NoiseParams, cfg: SeedConfig = SeedConfig()) -> in
     clamped to floor(n/2). cfg.explicit_size overrides the formulas.
     Warns (never errors) when delta is below the validity threshold.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4 for a seeded split, got n={n}")
+    size = _seed_size(n, params, cfg)
     if params.delta < validity_threshold(n, params.k):
         warnings.warn(
             f"delta={params.delta:g} is below the validity boundary "
@@ -122,6 +121,14 @@ def seed_size(n: int, params: NoiseParams, cfg: SeedConfig = SeedConfig()) -> in
             ValidityRegimeWarning,
             stacklevel=2,
         )
+    return size
+
+
+def _seed_size(n: int, params: NoiseParams, cfg: SeedConfig) -> int:
+    """seed_size without the validity warning, for checking or sizing a
+    run whose own seed_size call gives it, so it is given once."""
+    if n < 4:
+        raise ValueError(f"need n >= 4 for a seeded split, got n={n}")
     if cfg.explicit_size is not None:
         if not 1 <= cfg.explicit_size <= n // 2:
             raise ValueError(
@@ -240,12 +247,11 @@ def run_algorithm1(n: int, params: NoiseParams, cfg: SeedConfig,
 
     Sizes the seed, issues the single batched seed-vs-rest plan, then
     reconciles the seed and extends to the rest. Total work and query
-    count are both seed_count * (n - seed_count).
+    count are both seed_count * (n - seed_count). An oracle that
+    already answered a plan rejects this one with ValueError.
     """
     if oracle.n != n:
         raise ValueError(f"oracle is for n={oracle.n}, requested n={n}")
-    if oracle.query_count != 0:
-        raise ValueError("oracle must be fresh (no queries issued)")
     if params.k != oracle.k:
         raise ValueError(f"params.k={params.k} does not match oracle k={oracle.k}")
     s = seed_size(n, params, cfg)

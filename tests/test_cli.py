@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
+from cycalign import ValidityRegimeWarning
 from cycalign.cli import main
 from cycalign.harness import CSV_HEADER
 
@@ -168,6 +170,19 @@ def test_lemma_underflow_is_an_internal_error(capsys):
     assert "Traceback" in err and "tail probabilities must lie strictly" in err
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Make every run entry point of the CLI fail the test if called."""
+    import cycalign.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started despite an invalid configuration")
+
+    for name in ("run_lemma_check", "run_mle_comparison", "run_trial_detailed",
+                 "run_sweep"):
+        monkeypatch.setattr(cli_mod, name, never)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["lemma-check", "--n", "200000", "--k", "2", "--delta", "0.3"],
      "exceeds the dynamic-programming guard"),
@@ -184,16 +199,33 @@ def test_lemma_underflow_is_an_internal_error(capsys):
     (["phase", "--n", "20", "--k", "2", "--delta", "0.45", "--budget-scale", "1,-1"],
      "budget_scale must be positive"),
     (["sweep", "--config", "no/such/sweep.cfg"], "No such file"),
+    *[([command, "--n", "30", "--k", "2", "--delta", "0.45", f"--budget-scale={scale}"],
+       "budget_scale must be positive and finite")
+      for command in ("simulate", "sweep") for scale in ("-1", "0", "nan", "inf")],
+    (["phase", "--n", "20", "--k", "2", "--delta", "0.45", "--budget-scale", "1,inf"],
+     "budget_scale must be positive and finite"),
 ])
-def test_invalid_configuration_exits_2_before_running(argv, message, monkeypatch, capsys):
-    import cycalign.cli as cli_mod
-
-    def never(*args, **kwargs):
-        raise AssertionError("the run started despite an invalid configuration")
-
-    for name in ("run_lemma_check", "run_mle_comparison", "run_trial_detailed",
-                 "run_sweep"):
-        monkeypatch.setattr(cli_mod, name, never)
+def test_invalid_configuration_exits_2_before_running(argv, message, no_run, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_config_file_budget_scale_inf_exits_2(tmp_path, no_run, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n_values = 30\nk_values = 2\ndelta_values = 0.45\n"
+                      "budget_scale = inf\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "budget_scale must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mle-check", "--n", "6", "--k", "2", "--delta", "0.05", "--trials", "3"],
+    ["simulate", "--n", "200", "--k", "2", "--delta", "0.05"],
+    ["simulate", "--n", "200", "--k", "2", "--delta", "0.05", "--budget-scale", "0.5"],
+])
+def test_validity_warning_is_given_once(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [w.category for w in caught] == [ValidityRegimeWarning]

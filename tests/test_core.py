@@ -63,6 +63,11 @@ class TestLabeling:
         with pytest.raises(ValueError):
             Labeling([0], 2)
 
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("k must be an integer >= 2, got 2.5")):
+            Labeling([0, 1, 2], 2.5)
+        assert Labeling([0, 1], np.int64(2)).k == 2
+
     def test_immutable(self):
         g = Labeling([0, 1], 2)
         with pytest.raises(ValueError):
@@ -171,6 +176,12 @@ class TestQueryTranscript:
     def test_answer_range_checked(self):
         with pytest.raises(ValueError):
             _transcript(5, 3, [(0, 1, 3)])
+
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer >= 2, got 1")):
+            QueryTranscript(1, 3, [], [], [])
+        with pytest.raises(ValueError, match=re.escape("k must be an integer >= 2, got 2.5")):
+            QueryTranscript(4, 2.5, [0], [1], [2])
 
     def test_contains(self):
         t = _transcript(5, 3, [(0, 1, 2)])
@@ -416,7 +427,6 @@ class TestBlockTranscript:
         keep = (lo < s) & (hi >= s)
         assert block._lo.tolist() == lo[keep].tolist()
         assert block._hi.tolist() == hi[keep].tolist()
-        assert block._enc.tolist() == (lo[keep] * n + hi[keep]).tolist()
         assert block._lo is block._lo  # built once, then cached
 
     def test_block_answers_are_range_checked(self):
@@ -508,6 +518,11 @@ class TestSerialization:
     def test_malformed_message_names_header_or_line(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             QueryTranscript.from_text(text)
+
+    def test_header_with_too_few_nodes_is_named(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "transcript header 'k=3,n=-1': n must be an integer >= 2, got -1")):
+            QueryTranscript.from_text("k=3,n=-1\n")
 
     @pytest.mark.parametrize("text,error,message", [
         ("k=3,n=4\n0,1,1\n0,9,1\n", ValueError, "line 3: '0,9,1': pair endpoints"),
@@ -636,6 +651,12 @@ class TestQueryPlan:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             QueryPlan([(0, 5)], n=5)
+
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer >= 2, got -5")):
+            QueryPlan([], n=-5)
+        with pytest.raises(ValueError, match=re.escape("n must be an integer >= 2, got 2.5")):
+            QueryPlan([(0, 2)], n=2.5)
 
     def test_canonical_pair(self):
         assert canonical_pair(5, 2) == (2, 5)

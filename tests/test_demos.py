@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package."""
+"""Every script in demos/ runs to completion against the package, and
+none reports a failed check."""
 
 import os
 import subprocess
@@ -22,3 +23,6 @@ def test_demo_exits_cleanly(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # a demo prints each of its checks as "<what it checks>: True"
+    failed = [line for line in proc.stdout.splitlines() if ": False" in line]
+    assert not failed, failed

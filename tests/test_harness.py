@@ -89,6 +89,11 @@ class TestRunTrial:
         tiny = run_trial(100, params, SeedConfig(), 5, budget_scale=0.05)
         assert tiny.query_count < full.query_count
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_budget_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match="budget_scale must be positive and finite"):
+            run_trial(100, NoiseParams(2, 0.4), SeedConfig(), 5, budget_scale=scale)
+
     def test_large_trial_memory_stays_near_the_answer_block(self):
         # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.
         # The one-byte answer block is the only trial-sized allocation;

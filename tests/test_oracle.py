@@ -1,4 +1,4 @@
-"""Oracle contracts: noise law, query-once semantics, determinism."""
+"""Oracle contracts: noise law, one plan per oracle, determinism."""
 
 import re
 
@@ -12,7 +12,6 @@ from cycalign import (
     Labeling,
     NoiseParams,
     QueryPlan,
-    RepeatQueryError,
     noise_from_uniform,
     sample_noise,
     seed_rest_plan,
@@ -65,10 +64,26 @@ def _oracle(labels, k, delta=0.2, seed=1, noiseless=False):
                         noiseless=noiseless)
 
 
+def _chunked_answers(labels, k, plan, chunks):
+    """The plan's pairs split into shuffled explicit-pair plans, each
+    answered by a fresh oracle with the same seed: {(i, j): answer}."""
+    pairs = list(plan)
+    np.random.default_rng(0).shuffle(pairs)
+    answers = {}
+    for chunk in np.array_split(np.arange(len(pairs)), chunks):
+        part = [pairs[t][::-1] for t in chunk]  # given in reversed orientation
+        t = _oracle(labels, k).execute_plan(QueryPlan(part, n=len(labels)))
+        answers.update(((i, j), a) for i, j, a in t.items())
+    return answers
+
+
 class TestQuery:
+    """Answers to plans of single pairs."""
+
     def test_noiseless_difference(self):
         oracle = _oracle([0, 2, 1], 3, noiseless=True)
-        assert oracle.query(0, 1) == (0 - 2) % 3 == 1
+        t = oracle.execute_plan(QueryPlan([(0, 1)], n=3))
+        assert t.lookup_oriented(0, 1) == (0 - 2) % 3 == 1
 
     def test_noiseless_reverse_read(self):
         oracle = _oracle([0, 2, 1], 3, noiseless=True)
@@ -77,27 +92,26 @@ class TestQuery:
 
     def test_repeat_query_rejected(self):
         oracle = _oracle([0, 1, 2], 3)
-        oracle.query(0, 1)
-        with pytest.raises(RepeatQueryError):
-            oracle.query(0, 1)
-        with pytest.raises(RepeatQueryError):
-            oracle.query(1, 0)
+        oracle.execute_plan(QueryPlan([(0, 1)], n=3))
+        for pair in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="already answered a plan of 1 pairs"):
+                oracle.execute_plan(QueryPlan([pair], n=3))
+        with pytest.raises(ValueError, match="duplicate pairs"):
+            QueryPlan([(0, 1), (1, 0)], n=3)
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityPairError):
-            _oracle([0, 1], 2).query(1, 1)
+            QueryPlan([(1, 1)], n=2)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            _oracle([0, 1], 2).query(0, 2)
+        with pytest.raises(ValueError, match=re.escape("[0, 2), got (0, 2)")):
+            QueryPlan([(0, 2)], n=2)
 
     def test_count_tracks_distinct_pairs(self):
         oracle = _oracle([0, 1, 2, 0], 3)
-        oracle.query(0, 1)
-        oracle.query(2, 3)
+        assert oracle.query_count == 0
+        oracle.execute_plan(QueryPlan([(0, 1), (3, 2)], n=4))
         assert oracle.query_count == 2
-        n = oracle.n
-        assert oracle.query_count <= n * (n - 1) // 2
 
 
 class TestExecutePlan:
@@ -121,75 +135,27 @@ class TestExecutePlan:
         assert texts[0] == texts[1]
 
     def test_query_order_does_not_change_answers(self):
-        plan = seed_rest_plan(10, 2)
-        oracle_a = _oracle([i % 3 for i in range(10)], 3, seed=5)
-        batch = oracle_a.execute_plan(plan)
-        oracle_b = _oracle([i % 3 for i in range(10)], 3, seed=5)
-        pairs = list(plan)
-        rng = np.random.default_rng(0)
-        rng.shuffle(pairs)
-        for i, j in pairs:
-            assert oracle_b.query(i, j) == batch.lookup_oriented(i, j)
+        # noise belongs to the pair: shuffled chunks answered by fresh
+        # oracles with the same seed give the block's answers
+        labels = [0, 1, 2, 0, 1, 2, 0, 1]
+        block = _oracle(labels, 3).execute_plan(seed_rest_plan(8, 3))
+        expected = {(i, j): a for i, j, a in block.items()}
+        for chunks in (1, 3, 15):
+            assert _chunked_answers(labels, 3, seed_rest_plan(8, 3), chunks) == expected
 
     def test_plan_overlapping_history_rejected(self):
+        # the answered plan is the oracle's whole history
         oracle = _oracle([0, 1, 2, 0], 3)
-        oracle.query(1, 2)
-        with pytest.raises(RepeatQueryError):
+        first = oracle.execute_plan(QueryPlan([(1, 2)], n=4))
+        with pytest.raises(ValueError, match="already answered a plan of 1 pairs"):
             oracle.execute_plan(QueryPlan([(0, 1), (1, 2)], n=4))
-        # failed batch must not have been recorded
-        assert oracle.query_count == 1
-
-    def test_repeat_across_plans_names_lowest_pair(self):
-        oracle = _oracle([0, 1, 2, 0, 1, 2], 3)
-        oracle.execute_plan(QueryPlan([(0, 5), (2, 3), (3, 4)], n=6))
-        with pytest.raises(RepeatQueryError, match=r"pair \(2, 3\) was already"):
-            oracle.execute_plan(QueryPlan([(0, 1), (3, 4), (2, 3), (4, 5)], n=6))
-        # nothing of the failed plan was recorded: its new pairs are still free
-        assert oracle.query_count == 3
-        assert len(oracle.execute_plan(QueryPlan([(0, 1), (4, 5)], n=6))) == 2
-
-    def test_query_then_plan_repeat_rejected(self):
-        oracle = _oracle([0, 1, 2, 0], 3)
-        oracle.query(3, 2)
-        with pytest.raises(RepeatQueryError, match=r"pair \(2, 3\)"):
-            oracle.execute_plan(QueryPlan([(0, 1), (2, 3)], n=4))
-        assert oracle.query_count == 1
-
-    def test_plan_then_query_repeat_rejected(self):
-        oracle = _oracle([0, 1, 2, 0], 3)
-        oracle.execute_plan(QueryPlan([(0, 3), (1, 2)], n=4))
-        with pytest.raises(RepeatQueryError, match=r"pair \(0, 3\)"):
-            oracle.query(3, 0)
-        assert oracle.query_count == 2
-
-    def test_interleaved_plans_and_queries_count_exactly(self):
-        # later batches fall below, between and above earlier ones
-        oracle = _oracle([0, 1, 2, 0, 1, 2, 0, 1], 3)
-        oracle.execute_plan(QueryPlan([(3, 4), (5, 6)], n=8))
-        oracle.execute_plan(QueryPlan([(0, 1), (4, 5), (6, 7)], n=8))
-        oracle.query(2, 3)
-        oracle.execute_plan(QueryPlan([(0, 7), (1, 2)], n=8))
-        assert oracle.query_count == 8
-        for pair in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)]:
-            with pytest.raises(RepeatQueryError):
-                oracle.query(*pair)
-            with pytest.raises(RepeatQueryError):
-                oracle.execute_plan(QueryPlan([pair], n=8))
-        assert oracle.query_count == 8
+        assert oracle.query_count == 1 and len(first) == 1
 
     def test_wrong_size_plan_rejected(self):
         oracle = _oracle([0, 1, 2], 3)
         with pytest.raises(ValueError):
             oracle.execute_plan(QueryPlan([(0, 1)], n=4))
-
-    def test_issued_merges_singles_and_batches(self):
-        oracle = _oracle([0, 1, 2, 0, 1], 3)
-        oracle.query(3, 4)
-        oracle.execute_plan(QueryPlan([(0, 1), (0, 2)], n=5))
-        assert oracle.query_count == 3
-        for pair in [(4, 3), (0, 1), (2, 0)]:
-            with pytest.raises(RepeatQueryError):
-                oracle.query(*pair)
+        assert len(oracle.execute_plan(QueryPlan([(0, 1)], n=3))) == 1
 
     def test_noiseless_answers_are_exact_differences(self):
         labels = [0, 2, 1, 2, 0, 1]
@@ -199,84 +165,36 @@ class TestExecutePlan:
             assert a == (labels[i] - labels[j]) % 3
 
 
-class TestHistoryAcrossForms:
-    """The answered seed x rest block and the other answered pairs are
-    one history: every repeat is caught, named and not recorded."""
+class TestOnePlan:
+    """An oracle answers one plan: a second plan is rejected whatever
+    the forms of the two plans and whether or not they overlap, and
+    nothing changes."""
 
-    N, S = 8, 3  # the block is (i, j) with i < 3 <= j
+    LABELS = [0, 1, 2, 0, 1, 2, 0, 1]
+    PLANS = {  # "disjoint" shares no pair with "block" or "explicit"
+        "block": seed_rest_plan(8, 3),
+        "other-block": seed_rest_plan(8, 5),
+        "explicit": QueryPlan([(0, 3), (4, 5), (6, 7)], n=8),
+        "disjoint": QueryPlan([(1, 2), (3, 4)], n=8),
+        "empty": QueryPlan([], n=8),
+    }
 
-    def _oracle(self):
-        return _oracle([0, 1, 2, 0, 1, 2, 0, 1], 3)
-
-    def test_block_then_query(self):
-        oracle = self._oracle()
-        oracle.execute_plan(seed_rest_plan(self.N, self.S))
-        assert oracle.query_count == 15
-        for pair in [(0, 3), (7, 2), (1, 5)]:
-            with pytest.raises(RepeatQueryError, match=re.escape(
-                    f"pair {tuple(sorted(pair))} was already queried")):
-                oracle.query(*pair)
-        assert oracle.query_count == 15
-        oracle.query(1, 2)  # inside the seed
-        oracle.query(3, 7)  # inside the rest
-        assert oracle.query_count == 17
-        with pytest.raises(RepeatQueryError, match=re.escape("pair (3, 7)")):
-            oracle.query(7, 3)
-
-    def test_block_then_sparse_plan(self):
-        oracle = self._oracle()
-        oracle.execute_plan(seed_rest_plan(self.N, self.S))
-        oracle.query(4, 5)
-        for pairs, lowest in [([(0, 1), (0, 5), (4, 5)], (0, 5)),   # block first
-                              ([(0, 1), (2, 6), (4, 5)], (2, 6)),
-                              ([(0, 1), (4, 5), (5, 6)], (4, 5)),   # history only
-                              ([(1, 2), (2, 3)], (2, 3))]:
-            with pytest.raises(RepeatQueryError, match=re.escape(f"pair {lowest} was")):
-                oracle.execute_plan(QueryPlan(pairs, n=self.N))
-            assert oracle.query_count == 16
-        t = oracle.execute_plan(QueryPlan([(0, 1), (5, 6), (1, 2)], n=self.N))
-        assert len(t) == 3 and oracle.query_count == 19
-        for pair in [(0, 1), (1, 2), (5, 6), (4, 5), (0, 3)]:
-            with pytest.raises(RepeatQueryError):
-                oracle.query(*pair)
-        assert oracle.query_count == 19
-
-    def test_sparse_history_then_block(self):
-        oracle = self._oracle()
-        oracle.query(0, 1)  # outside the block
-        oracle.query(5, 4)  # outside the block
-        oracle.execute_plan(QueryPlan([(2, 6), (6, 7)], n=self.N))
-        oracle.query(7, 1)  # the lowest pair inside the block
-        assert oracle.query_count == 5
-        with pytest.raises(RepeatQueryError, match=re.escape("pair (1, 7) was already")):
-            oracle.execute_plan(seed_rest_plan(self.N, self.S))
-        assert oracle.query_count == 5
-        # nothing of the block was recorded: its other pairs are still free
-        oracle.query(0, 3)
-        assert oracle.query_count == 6
-        # a block that misses the history is answered and counted
-        other = _oracle([0, 1, 2, 0, 1, 2, 0, 1], 3)
-        other.query(0, 1)
-        other.query(4, 5)
-        t = other.execute_plan(seed_rest_plan(self.N, 4))
-        assert len(t) == 16 and other.query_count == 18
-
-    @pytest.mark.parametrize("first,second", [(3, 3), (3, 5), (5, 2), (1, 7)])
-    def test_block_then_block(self, first, second):
-        oracle = self._oracle()
-        oracle.execute_plan(seed_rest_plan(self.N, first))
-        count = first * (self.N - first)
-        with pytest.raises(RepeatQueryError, match=re.escape(
-                f"pair (0, {max(first, second)}) was already queried")):
-            oracle.execute_plan(seed_rest_plan(self.N, second))
-        assert oracle.query_count == count
-
-    def test_block_answers_match_single_queries(self):
-        labels = [0, 1, 2, 0, 1, 2, 0, 1]
-        block = _oracle(labels, 3).execute_plan(seed_rest_plan(self.N, self.S))
-        single = _oracle(labels, 3)
-        for i, j, a in block.items():
-            assert single.query(j, i) == a
+    @pytest.mark.parametrize("first,second", [
+        ("block", "block"), ("block", "other-block"), ("block", "explicit"),
+        ("block", "disjoint"), ("explicit", "block"), ("explicit", "disjoint"),
+        ("empty", "block"), ("empty", "empty"),
+    ])
+    def test_second_plan_rejected(self, first, second):
+        oracle = _oracle(self.LABELS, 3)
+        plan = self.PLANS[first]
+        t = oracle.execute_plan(plan)
+        text = t.to_text()
+        with pytest.raises(ValueError, match=re.escape(
+                f"oracle already answered a plan of {len(plan)} pairs")):
+            oracle.execute_plan(self.PLANS[second])
+        assert oracle.query_count == len(plan) == len(t)
+        assert t.to_text() == text
+        assert text == _oracle(self.LABELS, 3).execute_plan(plan).to_text()
 
 
 class TestNoiseDistribution:

@@ -30,6 +30,7 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(QueryTranscript, "answers")
     assert not hasattr(FaultyOracle, "issued")
+    assert not hasattr(FaultyOracle, "query")
     assert not hasattr(harness, "_cell_is_valid")
 
 

@@ -17,8 +17,8 @@ from cycalign import (
     Labeling,
     MissingPairError,
     NoiseParams,
+    QueryPlan,
     QueryTranscript,
-    RepeatQueryError,
     SeedConfig,
     ValidityRegimeWarning,
     derive_trial_seed,
@@ -331,10 +331,12 @@ class TestRunAlgorithm:
 
     def test_used_oracle_rejected(self):
         truth = sample_truth(20, 2, np.random.default_rng(0))
-        oracle = FaultyOracle(truth, NoiseParams(2, 0.4), 1)
-        oracle.query(0, 1)
-        with pytest.raises(ValueError):
-            run_algorithm1(20, NoiseParams(2, 0.4), SeedConfig(), oracle)
+        for used in ([(0, 1)], []):  # an empty first plan uses the oracle up too
+            oracle = FaultyOracle(truth, NoiseParams(2, 0.4), 1)
+            oracle.execute_plan(QueryPlan(used, n=20))
+            with pytest.raises(ValueError, match="already answered a plan"):
+                run_algorithm1(20, NoiseParams(2, 0.4), SeedConfig(), oracle)
+            assert oracle.query_count == len(used)
 
     def test_non_adaptive_plan_is_pure(self):
         # the query set is a function of (n, params, cfg) alone
@@ -345,11 +347,14 @@ class TestRunAlgorithm:
         assert expected == again
         truth = sample_truth(60, 3, np.random.default_rng(2))
         oracle = FaultyOracle(truth, params, 3)
-        run_algorithm1(60, params, SeedConfig(), oracle)
+        result = run_algorithm1(60, params, SeedConfig(), oracle)
         assert oracle.query_count == len(expected)
-        for pair in expected:  # each planned pair was issued, so none is free
-            with pytest.raises(RepeatQueryError):
-                oracle.query(*pair)
+        # the oracle answered the planned pairs in one plan, and they
+        # alone give the result
+        with pytest.raises(ValueError, match=f"a plan of {len(expected)} pairs"):
+            oracle.execute_plan(seed_rest_plan(60, s))
+        replay = FaultyOracle(truth, params, 3).execute_plan(seed_rest_plan(60, s))
+        assert recover_from_transcript(replay, s).labeling == result.labeling
 
     def test_shift_covariance_at_fixed_noise(self):
         # shifting the hidden truth leaves the output labeling unchanged:
