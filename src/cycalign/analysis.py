@@ -85,8 +85,8 @@ def likelihood_split(transcript: QueryTranscript, g: Labeling) -> LikelihoodSpli
         )
     if len(transcript) == 0:
         return LikelihoodSplit(0, 0)
-    residual = (g.labels[transcript._lo] - g.labels[transcript._hi]
-                - transcript._ans) % g.k
+    plan = transcript._plan
+    residual = (g.labels[plan.lo] - g.labels[plan.hi] - transcript._ans) % g.k
     agree = int(np.count_nonzero(residual == 0))
     return LikelihoodSplit(agree, len(transcript) - agree)
 
@@ -142,7 +142,7 @@ def brute_force_mle(transcript: QueryTranscript, n: int,
             f"{_MLE_ENUMERATION_LIMIT}"
         )
     cell = np.min_scalar_type(-k)  # holds every d and every a - k
-    lo, hi = transcript._lo, transcript._hi
+    lo, hi = transcript._plan.lo, transcript._plan.hi
     # subtract k in int64: cell need not hold k (it is int8 at k = 128)
     wide = transcript._ans.astype(np.int64)[:, None]
     ans = wide.astype(cell)

@@ -215,6 +215,8 @@ def _cmd_sweep(args) -> Run:
 
 def _cmd_phase(args) -> Run:
     base = _sweep_config_from_args(args)
+    if not args.budget_scale:
+        raise ConfigError("budget_scale must be nonempty")
     return _run_sweeps(args, [SweepConfig(**base, budget_scale=scale)
                               for scale in args.budget_scale])
 

@@ -12,8 +12,9 @@ Conventions used throughout the package:
   (i, j) with i < j, and the reversed reading is the negation mod k;
 * all mod-k arithmetic is on non-negative residues.
 
-A transcript stores its answers in the smallest signed integer type
-that holds every value in [-k, k] (int8 up to k = 127), so the dense
+A transcript is a QueryPlan plus one answer per pair, in the plan's
+order. Its answers are held in the smallest signed integer type that
+holds every value in [-k, k] (int8 up to k = 127), so the dense
 seed x rest block of Algorithm 1 costs one byte per answer. Because k
 itself fits that type, k - a and a - k stay in range for every answer
 a. QueryTranscript.oriented_matrix reads only that block: a run of
@@ -21,20 +22,22 @@ columns c0 .. c0 + w - 1 against rows below c0, all in stored
 orientation. Single pairs are read with lookup_oriented, in either
 orientation.
 
-Plans and transcripts come in two forms with one interface:
+The plan alone holds the form of its pair set, and answers every
+question about its pairs: size, membership, position, where each
+row's run of pairs starts and the tiles an oracle answers. The form
+is either
 
 * the seed x rest block, the pairs (i, j) with i < s <= j for a seed
-  of the first s nodes, as Algorithm 1 queries it. A block plan holds
-  only (n, s); a block transcript holds only the answers, row-major,
-  which is also their sorted-key order. Size, membership and lookups
-  are range tests; the pair arrays lo and hi are built on first use
-  only, and the algorithm itself never asks for them. oriented_matrix
-  slices the block, so the whole seed x rest read is a read-only view
-  of the stored answers;
-* any other set of pairs, held as sorted int64 pair arrays with their
-  keys i * n + j, which strictly increase. This form serves the text
-  format, the full triangle of the small-instance MLE check and plans
-  built from explicit pairs.
+  of the first s nodes, as Algorithm 1 queries it, held as (n, s)
+  only; its pair arrays lo and hi are built on first use, which the
+  algorithm itself never makes; or
+* any other set of pairs, held as sorted int64 pair arrays, for the
+  text format, the full triangle of the small-instance MLE check and
+  plans built from explicit pairs.
+
+oriented_matrix returns a read-only view of the answers exactly when
+the rows' runs start evenly spaced, at least w apart, as every run of
+rows of a seed x rest plan does, and one gather otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class MissingPairError(KeyError):
@@ -129,7 +133,7 @@ class Labeling:
     __slots__ = ("labels", "k")
 
     def __init__(self, labels: Sequence[int] | np.ndarray, k: int):
-        arr = np.asarray(labels, dtype=np.int64).copy()
+        arr = _int64_array(labels, "labels")
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a labeling needs a 1-d sequence of at least 2 labels")
         _check_size("k", k)
@@ -170,23 +174,19 @@ def canonical_pair(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def _encode_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Key lo * n + hi of each int64 pair; keys order pairs by (lo, hi)."""
-    return lo * np.int64(n) + hi
+def _int64_array(values, name: str) -> np.ndarray:
+    """A new int64 array of values.
 
-
-def _frozen_int64(a) -> np.ndarray:
-    """Read-only C-contiguous int64 array holding the values of a.
-
-    An input that already is one is kept as is. Anything else is copied,
-    so a caller's writeable array is never aliased or frozen.
+    Raises ValueError naming name and the first value that is not an
+    integer: one with a fractional part, NaN, an infinity or a float
+    beyond the int64 range. Integral floats such as 2.0 are accepted.
     """
-    if (isinstance(a, np.ndarray) and a.dtype == np.int64
-            and a.flags.c_contiguous and not a.flags.writeable):
-        return a
-    out = np.array(a, dtype=np.int64, order="C")
-    out.flags.writeable = False
-    return out
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = ~(np.abs(a) < 2.0**63) | (a != np.floor(a))  # NaN fails both
+        if bad.any():
+            raise ValueError(f"{name} must be integers, got {float(a.flat[bad.argmax()])!r}")
+    return np.array(a, dtype=np.int64)
 
 
 _INT8 = np.dtype(np.int8)
@@ -195,27 +195,6 @@ _INT8 = np.dtype(np.int8)
 def _answer_dtype(k: int) -> np.dtype:
     """Smallest signed integer type that holds every value in [-k, k]."""
     return _INT8 if k <= 127 else np.min_scalar_type(-k - 1)
-
-
-def _sort_order(enc: np.ndarray, n: int, repeat: type[ValueError],
-                message: str) -> np.ndarray | None:
-    """Permutation that sorts the keys enc, or None if they are in order.
-
-    One O(m) check that the keys strictly increase proves both that they
-    are sorted and that none repeats, so ordered input is neither copied
-    nor re-sorted. Otherwise the keys are sorted stably, and if two of
-    them are equal, repeat is raised with message and the lowest pair
-    that repeats.
-    """
-    if np.all(enc[1:] > enc[:-1]):
-        return None
-    order = np.argsort(enc, kind="stable")
-    srt = enc[order]
-    same = srt[1:] == srt[:-1]
-    if same.any():
-        lo, hi = divmod(int(srt[same.argmax()]), n)
-        raise repeat(f"{message}: ({lo}, {hi}) appears more than once")
-    return order
 
 
 def _check_entries(lo: np.ndarray, hi: np.ndarray, n: int,
@@ -248,30 +227,27 @@ def _check_entries(lo: np.ndarray, hi: np.ndarray, n: int,
     raise err
 
 
-def _pair_position(lo: np.ndarray, hi: np.ndarray, n: int, x: int, y: int) -> int:
-    """Index of the unordered pair {x, y} in the sorted canonical pairs
-    (lo, hi), or -1 if they do not hold it.
-
-    A pair with a node outside [0, n) is never held. lo is searched for
-    the run of pairs that start at min(x, y) and hi within that run, so
-    no key is encoded. Raises IdentityPairError if x == y.
+def _sorted_entries(n: int, lo: np.ndarray, hi: np.ndarray,
+                    ans: np.ndarray | None = None, k: int = 0,
+                    repeat: type[ValueError] = ValueError,
+                    message: str = "plan contains duplicate pairs"):
+    """The int64 entries (lo[t], hi[t]) and answers ans[t], checked by
+    _check_entries and sorted by the pair keys lo * n + hi; lo and hi
+    come back read-only. If two pairs are equal, repeat is raised with
+    message and the lowest pair that repeats.
     """
-    a, b = canonical_pair(x, y)
-    if a < 0 or b >= n:
-        return -1
-    start, stop = lo.searchsorted(a), lo.searchsorted(a, "right")
-    pos = start + int(hi[start:stop].searchsorted(b))
-    return pos if pos < stop and hi[pos] == b else -1
-
-
-def _block_position(n: int, s: int, x: int, y: int) -> int:
-    """Row-major index of the unordered pair {x, y} in the seed x rest
-    block of the first s of n nodes, or -1 if the block lacks it.
-
-    Raises IdentityPairError if x == y.
-    """
-    a, b = canonical_pair(x, y)
-    return a * (n - s) + b - s if 0 <= a < s <= b < n else -1
+    _check_size("n", n)
+    _check_entries(lo, hi, n, ans, k)
+    keys = lo * np.int64(n) + hi
+    order = np.argsort(keys, kind="stable")  # O(m) on sorted input
+    srt = keys[order]
+    same = srt[1:] == srt[:-1]
+    if same.any():
+        i, j = divmod(int(srt[same.argmax()]), n)
+        raise repeat(f"{message}: ({i}, {j}) appears more than once")
+    lo, hi = lo[order], hi[order]
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi, None if ans is None else ans[order]
 
 
 def _block_pairs(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,14 +265,14 @@ class QueryPlan:
 
     Pairs are canonically oriented and sorted by (i, j), so plans are
     deterministic objects; lo and hi are read-only int64 arrays of
-    them, and their keys lo * n + hi strictly increase, which the
-    transcript relies on to skip sorting a plan. Each pair may be
-    queried only once, so a plan that names a pair twice, in either
-    orientation, is an error, and an oracle answers only one plan.
+    them. Each pair may be queried only once, so a plan that names a
+    pair twice, in either orientation, is an error, and an oracle
+    answers only one plan.
 
-    A seed x rest plan (see _seed_rest) stores only n and the seed
-    size; its lo and hi are built and cached on first access, and its
-    size, membership and iteration are range computations.
+    The plan is the one place that knows its form (see the module
+    docstring). A seed x rest plan (see _seed_rest) builds and caches
+    lo and hi on first access; every other question about its pairs is
+    a range computation.
     """
 
     __slots__ = ("n", "_s", "_lo", "_hi")
@@ -304,43 +280,27 @@ class QueryPlan:
     def __init__(self, pairs: Iterable[tuple[int, int]], n: int):
         """Plan of the pairs (x, y), each in either orientation."""
         canon = [canonical_pair(x, y) for x, y in pairs]
-        arr = np.array(canon, dtype=np.int64).reshape(-1, 2)
-        self._set_pairs(arr[:, 0], arr[:, 1], n)
+        lo, hi = _int64_array(canon, "pair endpoints").reshape(-1, 2).T.copy()
+        self._lo, self._hi, _ = _sorted_entries(n, lo, hi)
+        self.n, self._s = int(n), None
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "QueryPlan":
-        """Plan of the canonical pairs (lo[t], hi[t]).
-
-        Read-only int64 arrays whose keys already strictly increase are
-        kept without a copy or a sort.
-        """
-        plan = cls.__new__(cls)
-        plan._set_pairs(lo, hi, n)
-        return plan
+        """Plan of the canonical pairs (lo[t], hi[t]), in any order."""
+        lo, hi, _ = _sorted_entries(n, _int64_array(lo, "pair endpoints"),
+                                    _int64_array(hi, "pair endpoints"))
+        return cls._of(n, None, lo, hi)
 
     @classmethod
     def _seed_rest(cls, n: int, s: int) -> "QueryPlan":
         """Plan of the pairs (i, j) with i < s <= j < n; needs 1 <= s < n."""
-        plan = cls.__new__(cls)
-        plan.n, plan._s = int(n), int(s)
-        plan._lo = plan._hi = None
-        return plan
+        return cls._of(n, int(s), None, None)
 
-    def _set_pairs(self, lo, hi, n: int) -> None:
-        _check_size("n", n)
-        lo = _frozen_int64(lo)
-        hi = _frozen_int64(hi)
-        _check_entries(lo, hi, n)
-        order = _sort_order(_encode_pairs(lo, hi, n), n, ValueError,
-                            "plan contains duplicate pairs")
-        if order is not None:
-            lo, hi = lo[order], hi[order]
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        self.n = int(n)
-        self._s = None
-        self._lo = lo
-        self._hi = hi
+    @classmethod
+    def _of(cls, n: int, s: int | None, lo, hi) -> "QueryPlan":
+        plan = cls.__new__(cls)
+        plan.n, plan._s, plan._lo, plan._hi = int(n), s, lo, hi
+        return plan
 
     @property
     def lo(self) -> np.ndarray:
@@ -365,121 +325,141 @@ class QueryPlan:
         return itertools.product(range(self._s), range(self._s, self.n))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        if self._s is None:
-            return _pair_position(self._lo, self._hi, self.n, *pair) >= 0
-        return _block_position(self.n, self._s, *pair) >= 0
+        return self._position(*pair) >= 0
+
+    def _position(self, x: int, y: int) -> int:
+        """Index of the unordered pair {x, y} in the plan's order, or -1
+        if the plan lacks it, as it lacks every pair with a node outside
+        [0, n).
+
+        A seed x rest plan holds (a, b) at row-major a * (n - s) + b - s.
+        Otherwise lo is searched for the run of pairs that start at
+        min(x, y) and hi within that run, so no key is encoded. Raises
+        IdentityPairError if x == y.
+        """
+        a, b = canonical_pair(x, y)
+        s = self._s
+        if s is not None:
+            return a * (self.n - s) + b - s if 0 <= a < s <= b < self.n else -1
+        if a < 0 or b >= self.n:
+            return -1
+        start, stop = self._lo.searchsorted(a), self._lo.searchsorted(a, "right")
+        pos = start + int(self._hi[start:stop].searchsorted(b))
+        return pos if pos < stop and self._hi[pos] == b else -1
+
+    def _row_starts(self, rows: np.ndarray, c0: int, w: int) -> np.ndarray:
+        """For each row r, the position of the pair (r, c0) if the plan
+        holds all of row r's run (r, c0) .. (r, c0 + w - 1), which then
+        sits at w consecutive positions, and -1 if it does not; needs
+        0 <= c0 and c0 + w <= n. A row outside [0, c0) never holds it.
+
+        A seed x rest plan holds the run exactly when 0 <= r < s <= c0.
+        Otherwise the run's keys r*n + c0 .. r*n + c0 + w - 1 are
+        consecutive among the strictly increasing keys i * n + j, so the
+        run is held exactly when w keys lie in [r*n + c0, r*n + c0 + w):
+        two binary searches per row, whatever w is.
+        """
+        s = self._s
+        if s is not None:
+            held = (rows >= 0) & (rows < s) & (c0 >= s)
+            return np.where(held, rows * (self.n - s) + c0 - s, -1)
+        keys = self._lo * np.int64(self.n) + self._hi
+        first = rows * self.n + c0
+        starts = keys.searchsorted(first)
+        return np.where(keys.searchsorted(first + w) - starts == w, starts, -1)
+
+    def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Pair arrays (lo, hi) that broadcast together to about size
+        pairs each, at least one whole row of a seed x rest plan, and
+        cover the plan's pairs in its order, row-major within a tile.
+
+        A seed x rest tile is a column of rows against the row of rest
+        nodes, so no pair array is gathered or built.
+        """
+        s = self._s
+        if s is None:
+            for a in range(0, self._lo.size, size):
+                yield self._lo[a:a + size], self._hi[a:a + size]
+            return
+        rest = np.arange(s, self.n, dtype=np.int64)
+        step = max(1, size // rest.size)  # whole rows per tile
+        for r in range(0, s, step):
+            yield np.arange(r, min(r + step, s), dtype=np.int64)[:, None], rest
 
 
 class QueryTranscript:
-    """Immutable record of answered pairwise-difference queries.
+    """Immutable record of answered pairwise-difference queries: a
+    QueryPlan and one answer per pair, in the plan's order.
 
     Each unordered pair appears at most once, keyed by its canonical
     orientation (i, j) with i < j; the stored answer lies in [0, k).
     Reading a pair against its orientation negates the answer mod k,
     so both directions reflect a single underlying noise draw.
 
-    Pairs are held sorted by their keys i * n + j, which strictly
-    increase. Input already in that order, such as a plan's arrays, is
-    kept without a sort, and read-only int64 pairs without a copy.
-
     Answers are stored as _answer_dtype(k): int8 up to k = 127, a wider
-    signed type above. A read-only array of that type, which is what
-    FaultyOracle.execute_plan hands over, is kept without a copy; any
-    other answers (lists, int64 arrays, parsed text) are range-checked
-    in int64 and converted once, so out-of-range input never wraps and
-    a caller's writeable array is never aliased or frozen.
-    oriented_matrix returns answers of the same type (see there).
-
-    A transcript of a seed x rest block (see _from_block) stores only
-    the answers; its pair arrays _lo and _hi are derived on first use
-    and cached, and it holds no keys.
+    signed type above, and oriented_matrix returns that type. Every
+    question about the pairs goes to the plan, so the transcript never
+    asks which form the plan has.
     """
 
-    __slots__ = ("n", "k", "_s", "_ans", "_pair_lo", "_pair_hi", "_keys")
+    __slots__ = ("k", "_plan", "_ans")
 
     def __init__(self, n: int, k: int,
                  lo: np.ndarray | Sequence[int],
                  hi: np.ndarray | Sequence[int],
                  answers: np.ndarray | Sequence[int]):
-        _check_size("n", n)
+        """Transcript of the answers[t] to the canonical pairs
+        (lo[t], hi[t]), given in any order.
+
+        The values are checked in int64 and copied, so out-of-range
+        input never wraps and a caller's array is never aliased or
+        frozen. Raises ValueError naming the first entry whose pair is
+        not i < j in [0, n) (IdentityPairError when only the order is
+        wrong) or whose answer is not in [0, k), and RepeatQueryError
+        naming a pair given twice.
+        """
         _check_size("k", k)
-        lo = _frozen_int64(lo)
-        hi = _frozen_int64(hi)
-        dtype = _answer_dtype(k)
-        ans = answers
-        keep = (isinstance(ans, np.ndarray) and ans.dtype == dtype
-                and ans.flags.c_contiguous and not ans.flags.writeable)
-        if not keep:
-            ans = np.asarray(ans, dtype=np.int64)
+        lo = _int64_array(lo, "pair endpoints")
+        hi = _int64_array(hi, "pair endpoints")
+        ans = _int64_array(answers, "answers")
         if not (lo.size == hi.size == ans.size):
             raise ValueError("lo, hi and answers must have equal length")
-        _check_entries(lo, hi, n, ans, k)
-        if not keep:
-            ans = ans.astype(dtype, order="C")
-        enc = _encode_pairs(lo, hi, n)
-        order = _sort_order(enc, n, RepeatQueryError,
-                            "transcript contains a duplicated pair")
-        if order is not None:
-            enc, lo, hi, ans = enc[order], lo[order], hi[order], ans[order]
-        self.n = int(n)
-        self.k = int(k)
-        self._s = None
-        self._keys = enc
-        self._pair_lo = lo
-        self._pair_hi = hi
-        self._ans = ans
-        for a in (enc, lo, hi, ans):
-            a.flags.writeable = False
+        lo, hi, ans = _sorted_entries(n, lo, hi, ans, k, RepeatQueryError,
+                                      "transcript contains a duplicated pair")
+        ans = ans.astype(_answer_dtype(k))
+        ans.flags.writeable = False
+        self.k, self._plan, self._ans = int(k), QueryPlan._of(n, None, lo, hi), ans
 
     @classmethod
-    def _from_block(cls, n: int, k: int, s: int, answers: np.ndarray) -> "QueryTranscript":
-        """Transcript of the seed x rest block of the first s of n nodes.
+    def _from_plan(cls, plan: QueryPlan, k: int, answers: np.ndarray) -> "QueryTranscript":
+        """Transcript of plan's pairs, with answers[t] for its t-th pair.
 
-        answers holds the s * (n - s) answers, that of pair (i, j) at
-        [i, j - s], or at i * (n - s) + j - s when flat, as a C-contiguous
-        array of _answer_dtype(k); it is frozen and kept without a copy.
-        Raises ValueError naming the first pair whose answer is not in
-        [0, k).
+        answers is a flat C-contiguous array of _answer_dtype(k); it is
+        frozen and kept without a copy. Raises ValueError naming the
+        first pair whose answer is not in [0, k).
         """
-        t = cls.__new__(cls)
-        t.n, t.k, t._s = int(n), int(k), int(s)
-        if answers.min() < 0 or answers.max() >= k:
-            bad = int(((answers < 0) | (answers >= k)).argmax())
-            i, j = divmod(bad, n - s)
-            raise ValueError(f"answers must lie in [0, {k}), got "
-                             f"{int(answers.flat[bad])} for pair ({i}, {j + s})")
+        if answers.size and (answers.min() < 0 or answers.max() >= k):
+            t = int(((answers < 0) | (answers >= k)).argmax())
+            raise ValueError(f"answers must lie in [0, {k}), got {int(answers[t])} "
+                             f"for pair ({int(plan.lo[t])}, {int(plan.hi[t])})")
         answers.flags.writeable = False
-        t._ans = answers.reshape(-1)
-        t._pair_lo = t._pair_hi = t._keys = None
-        return t
+        transcript = cls.__new__(cls)
+        transcript.k, transcript._plan, transcript._ans = int(k), plan, answers
+        return transcript
 
     @property
-    def _lo(self) -> np.ndarray:
-        if self._pair_lo is None:
-            self._pair_lo, self._pair_hi = _block_pairs(self.n, self._s)
-        return self._pair_lo
-
-    @property
-    def _hi(self) -> np.ndarray:
-        if self._pair_hi is None:
-            self._pair_lo, self._pair_hi = _block_pairs(self.n, self._s)
-        return self._pair_hi
-
-    def _position(self, x: int, y: int) -> int:
-        """Index of the unordered pair {x, y} in _ans, or -1 if absent."""
-        if self._s is None:
-            return _pair_position(self._pair_lo, self._pair_hi, self.n, x, y)
-        return _block_position(self.n, self._s, x, y)
+    def n(self) -> int:
+        return self._plan.n
 
     def __len__(self) -> int:
         return self._ans.size
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self._position(*pair) >= 0
+        return pair in self._plan
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, answer) triples in sorted (i, j) order."""
-        return zip(self._lo.tolist(), self._hi.tolist(), self._ans.tolist())
+        return zip(self._plan.lo.tolist(), self._plan.hi.tolist(), self._ans.tolist())
 
     def lookup_oriented(self, x: int, y: int) -> int:
         """Answer for the ordered read (x, y): stored value if x < y,
@@ -488,7 +468,7 @@ class QueryTranscript:
         Raises ValueError if a node lies outside [0, n), IdentityPairError
         if x == y and MissingPairError if the pair was never queried.
         """
-        pos = self._position(x, y)
+        pos = self._plan._position(x, y)
         if pos < 0:
             if not (0 <= x < self.n and 0 <= y < self.n):
                 raise ValueError(f"nodes must lie in [0, {self.n}), got ({x}, {y})")
@@ -502,17 +482,14 @@ class QueryTranscript:
 
         cols must be one run c0, c0 + 1, ..., c0 + w - 1 of nodes below
         n and every row must lie in [0, c0), so each pair is read in its
-        stored orientation.
+        stored orientation, and each row's pairs sit at w consecutive
+        positions of the plan (see QueryPlan._row_starts).
 
-        A seed x rest transcript holds row r's pairs exactly when r < s
-        <= c0, and the read is a slice of its answer block: a read-only
-        view when rows are a run, one gather otherwise. In any other
-        transcript, row r's pairs have the w consecutive keys r*n + c0
-        .. r*n + c0 + w - 1, and the stored keys are distinct and
-        sorted, so the row is complete exactly when the store holds w
-        keys in [r*n + c0, r*n + c0 + w): two binary searches per row,
-        whatever w is, and one gather copies the answers. Empty rows or
-        cols give an empty (len(rows), len(cols)) array.
+        When the rows' runs start evenly spaced, at least w apart, as
+        every run of rows of a seed x rest transcript does, the read is
+        a read-only view of the stored answers; otherwise one gather
+        copies them. Empty rows or cols give an empty
+        (len(rows), len(cols)) array.
 
         Raises ValueError if cols is not such a run or a row lies
         outside [0, c0), IdentityPairError if a row is also a column
@@ -529,17 +506,10 @@ class QueryTranscript:
                              f"{c0} .. {int(c[-1])}")
         if w > 1 and not (c[1:] - c[:-1] == 1).all():
             raise ValueError("cols must be one run c0, c0 + 1, ..., c0 + w - 1")
-        s = self._s
-        if s is None:
-            first = r * self.n + c0
-            starts = self._keys.searchsorted(first)
-            ends = self._keys.searchsorted(first + w)
-            complete = ends - starts == w
-        else:
-            complete = (r >= 0) & (r < s) if c0 >= s else np.zeros(r.size, bool)
-        if not complete.all():
-            # a row outside [0, c0) has no stored pair in its range, so
-            # it always lands here and valid reads never check rows
+        starts = self._plan._row_starts(r, c0, w)
+        if (starts < 0).any():
+            # a row outside [0, c0) never holds its run, so it always
+            # lands here and valid reads never check rows
             bad = (r < 0) | (r >= c0)
             if bad.any():
                 x = int(r[bad.argmax()])
@@ -549,19 +519,14 @@ class QueryTranscript:
                     raise ValueError(f"nodes must lie in [0, {self.n}), got row {x}")
                 raise ValueError(f"rows must lie below the first column {c0}, "
                                  f"got row {x}")
-            i = int(complete.argmin())
-            # a seed x rest transcript misses all of row i's pairs or,
-            # when c0 < s, the pairs with c0 .. s - 1: c0 comes first
-            gap = 0
-            if s is None:
-                held = np.isin(first[i] + np.arange(w), self._keys[starts[i]:ends[i]])
-                gap = int(held.argmin())
-            raise MissingPairError(f"pair ({int(r[i])}, {c0 + gap}) was never queried")
-        if s is not None:
-            block = self._ans.reshape(s, self.n - s)
-            if (r[1:] - r[:-1] == 1).all():  # a run of rows: a view
-                r = slice(int(r[0]), int(r[0]) + r.size)
-            return block[r, c0 - s:c0 - s + w]
+            x = int(r[(starts < 0).argmax()])
+            gap = next(y for y in range(c0, c0 + w) if self._plan._position(x, y) < 0)
+            raise MissingPairError(f"pair ({x}, {gap}) was never queried")
+        step = int(starts[1] - starts[0]) if r.size > 1 else w
+        if step >= w and (starts[1:] - starts[:-1] == step).all():
+            size = self._ans.itemsize
+            return as_strided(self._ans[starts[0]:], (r.size, w), (step * size, size),
+                              writeable=False)
         return self._ans[starts[:, None] + np.arange(w)]
 
     def to_text(self) -> str:
@@ -596,9 +561,10 @@ class QueryTranscript:
             n = int(n_part.removeprefix("n="))
         except ValueError:
             raise ValueError(f"malformed transcript header: {header!r}") from None
-        if n < 2:
-            raise ValueError(f"transcript header {header!r}: n must be an "
-                             f"integer >= 2, got {n}")
+        for name, value in (("k", k), ("n", n)):
+            if value < 2:
+                raise ValueError(f"transcript header {header!r}: {name} must be an "
+                                 f"integer >= 2, got {value}")
         triples = []
         for no, ln in lines[1:]:
             fields = ln.split(",")

@@ -89,6 +89,8 @@ class SweepConfig:
             if not vals:
                 raise ConfigError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
+        if math.inf in self.constant_c_values:
+            raise ConfigError("constant_c must be finite, got inf")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         check_budget_scale(self.budget_scale)

@@ -19,15 +19,18 @@ second plan on the same oracle is an error whatever pairs it holds.
 The oracle keeps no history of pairs, only the size of the plan it
 answered.
 
-A seed x rest plan is answered one tile of whole rows at a time from
-g[rows, None] - g[None, rest] and the noise of the broadcast pairs, so
-no pair array is gathered or built. The noise of a pair depends only
-on its (i, j), so the block's answers are those of the same pairs
-answered in any other plan by an oracle with the same seed.
+The oracle never asks which form a plan has (see core): it answers
+the plan's tiles, pair arrays (lo, hi) that broadcast together, in the
+plan's order, from g[lo] - g[hi] and the noise of the broadcast pairs,
+into one answer array. A tile of a seed x rest plan is a column of
+seed rows against the row of rest nodes, so on that path no pair
+array is gathered or built. The noise of a pair depends only on its
+(i, j), so a pair's answer is the same in any plan answered by an
+oracle with the same seed.
 
 Answers are written straight into the transcript's compact answer type
-(int8 up to k = 127) and handed over read-only, so the transcript keeps
-them without a copy.
+(int8 up to k = 127) and handed over, so the transcript is the plan
+plus that array, kept without a copy.
 """
 
 from __future__ import annotations
@@ -139,32 +142,6 @@ class FaultyOracle:
     def query_count(self) -> int:
         return self._answered or 0
 
-    def _answer_tile(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
-        """Write the answers of the pairs (lo, hi), broadcast together, to out."""
-        g = self._truth.labels
-        d = g[lo] - g[hi]  # in (-k, k)
-        if not self.noiseless:
-            d += noise_from_uniform(pair_uniform(self.rng_seed, lo, hi),
-                                    self.k, self.params.delta)  # now in (-k, 2k)
-        d += self.k
-        out[...] = self._residues[d]
-
-    def _answers_for(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        out = np.empty(lo.size, dtype=self._residues.dtype)
-        for a in range(0, lo.size, _BLOCK):
-            self._answer_tile(lo[a:a + _BLOCK], hi[a:a + _BLOCK], out[a:a + _BLOCK])
-        return out
-
-    def _block_answers(self, s: int) -> np.ndarray:
-        """The (s, n - s) answers of the seed x rest block, row-major."""
-        rest = np.arange(s, self.n, dtype=np.int64)
-        out = np.empty((s, rest.size), dtype=self._residues.dtype)
-        step = max(1, _BLOCK // rest.size)  # whole rows per tile
-        for r in range(0, s, step):
-            rows = np.arange(r, min(r + step, s), dtype=np.int64)[:, None]
-            self._answer_tile(rows, rest, out[r:r + step])
-        return out
-
     def execute_plan(self, plan: QueryPlan) -> QueryTranscript:
         """Answer every pair in the plan and return their transcript.
 
@@ -176,12 +153,16 @@ class FaultyOracle:
         if self._answered is not None:
             raise ValueError(f"oracle already answered a plan of {self._answered} "
                              "pairs; an oracle answers one plan")
-        if plan._s is not None:
-            transcript = QueryTranscript._from_block(
-                self.n, self.k, plan._s, self._block_answers(plan._s))
-        else:
-            ans = self._answers_for(plan.lo, plan.hi)
-            ans.flags.writeable = False
-            transcript = QueryTranscript(self.n, self.k, plan.lo, plan.hi, ans)
+        g = self._truth.labels
+        out = np.empty(len(plan), dtype=self._residues.dtype)
+        at = 0
+        for lo, hi in plan._tiles(_BLOCK):
+            d = g[lo] - g[hi]  # in (-k, k)
+            if not self.noiseless:
+                d += noise_from_uniform(pair_uniform(self.rng_seed, lo, hi),
+                                        self.k, self.params.delta)  # now in (-k, 2k)
+            d += self.k
+            out[at:at + d.size] = self._residues[d].reshape(-1)
+            at += d.size
         self._answered = len(plan)
-        return transcript
+        return QueryTranscript._from_plan(plan, self.k, out)

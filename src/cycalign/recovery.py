@@ -28,7 +28,7 @@ path no pair array exists: seed_rest_plan records only (n, s), the
 oracle fills the s x (n - s) answer block directly, and the read is a
 view of that block. Any other transcript that holds the block, such as
 the full triangle of the small-instance MLE check, is read the same
-way through its sorted pair keys.
+way: its plan says where each seed row's run of answers starts.
 
 Every vote goes through one kernel, _vote_rows, which counts each row's
 values (a - ref) mod k without computing a modulus: with a and ref in
@@ -72,6 +72,8 @@ class SeedConfig:
     def __post_init__(self):
         if not self.constant_c > 0:
             raise ValueError(f"constant_c must be positive, got {self.constant_c}")
+        if self.constant_c == math.inf:
+            raise ValueError(f"constant_c must be finite, got {self.constant_c}")
         if self.min_seed < 1:
             raise ValueError(f"min_seed must be >= 1, got {self.min_seed}")
         if self.explicit_size is not None and self.explicit_size < 1:
@@ -136,10 +138,11 @@ def _seed_size(n: int, params: NoiseParams, cfg: SeedConfig) -> int:
             )
         return int(cfg.explicit_size)
     if params.delta <= 1.0 / (2 * params.k):
-        raw = math.ceil(cfg.constant_c * math.log(n) / (params.k * params.delta**2))
+        raw = cfg.constant_c * math.log(n) / (params.k * params.delta**2)
     else:
-        raw = math.ceil(cfg.constant_c * math.log(n) / params.delta)
-    size = max(cfg.min_seed, raw)
+        raw = cfg.constant_c * math.log(n) / params.delta
+    # clamped before ceil: a huge finite constant_c can make raw inf
+    size = max(cfg.min_seed, math.ceil(min(raw, n // 2)))
     return max(1, min(size, n // 2))
 
 

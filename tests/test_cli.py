@@ -204,6 +204,10 @@ def no_run(monkeypatch):
       for command in ("simulate", "sweep") for scale in ("-1", "0", "nan", "inf")],
     (["phase", "--n", "20", "--k", "2", "--delta", "0.45", "--budget-scale", "1,inf"],
      "budget_scale must be positive and finite"),
+    (["phase", "--n", "20", "--k", "2", "--delta", "0.45", "--budget-scale=,"],
+     "budget_scale must be nonempty"),
+    *[([command, "--n", "100", "--k", "2", "--delta", "0.4", "--constant-c", "inf"],
+       "constant_c must be finite, got inf") for command in ("simulate", "sweep")],
 ])
 def test_invalid_configuration_exits_2_before_running(argv, message, no_run, capsys):
     assert main(argv) == 2

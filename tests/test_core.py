@@ -85,6 +85,31 @@ class TestLabeling:
         assert Labeling([0, 1], 2) != Labeling([1, 0], 2)
 
 
+_CONVERTED = [
+    ("labels", lambda v: Labeling([0, v], 3)),
+    ("pair endpoints", lambda v: QueryPlan([(0, v)], n=3)),
+    ("pair endpoints", lambda v: QueryPlan.from_arrays([0], [v], 3)),
+    ("pair endpoints", lambda v: QueryTranscript(3, 2, [0], [v], [1])),
+    ("answers", lambda v: QueryTranscript(3, 2, [0], [1], [v])),
+]
+
+
+@pytest.mark.parametrize("name,build", _CONVERTED)
+@pytest.mark.parametrize("value", [1.9, 0.5, float("nan"), float("inf"), -float("inf"),
+                                   1e300])
+def test_non_integer_values_are_named_not_truncated(name, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be integers, got {value!r}")):
+        build(value)
+
+
+def test_the_first_non_integer_value_is_named_and_integral_floats_kept():
+    with pytest.raises(ValueError, match=re.escape("labels must be integers, got 0.5")):
+        Labeling([0.5, 1.7], 3)
+    assert Labeling(np.array([0.0, 2.0]), 3) == Labeling([0, 2], 3)
+    assert list(QueryPlan([(2.0, 0)], n=3)) == [(0, 2)]
+    assert list(QueryTranscript(3, 2, [0.0], [1.0], [1.0]).items()) == [(0, 1, 1)]
+
+
 class TestShiftLabeling:
     def test_zero_shift_is_identity(self):
         g = Labeling([0, 1, 2], 3)
@@ -202,13 +227,11 @@ class TestQueryTranscript:
         with pytest.raises(RepeatQueryError, match=re.escape(f"{repeated} appears")):
             _transcript(5, 3, entries)
 
-    def test_sorted_read_only_input_is_kept_and_writeable_input_copied(self):
-        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
-        ans = np.array([1, 0, 2])
-        lo.flags.writeable = hi.flags.writeable = False
+    def test_writeable_input_is_copied_not_aliased_or_frozen(self):
+        lo, hi, ans = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1, 0, 2])
         t = QueryTranscript(3, 3, lo, hi, ans)
-        assert t._lo is lo and t._hi is hi
-        ans[0] = 0  # the caller's writeable array is not aliased or frozen
+        hi[0], ans[0] = 2, 0
+        assert lo.flags.writeable and hi.flags.writeable and ans.flags.writeable
         assert list(t.items()) == [(0, 1, 1), (0, 2, 0), (1, 2, 2)]
 
     def test_answers_dict(self):
@@ -418,21 +441,34 @@ class TestBlockTranscript:
             assert _same_outcome(_outcome(block.oriented_matrix, rows, cols),
                                  _outcome(sparse.oriented_matrix, rows, cols)), (rows, cols)
 
+        assert likelihood_split(block, truth) == likelihood_split(sparse, truth)
+        a, b = recover_from_transcript(block, s), recover_from_transcript(sparse, s)
+        assert a.labeling == b.labeling
+        assert a.per_node_margin.tolist() == b.per_node_margin.tolist()
+        if n <= 8:  # both forms raise alike where k^(n-1) is past the guard
+            params = NoiseParams(k, delta)
+            assert (_outcome(brute_force_mle, block, n, params)
+                    == _outcome(brute_force_mle, sparse, n, params))
+
     def test_derived_pairs_match_the_sparse_form(self):
         n, s, k = 9, 3, 4
         truth = Labeling(np.random.default_rng(1).integers(0, k, n), k)
-        block = FaultyOracle(truth, NoiseParams(k, 0.4), 5).execute_plan(seed_rest_plan(n, s))
-        assert block._pair_lo is None and block._keys is None  # nothing built yet
+        plan = seed_rest_plan(n, s)
+        block = FaultyOracle(truth, NoiseParams(k, 0.4), 5).execute_plan(plan)
+        block.oriented_matrix(range(s), range(s, n))
+        assert plan._lo is None and plan._hi is None  # nothing built yet
         lo, hi = np.triu_indices(n, k=1)
         keep = (lo < s) & (hi >= s)
-        assert block._lo.tolist() == lo[keep].tolist()
-        assert block._hi.tolist() == hi[keep].tolist()
-        assert block._lo is block._lo  # built once, then cached
+        assert plan.lo.tolist() == lo[keep].tolist()
+        assert plan.hi.tolist() == hi[keep].tolist()
+        assert plan.lo is plan.lo and plan.hi is plan.hi  # built once, then cached
+        assert [(i, j) for i, j, _ in block.items()] == list(zip(lo[keep].tolist(),
+                                                                 hi[keep].tolist()))
 
     def test_block_answers_are_range_checked(self):
-        ans = np.array([[0, 1, 2], [1, 3, 0]], dtype=np.int8)
+        ans = np.array([0, 1, 2, 1, 3, 0], dtype=np.int8)
         with pytest.raises(ValueError, match=re.escape("got 3 for pair (1, 3)")):
-            QueryTranscript._from_block(5, 3, 2, ans)
+            QueryTranscript._from_plan(seed_rest_plan(5, 2), 3, ans)
 
 
 @pytest.mark.parametrize("k", [127, 128, 129, 300])
@@ -523,6 +559,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(
                 "transcript header 'k=3,n=-1': n must be an integer >= 2, got -1")):
             QueryTranscript.from_text("k=3,n=-1\n")
+
+    def test_header_with_too_few_labels_is_named(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "transcript header 'k=1,n=4': k must be an integer >= 2, got 1")):
+            QueryTranscript.from_text("k=1,n=4\n")
 
     @pytest.mark.parametrize("text,error,message", [
         ("k=3,n=4\n0,1,1\n0,9,1\n", ValueError, "line 3: '0,9,1': pair endpoints"),
@@ -634,12 +675,6 @@ class TestQueryPlan:
     def test_from_arrays_rejects_duplicates(self, lo, hi):
         with pytest.raises(ValueError, match=re.escape("duplicate pairs: (0, 1) appears")):
             QueryPlan.from_arrays(np.array(lo), np.array(hi), 5)
-
-    def test_from_arrays_keeps_sorted_read_only_input(self):
-        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
-        lo.flags.writeable = hi.flags.writeable = False
-        plan = QueryPlan.from_arrays(lo, hi, 3)
-        assert plan.lo is lo and plan.hi is hi
 
     def test_from_arrays_copies_writeable_input(self):
         lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import cycalign
-from cycalign import FaultyOracle, QueryTranscript, core, harness, recovery
+from cycalign import FaultyOracle, QueryTranscript, analysis, core, harness, oracle, recovery
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +32,19 @@ def test_deleted_names_are_gone():
     assert not hasattr(FaultyOracle, "issued")
     assert not hasattr(FaultyOracle, "query")
     assert not hasattr(harness, "_cell_is_valid")
+    # the plan alone holds the block-or-pairs form: one oracle answer
+    # loop, one transcript constructor for oracle output, one position
+    for owner, name in [(QueryTranscript, "_from_block"), (FaultyOracle, "_block_answers"),
+                        (FaultyOracle, "_answers_for"), (core, "_block_position"),
+                        (core, "_pair_position"), (core, "_encode_pairs")]:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert not {"_s", "_pair_lo", "_pair_hi", "_keys"} & set(QueryTranscript.__slots__)
+
+
+def test_only_the_plan_reads_its_form():
+    for module in (oracle, recovery, analysis):
+        source = Path(module.__file__).read_text()
+        assert not re.search(r"\._s\b", source), module.__name__
 
 
 def test_readme_quickstart_runs():

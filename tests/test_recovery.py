@@ -73,6 +73,13 @@ class TestSeedSize:
     def test_clamped_to_half(self):
         assert seed_size(1000, NoiseParams(4, 0.1), SeedConfig()) == 500
 
+    def test_huge_constant_is_clamped_and_infinite_constant_rejected(self):
+        # c * ln n overflows to inf at c = 1e308, on both branches
+        for params in (NoiseParams(2, 0.4), NoiseParams(4, 0.1)):
+            assert seed_size(100, params, SeedConfig(constant_c=1e308)) == 50
+        with pytest.raises(ValueError, match="constant_c must be finite, got inf"):
+            SeedConfig(constant_c=math.inf)
+
     def test_min_seed_floor(self):
         cfg = SeedConfig(constant_c=1e-9, min_seed=7)
         assert seed_size(1000, NoiseParams(2, 0.3), cfg) == 7
