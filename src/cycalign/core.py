@@ -17,15 +17,15 @@ order. Its answers are held in the smallest signed integer type that
 holds every value in [-k, k] (int8 up to k = 127), so the dense
 seed x rest block of Algorithm 1 costs one byte per answer. Because k
 itself fits that type, k - a and a - k stay in range for every answer
-a. QueryTranscript.oriented_matrix reads only that block: a run of
-columns c0 .. c0 + w - 1 against rows below c0, all in stored
+a. QueryTranscript.oriented_matrix reads only that block: the seed
+rows 0 .. s-1 against the rest columns s .. n-1, in stored
 orientation. Single pairs are read with lookup_oriented, in either
 orientation.
 
 The plan alone holds the form of its pair set, and answers every
 question about its pairs: size, membership, position, where each
-row's run of pairs starts and the tiles an oracle answers. The form
-is either
+seed row's run of rest pairs starts and the tiles an oracle answers.
+The form is either
 
 * the seed x rest block, the pairs (i, j) with i < s <= j for a seed
   of the first s nodes, as Algorithm 1 queries it, held as (n, s)
@@ -36,8 +36,8 @@ is either
   plans built from explicit pairs.
 
 oriented_matrix returns a read-only view of the answers exactly when
-the rows' runs start evenly spaced, at least w apart, as every run of
-rows of a seed x rest plan does, and one gather otherwise.
+the seed rows' runs are consecutive, as in a seed x rest plan of the
+same seed or any plan of exactly those pairs, and one gather otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class MissingPairError(KeyError):
@@ -179,14 +178,18 @@ def _int64_array(values, name: str) -> np.ndarray:
 
     Raises ValueError naming name and the first value that is not an
     integer: one with a fractional part, NaN, an infinity or a float
-    beyond the int64 range. Integral floats such as 2.0 are accepted.
+    beyond the int64 range, and naming name for an int beyond that
+    range. Integral floats such as 2.0 are accepted.
     """
     a = np.asarray(values)
     if a.dtype.kind == "f":
         bad = ~(np.abs(a) < 2.0**63) | (a != np.floor(a))  # NaN fails both
         if bad.any():
             raise ValueError(f"{name} must be integers, got {float(a.flat[bad.argmax()])!r}")
-    return np.array(a, dtype=np.int64)
+    try:
+        return np.array(a, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must be integers in the int64 range") from None
 
 
 _INT8 = np.dtype(np.int8)
@@ -335,9 +338,10 @@ class QueryPlan:
         A seed x rest plan holds (a, b) at row-major a * (n - s) + b - s.
         Otherwise lo is searched for the run of pairs that start at
         min(x, y) and hi within that run, so no key is encoded. Raises
-        IdentityPairError if x == y.
+        ValueError naming a node that is not an integer (integral
+        floats read as integers) and IdentityPairError if x == y.
         """
-        a, b = canonical_pair(x, y)
+        a, b = canonical_pair(*_int64_array((x, y), "nodes").tolist())
         s = self._s
         if s is not None:
             return a * (self.n - s) + b - s if 0 <= a < s <= b < self.n else -1
@@ -347,26 +351,26 @@ class QueryPlan:
         pos = start + int(self._hi[start:stop].searchsorted(b))
         return pos if pos < stop and self._hi[pos] == b else -1
 
-    def _row_starts(self, rows: np.ndarray, c0: int, w: int) -> np.ndarray:
-        """For each row r, the position of the pair (r, c0) if the plan
-        holds all of row r's run (r, c0) .. (r, c0 + w - 1), which then
-        sits at w consecutive positions, and -1 if it does not; needs
-        0 <= c0 and c0 + w <= n. A row outside [0, c0) never holds it.
+    def _rest_starts(self, s: int) -> np.ndarray:
+        """For each seed row r < s, the position of the pair (r, s) if
+        the plan holds all of r's rest pairs (r, s) .. (r, n - 1), which
+        then sit at n - s consecutive positions, and -1 if it does not;
+        needs 1 <= s < n.
 
-        A seed x rest plan holds the run exactly when 0 <= r < s <= c0.
-        Otherwise the run's keys r*n + c0 .. r*n + c0 + w - 1 are
-        consecutive among the strictly increasing keys i * n + j, so the
-        run is held exactly when w keys lie in [r*n + c0, r*n + c0 + w):
-        two binary searches per row, whatever w is.
+        A seed x rest plan of seed size t holds them exactly when
+        r < t <= s. Otherwise they are the last n - s pairs of row r,
+        since every hi is below n: one search of lo finds where row r
+        ends, and the pair n - s before that end must be (r, s).
         """
-        s = self._s
-        if s is not None:
-            held = (rows >= 0) & (rows < s) & (c0 >= s)
-            return np.where(held, rows * (self.n - s) + c0 - s, -1)
-        keys = self._lo * np.int64(self.n) + self._hi
-        first = rows * self.n + c0
-        starts = keys.searchsorted(first)
-        return np.where(keys.searchsorted(first + w) - starts == w, starts, -1)
+        rows = np.arange(s, dtype=np.int64)
+        t = self._s
+        if t is not None:
+            return np.where((rows < t) & (t <= s), rows * (self.n - t) + s - t, -1)
+        starts = self._lo.searchsorted(rows, "right") - (self.n - s)
+        held = starts >= 0
+        i = starts[held]  # never indexes an empty plan
+        held[held] = (self._lo[i] == rows[held]) & (self._hi[i] == s)
+        return np.where(held, starts, -1)
 
     def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Pair arrays (lo, hi) that broadcast together to about size
@@ -477,56 +481,35 @@ class QueryTranscript:
         return a if x < y else (self.k - a) % self.k
 
     def oriented_matrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """The block of answers of the pairs (row, col), entry [i, t] for
+        """The seed x rest block of answers, entry [i, t] for the pair
         (rows[i], cols[t]), in the transcript's answer type.
 
-        cols must be one run c0, c0 + 1, ..., c0 + w - 1 of nodes below
-        n and every row must lie in [0, c0), so each pair is read in its
-        stored orientation, and each row's pairs sit at w consecutive
-        positions of the plan (see QueryPlan._row_starts).
+        rows must be the seed 0, 1, ..., s - 1 and cols the rest
+        s, s + 1, ..., n - 1 for one 1 <= s < n, so each pair is read in
+        its stored orientation. When the seed rows' runs of rest pairs
+        are consecutive in the plan, as in a seed x rest transcript of
+        seed s or any transcript of exactly those pairs, the read is a
+        read-only view of the stored answers; otherwise one gather
+        copies them.
 
-        When the rows' runs start evenly spaced, at least w apart, as
-        every run of rows of a seed x rest transcript does, the read is
-        a read-only view of the stored answers; otherwise one gather
-        copies them. Empty rows or cols give an empty
-        (len(rows), len(cols)) array.
-
-        Raises ValueError if cols is not such a run or a row lies
-        outside [0, c0), IdentityPairError if a row is also a column
-        and MissingPairError naming the first absent pair in row-major
-        order.
+        Raises ValueError naming a node that is not an integer, or if
+        rows and cols are not such a split, and MissingPairError naming
+        the first absent pair in row-major order.
         """
-        r = np.asarray(rows, dtype=np.int64)
-        c = np.asarray(cols, dtype=np.int64)
-        if not (r.size and c.size):
-            return np.empty((r.size, c.size), dtype=self._ans.dtype)
-        c0, w = int(c[0]), c.size
-        if c0 < 0 or c[-1] >= self.n:
-            raise ValueError(f"nodes must lie in [0, {self.n}), got columns "
-                             f"{c0} .. {int(c[-1])}")
-        if w > 1 and not (c[1:] - c[:-1] == 1).all():
-            raise ValueError("cols must be one run c0, c0 + 1, ..., c0 + w - 1")
-        starts = self._plan._row_starts(r, c0, w)
+        r, c = _int64_array(rows, "rows"), _int64_array(cols, "cols")
+        n, s = self.n, r.size
+        if not (1 <= s < n and np.array_equal(r, np.arange(s))
+                and np.array_equal(c, np.arange(s, n))):
+            raise ValueError(f"oriented_matrix reads rows 0 .. s-1 against cols "
+                             f"s .. n-1 for one 1 <= s < n = {n}")
+        starts = self._plan._rest_starts(s)
         if (starts < 0).any():
-            # a row outside [0, c0) never holds its run, so it always
-            # lands here and valid reads never check rows
-            bad = (r < 0) | (r >= c0)
-            if bad.any():
-                x = int(r[bad.argmax()])
-                if c0 <= x < c0 + w:
-                    raise IdentityPairError(f"node {x} is both a row and a column")
-                if not 0 <= x < self.n:
-                    raise ValueError(f"nodes must lie in [0, {self.n}), got row {x}")
-                raise ValueError(f"rows must lie below the first column {c0}, "
-                                 f"got row {x}")
-            x = int(r[(starts < 0).argmax()])
-            gap = next(y for y in range(c0, c0 + w) if self._plan._position(x, y) < 0)
+            x = int((starts < 0).argmax())
+            gap = next(y for y in range(s, n) if self._plan._position(x, y) < 0)
             raise MissingPairError(f"pair ({x}, {gap}) was never queried")
-        step = int(starts[1] - starts[0]) if r.size > 1 else w
-        if step >= w and (starts[1:] - starts[:-1] == step).all():
-            size = self._ans.itemsize
-            return as_strided(self._ans[starts[0]:], (r.size, w), (step * size, size),
-                              writeable=False)
+        w = n - s
+        if (np.diff(starts) == w).all():
+            return self._ans[starts[0]:starts[0] + s * w].reshape(s, w)
         return self._ans[starts[:, None] + np.arange(w)]
 
     def to_text(self) -> str:

@@ -89,8 +89,11 @@ class SweepConfig:
             if not vals:
                 raise ConfigError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
-        if math.inf in self.constant_c_values:
-            raise ConfigError("constant_c must be finite, got inf")
+        for constant_c in self.constant_c_values:
+            try:
+                SeedConfig(constant_c=constant_c)
+            except ValueError as exc:  # valid or not whatever the cell
+                raise ConfigError(str(exc)) from None
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         check_budget_scale(self.budget_scale)
@@ -183,7 +186,7 @@ def run_trial(n: int, params: NoiseParams, cfg: SeedConfig, trial_seed: int,
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:
     """One ExperimentRecord per valid (n, k, delta, constant_c) cell.
 
-    A cell that NoiseParams, SeedConfig or seed_size rejects is skipped
+    A cell that NoiseParams or seed_size rejects is skipped
     with their message logged; trial errors abort with the offending
     cell in the exception chain. Deterministic for a fixed config
     (timing column aside).

@@ -26,9 +26,11 @@ be read off its RecoveryResult. run_algorithm1 sizes the seed, queries
 the block from a fresh oracle and hands the transcript to it. On that
 path no pair array exists: seed_rest_plan records only (n, s), the
 oracle fills the s x (n - s) answer block directly, and the read is a
-view of that block. Any other transcript that holds the block, such as
-the full triangle of the small-instance MLE check, is read the same
-way: its plan says where each seed row's run of answers starts.
+view of that block, as it is for any transcript of exactly those pairs.
+Any other transcript that holds the block, such as the full triangle
+of the small-instance MLE check, is read by one gather where its runs
+are not consecutive: its plan says where each seed row's run of rest
+answers starts.
 
 Every vote goes through one kernel, _vote_rows, which counts each row's
 values (a - ref) mod k without computing a modulus: with a and ref in
@@ -60,13 +62,12 @@ _VOTE_BLOCK = 1 << 16
 class SeedConfig:
     """Tuning knobs for the seed-size formulas.
 
-    constant_c scales the leading term of both seed-size branches;
-    min_seed floors the result; explicit_size bypasses the formulas
+    constant_c scales the leading term of both seed-size branches and
+    must be positive and finite; explicit_size bypasses the formulas
     entirely (validated against n at use time).
     """
 
     constant_c: float = 40.0
-    min_seed: int = 1
     explicit_size: int | None = None
 
     def __post_init__(self):
@@ -74,8 +75,6 @@ class SeedConfig:
             raise ValueError(f"constant_c must be positive, got {self.constant_c}")
         if self.constant_c == math.inf:
             raise ValueError(f"constant_c must be finite, got {self.constant_c}")
-        if self.min_seed < 1:
-            raise ValueError(f"min_seed must be >= 1, got {self.min_seed}")
         if self.explicit_size is not None and self.explicit_size < 1:
             raise ValueError(f"explicit_size must be >= 1, got {self.explicit_size}")
 
@@ -110,8 +109,8 @@ def seed_size(n: int, params: NoiseParams, cfg: SeedConfig = SeedConfig()) -> in
     """Seed-set size for an n-node instance.
 
     Uses ceil(c * ln n / (k delta^2)) when delta <= 1/(2k) and
-    ceil(c * ln n / delta) otherwise, floored by cfg.min_seed and
-    clamped to floor(n/2). cfg.explicit_size overrides the formulas.
+    ceil(c * ln n / delta) otherwise, at least 1 and clamped to
+    floor(n/2). cfg.explicit_size overrides the formulas.
     Warns (never errors) when delta is below the validity threshold.
     """
     size = _seed_size(n, params, cfg)
@@ -142,8 +141,7 @@ def _seed_size(n: int, params: NoiseParams, cfg: SeedConfig) -> int:
     else:
         raw = cfg.constant_c * math.log(n) / params.delta
     # clamped before ceil: a huge finite constant_c can make raw inf
-    size = max(cfg.min_seed, math.ceil(min(raw, n // 2)))
-    return max(1, min(size, n // 2))
+    return max(1, math.ceil(min(raw, n // 2)))
 
 
 def effective_bias(params: NoiseParams) -> float:

@@ -4,9 +4,10 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycalign import ValidityRegimeWarning
-from cycalign.cli import main
+from cycalign.cli import _float_list, _int_list, main
 from cycalign.harness import CSV_HEADER
 
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
@@ -208,6 +209,9 @@ def no_run(monkeypatch):
      "budget_scale must be nonempty"),
     *[([command, "--n", "100", "--k", "2", "--delta", "0.4", "--constant-c", "inf"],
        "constant_c must be finite, got inf") for command in ("simulate", "sweep")],
+    *[([command, "--n", "30", "--k", "2", "--delta", "0.45", "--constant-c", c],
+       f"constant_c must be positive, got {float(c)}")
+      for command in ("sweep", "phase") for c in ("-1", "0")],
 ])
 def test_invalid_configuration_exits_2_before_running(argv, message, no_run, capsys):
     assert main(argv) == 2
@@ -221,6 +225,36 @@ def test_config_file_budget_scale_inf_exits_2(tmp_path, no_run, capsys):
                       "budget_scale = inf\n")
     assert main(["sweep", "--config", str(config)]) == 2
     assert "budget_scale must be positive and finite" in capsys.readouterr().err
+
+
+def test_config_file_constant_c_negative_exits_2(tmp_path, no_run, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n_values = 30\nk_values = 2\ndelta_values = 0.45\n"
+                      "constant_c_values = -1\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "constant_c must be positive, got -1" in capsys.readouterr().err
+
+
+_INTS = st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=8)
+_FLOATS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                   max_size=8)
+
+
+@given(_INTS, _FLOATS)
+def test_list_flags_round_trip(ints, floats):
+    assert _int_list(",".join(map(str, ints))) == tuple(ints)
+    assert _float_list(",".join(map(repr, floats))) == tuple(floats)
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "30,x"), ("--delta", "0.4,half"),
+                                        ("--budget-scale", "one")])
+def test_non_numeric_list_token_exits_2_through_argparse(flag, value, no_run, capsys):
+    argv = ["sweep", "--n", "30", "--k", "2", "--delta", "0.45", flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(value) in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -182,6 +182,27 @@ class TestLookupOriented:
         assert (x, y) not in QueryPlan([(1, 2)], n=4)
         assert (1, 2) in t and (2, 1) in QueryPlan([(1, 2)], n=4)
 
+    @pytest.mark.parametrize("form", ["block", "pairs"])
+    def test_non_integer_nodes_read_alike(self, form):
+        plan = seed_rest_plan(6, 2)
+        if form == "pairs":
+            plan = QueryPlan.from_arrays(plan.lo, plan.hi, 6)
+        truth = Labeling([0, 1, 2, 0, 1, 2], 3)
+        t = FaultyOracle(truth, NoiseParams(3, 0.3), 5).execute_plan(plan)
+        assert t.lookup_oriented(1.0, 3) == t.lookup_oriented(1, 3)
+        assert t.lookup_oriented(3, np.float64(1)) == t.lookup_oriented(3, 1)
+        assert (1.0, 3) in t and (1.0, 3.0) in plan and (2.0, 3) not in t
+        for bad in (1.5, float("nan"), float("inf")):
+            message = re.escape(f"nodes must be integers, got {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                t.lookup_oriented(bad, 3)
+            with pytest.raises(ValueError, match=message):
+                (3, bad) in t  # noqa: B015
+            with pytest.raises(ValueError, match=message):
+                (bad, 3) in plan  # noqa: B015
+        with pytest.raises(ValueError, match="nodes must be integers in the int64 range"):
+            (2**70, 3) in t  # noqa: B015
+
 
 class TestQueryTranscript:
     def test_size_counts_distinct_pairs(self):
@@ -243,35 +264,40 @@ class TestQueryTranscript:
         n, k = 9, 4
         lo, hi = np.triu_indices(n, k=1)
         t = QueryTranscript(n, k, lo, hi, rng.integers(0, k, lo.size))
-        rows, cols = [3, 0, 2, 0], [4, 5, 6, 7, 8]
-        mat = t.oriented_matrix(rows, cols)
-        for ri, r in enumerate(rows):
-            for ci, c in enumerate(cols):
-                assert mat[ri, ci] == t.lookup_oriented(r, c)
+        for s in range(1, n):
+            rows, cols = range(s), range(s, n)
+            mat = t.oriented_matrix(rows, cols)
+            # the seed x seed pairs (1, 2) .. split the rest runs from s = 3 on
+            assert np.shares_memory(mat, t._ans) == (s <= 2)
+            for ri, r in enumerate(rows):
+                for ci, c in enumerate(cols):
+                    assert mat[ri, ci] == t.lookup_oriented(r, c)
 
     def test_oriented_matrix_reads_a_block_inside_a_larger_store(self):
-        # the store holds every pair but (1, 5); rows of the seed x rest
-        # block sit side by side in it except around the gap
+        # the store holds every pair but (1, 5), which only seeds of 2 to 5
+        # read
         n, k = 8, 5
         lo, hi = np.triu_indices(n, k=1)
         ans = np.random.default_rng(2).integers(0, k, lo.size)
         keep = ~((lo == 1) & (hi == 5))
         t = QueryTranscript(n, k, lo[keep], hi[keep], ans[keep])
-        rows, cols = [0, 2], [3, 4, 5, 6, 7]
-        mat = t.oriented_matrix(rows, cols)
-        assert mat.tolist() == [[t.lookup_oriented(r, c) for c in cols] for r in rows]
-        with pytest.raises(MissingPairError, match=r"pair \(1, 5\)"):
-            t.oriented_matrix([0, 1, 2], cols)
+        for s in (1, 6, 7):
+            mat = t.oriented_matrix(range(s), range(s, n))
+            assert mat.tolist() == [[t.lookup_oriented(r, c) for c in range(s, n)]
+                                    for r in range(s)]
+        for s in (2, 3, 4, 5):
+            with pytest.raises(MissingPairError, match=r"pair \(1, 5\)"):
+                t.oriented_matrix(range(s), range(s, n))
 
     def test_oriented_matrix_missing_pair(self):
         t = _transcript(5, 3, [(0, 1, 2)])
-        with pytest.raises(MissingPairError):
-            t.oriented_matrix([0], [1, 2])
+        with pytest.raises(MissingPairError, match=r"pair \(0, 2\)"):
+            t.oriented_matrix([0], [1, 2, 3, 4])
 
     def test_oriented_matrix_overlap_rejected(self):
         t = _transcript(5, 3, [(0, 1, 2)])
-        with pytest.raises(IdentityPairError, match="node 1 is both"):
-            t.oriented_matrix([0, 1], [1, 2])
+        with pytest.raises(ValueError, match="reads rows 0 .. s-1 against cols s .. n-1"):
+            t.oriented_matrix([0, 1], [1, 2, 3, 4])
 
 
 def _seed_rest_pairs(n, s):
@@ -285,91 +311,114 @@ def _from_pairs(n, k, pairs, seed=0):
 
 
 class TestOrientedMatrixRuns:
-    """The block read of oriented_matrix against scalar lookups."""
+    """The seed x rest read of oriented_matrix against scalar lookups:
+    each seed row's run of rest pairs, found in the plan."""
 
     @given(st.data())
     def test_matches_lookups_or_names_an_absent_pair(self, data):
         n = data.draw(st.integers(2, 12))
         k = data.draw(st.integers(2, 6))
-        triangle = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        dropped = data.draw(st.sets(st.sampled_from(triangle), max_size=4))
-        store = ([p for p in triangle if p not in dropped] if data.draw(st.booleans())
-                 else [p for p in _seed_rest_pairs(n, n // 2) if p not in dropped])
-        t = _from_pairs(n, k, store, seed=data.draw(st.integers(0, 2**32 - 1)))
-        c0 = data.draw(st.integers(1, n - 1))
-        cols = list(range(c0, data.draw(st.integers(c0 + 1, n))))
-        rows = data.draw(st.lists(st.integers(0, c0 - 1), min_size=1, max_size=n))
+        t_seed = data.draw(st.integers(1, n - 1))
+        s = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        form = data.draw(st.sampled_from(["block", "pairs", "triangle"]))
+        if form == "block":  # a block plan holds every pair of its seed
+            store = _seed_rest_pairs(n, t_seed)
+            truth = Labeling(rng.integers(0, k, n), k)
+            t = FaultyOracle(truth, NoiseParams(k, 0.5 * (k - 1) / k),
+                             int(rng.integers(0, 2**63))).execute_plan(seed_rest_plan(n, t_seed))
+        else:
+            pairs = (_seed_rest_pairs(n, t_seed) if form == "pairs" else
+                     [(i, j) for i in range(n) for j in range(i + 1, n)])
+            dropped = data.draw(st.sets(st.sampled_from(pairs), max_size=4))
+            store = [p for p in pairs if p not in dropped]
+            t = _from_pairs(n, k, store, seed=int(rng.integers(0, 2**32)))
         stored = set(store)
-        missing = [(r, c) for r in rows for c in cols if (r, c) not in stored]
+        missing = [(r, c) for r in range(s) for c in range(s, n) if (r, c) not in stored]
         if missing:  # the first absent pair in row-major order is named
             with pytest.raises(MissingPairError, match=re.escape(f"pair {missing[0]} ")):
-                t.oriented_matrix(rows, cols)
-        else:
-            mat = t.oriented_matrix(rows, cols)
-            assert mat.shape == (len(rows), len(cols))
-            assert mat.tolist() == [[t.lookup_oriented(r, c) for c in cols] for r in rows]
+                t.oriented_matrix(range(s), range(s, n))
+            return
+        mat = t.oriented_matrix(np.arange(s), np.arange(s, n))
+        assert mat.dtype == t._ans.dtype and mat.shape == (s, n - s)
+        assert mat.tolist() == [[t.lookup_oriented(r, c) for c in range(s, n)]
+                                for r in range(s)]
+        if store == _seed_rest_pairs(n, s):  # exactly the block: a view
+            assert np.shares_memory(mat, t._ans) and not mat.flags.writeable
 
     @pytest.mark.parametrize("gap", [(1, 3), (1, 5), (1, 7)])  # first, interior, last
     def test_gap_in_a_run_is_named(self, gap):
-        pairs = [p for p in _seed_rest_pairs(8, 3) if p != gap]
-        t = _from_pairs(8, 5, pairs)
-        with pytest.raises(MissingPairError, match=re.escape(f"pair {gap}")):
-            t.oriented_matrix([0, 1, 2], range(3, 8))
-        assert t.oriented_matrix([0, 2], range(3, 8)).tolist() == [
-            [t.lookup_oriented(r, c) for c in range(3, 8)] for r in (0, 2)]
+        triangle = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        for pairs in (_seed_rest_pairs(8, 3), triangle):
+            t = _from_pairs(8, 5, [p for p in pairs if p != gap])
+            with pytest.raises(MissingPairError, match=re.escape(f"pair {gap}")):
+                t.oriented_matrix([0, 1, 2], range(3, 8))
 
     def test_extra_pair_keeping_row_starts_in_step_is_caught(self):
-        # row 0 lacks (0, 4) but holds (0, 6), so row 1 still starts
-        # w = 3 positions after row 0; only the probe of (0, 5) sees the gap
-        t = _from_pairs(7, 4, [(0, 3), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5)])
+        # row 0 lacks (0, 4) but holds (0, 1), so it still ends with
+        # n - s = 5 pairs and row 1 starts 5 positions after them; only
+        # the first of those five, (0, 1) and not (0, 2), shows the gap
+        t = _from_pairs(7, 4, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6),
+                               (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
         with pytest.raises(MissingPairError, match=r"pair \(0, 4\)"):
-            t.oriented_matrix([0, 1], [3, 4, 5])
+            t.oriented_matrix([0, 1], range(2, 7))
 
     @pytest.mark.parametrize("rows,cols", [
-        ([0, 1], [3, 5, 4]),     # a run's nodes, out of order
-        ([0, 2], [3, 4, 4, 6]),  # starts and ends like the run 3..6
-        ([1, 0], [3, 3, 3]),
-        ([0, 6], [3, 4, 5]),     # a row above the run: read flipped
-        ([0, 4], [3, 4, 5]),     # a row inside the run
+        ([0, 1], [2, 3, 5, 4, 6, 7]),  # the rest, out of order
+        ([0, 2], [3, 4, 5, 6, 7]),     # a seed with a gap
+        ([1, 0], [2, 3, 4, 5, 6, 7]),  # the seed, out of order
+        ([0, 1], [2, 3, 4, 5]),        # a rest that stops short of n - 1
+        ([0, 1], [1, 2, 3, 4, 5, 6, 7]),  # a row that is also a column
     ])
     def test_reads_that_are_not_a_run_below_the_rows(self, rows, cols):
-        # only the seed x rest shape is read; a full store changes nothing
+        # only the seed x rest split is read; a full store changes nothing
         n, k = 8, 5
         t = _from_pairs(n, k, [(i, j) for i in range(n) for j in range(i + 1, n)])
-        if set(rows) & set(cols):
-            error, message = IdentityPairError, "is both a row and a column"
-        elif sorted(set(cols)) == cols and len(set(cols)) == len(cols):
-            error, message = ValueError, "rows must lie below the first column 3"
-        else:
-            error, message = ValueError, "cols must be one run"
-        with pytest.raises(error, match=message):
+        with pytest.raises(ValueError, match="reads rows 0 .. s-1 against cols s .. n-1"):
             t.oriented_matrix(rows, cols)
 
-    def test_empty_rows_or_cols_give_an_empty_block(self):
+    @given(st.data())
+    def test_every_other_shape_is_rejected(self, data):
+        n = data.draw(st.integers(2, 8))
+        t = _from_pairs(n, 3, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        nodes = st.lists(st.integers(-1, n), max_size=n + 1)
+        rows, cols = data.draw(nodes), data.draw(nodes)
+        s = len(rows)
+        if 1 <= s < n and rows == list(range(s)) and cols == list(range(s, n)):
+            assert t.oriented_matrix(rows, cols).shape == (s, n - s)
+        else:
+            with pytest.raises(ValueError, match="reads rows 0 .. s-1"):
+                t.oriented_matrix(rows, cols)
+
+    def test_non_integer_nodes_are_named(self):
         t = _from_pairs(6, 4, _seed_rest_pairs(6, 2))
-        assert t.oriented_matrix([], range(2, 6)).shape == (0, 4)
-        assert t.oriented_matrix([0, 1], []).shape == (2, 0)
-        assert t.oriented_matrix([], []).dtype == t._ans.dtype
+        with pytest.raises(ValueError, match="rows must be integers, got 0.5"):
+            t.oriented_matrix([0.5], [2.7, 3.7])
+        with pytest.raises(ValueError, match="cols must be integers, got 2.7"):
+            t.oriented_matrix([0, 1], [2.7, 3, 4, 5])
+        assert t.oriented_matrix([0.0, 1.0], [2.0, 3.0, 4.0, 5.0]).tolist() == (
+            t.oriented_matrix([0, 1], [2, 3, 4, 5]).tolist())
 
     def test_seed_rest_read_is_a_read_only_view(self):
         n, s, k = 30, 7, 5
         truth = Labeling(np.random.default_rng(4).integers(0, k, n), k)
-        t = FaultyOracle(truth, NoiseParams(k, 0.3), 9).execute_plan(seed_rest_plan(n, s))
-        mat = t.oriented_matrix(range(s), range(s, n))
-        assert np.shares_memory(mat, t._ans) and not mat.flags.writeable
-        assert mat.tolist() == [[t.lookup_oriented(r, c) for c in range(s, n)]
-                                for r in range(s)]
+        block = FaultyOracle(truth, NoiseParams(k, 0.3), 9).execute_plan(seed_rest_plan(n, s))
+        pairs = _from_pairs(n, k, _seed_rest_pairs(n, s))
+        for t in (block, pairs):
+            mat = t.oriented_matrix(range(s), range(s, n))
+            assert np.shares_memory(mat, t._ans) and not mat.flags.writeable
+            assert mat.tolist() == [[t.lookup_oriented(r, c) for c in range(s, n)]
+                                    for r in range(s)]
 
     def test_nodes_out_of_range_rejected(self):
         t = _from_pairs(4, 3, _seed_rest_pairs(4, 2))
-        with pytest.raises(ValueError, match="nodes must lie"):
-            t.oriented_matrix([0, 1], [2, 3, 4])
-        with pytest.raises(ValueError, match="nodes must lie"):
-            t.oriented_matrix([-1], [2, 3])
-        # keys -1*4 + 5 .. -1*4 + 7 are those of (0, 1) .. (0, 3)
-        full = _from_pairs(4, 3, [(0, 1), (0, 2), (0, 3)])
-        with pytest.raises(ValueError, match="nodes must lie"):
-            full.oriented_matrix([-1], [5, 6, 7])
+        for rows, cols in [([0, 1], [2, 3, 4]), ([-1], [2, 3]), ([0, 1, 2, 3], [])]:
+            with pytest.raises(ValueError, match="reads rows 0 .. s-1"):
+                t.oriented_matrix(rows, cols)
+        # an empty transcript names the first pair of the read
+        empty = QueryTranscript(6, 3, [], [], [])
+        with pytest.raises(MissingPairError, match=re.escape("pair (0, 2) ")):
+            empty.oriented_matrix([0, 1], [2, 3, 4, 5])
 
 
 def _outcome(read, *args):
@@ -384,10 +433,6 @@ def _same_outcome(a, b):
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
     return a == b
-
-
-def _runs(n):
-    return [range(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
 
 
 class TestBlockTranscript:
@@ -432,11 +477,10 @@ class TestBlockTranscript:
 
         mat = block.oriented_matrix(range(s), range(s, n))
         assert np.shares_memory(mat, block._ans) and not mat.flags.writeable
-        reads = ([(r, c) for r in _runs(n) for c in _runs(n)] if n <= 8 else
-                 [(data.draw(st.sampled_from(_runs(n))), data.draw(st.sampled_from(_runs(n))))
-                  for _ in range(25)])
+        # every split, held or not, and a read that is no split
+        reads = [(range(t), range(t, n)) for t in range(1, n)]
         reads.append((data.draw(st.lists(st.integers(-1, n), min_size=1, max_size=6)),
-                      data.draw(st.sampled_from(_runs(n)))))
+                      range(s, n)))
         for rows, cols in reads:
             assert _same_outcome(_outcome(block.oriented_matrix, rows, cols),
                                  _outcome(sparse.oriented_matrix, rows, cols)), (rows, cols)

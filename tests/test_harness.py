@@ -132,15 +132,14 @@ class TestRunSweep:
     def test_skipped_cell_logs_the_validator_message(self, caplog):
         # each reason is the message of the check that rejects the cell
         cfg = SweepConfig(n_values=(3, 20), k_values=(1, 2), delta_values=(0.4, 0.9),
-                          constant_c_values=(-1.0, 40.0), trials=1)
+                          trials=1)
         with caplog.at_level("WARNING", logger="cycalign.harness"):
             records = run_sweep(cfg)
         assert [(r.n, r.k, r.delta, r.constant_c) for r in records] == [(20, 2, 0.4, 40.0)]
-        assert len(caplog.records) == 15
+        assert len(caplog.records) == 7
         text = caplog.text
         for reason in ["k must be an integer >= 2, got 1",
                        "delta must lie in (0, (k-1)/k] = (0, 0.5], got 0.9",
-                       "constant_c must be positive, got -1.0",
                        "need n >= 4 for a seeded split, got n=3"]:
             assert reason in text
 
@@ -173,6 +172,16 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
                         budget_scale=0.0)
+
+    @pytest.mark.parametrize("c,message", [(-1.0, "constant_c must be positive, got -1.0"),
+                                           (0.0, "constant_c must be positive, got 0.0"),
+                                           (float("inf"), "constant_c must be finite")])
+    def test_bad_constant_c_rejected_with_the_seed_config_message(self, c, message):
+        # constant_c is valid or not whatever the cell, so one bad value
+        # rejects the grid instead of skipping its cells
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
+                        constant_c_values=(40.0, c))
 
 
 class TestRecordSerialization:

@@ -1,5 +1,6 @@
 """The package's exports and the README's quickstart stay in step with the code."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,7 +8,8 @@ import sys
 from pathlib import Path
 
 import cycalign
-from cycalign import FaultyOracle, QueryTranscript, analysis, core, harness, oracle, recovery
+from cycalign import (FaultyOracle, QueryPlan, QueryTranscript, analysis, core, harness,
+                      oracle, recovery)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +41,11 @@ def test_deleted_names_are_gone():
                         (core, "_pair_position"), (core, "_encode_pairs")]:
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     assert not {"_s", "_pair_lo", "_pair_hi", "_keys"} & set(QueryTranscript.__slots__)
+    # oriented_matrix reads only the seed x rest split: no general row
+    # reader, no strided view, and no seed-size floor knob
+    assert not hasattr(core, "as_strided")
+    assert not hasattr(QueryPlan, "_row_starts")
+    assert "min_seed" not in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
 
 
 def test_only_the_plan_reads_its_form():

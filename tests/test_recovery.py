@@ -80,10 +80,6 @@ class TestSeedSize:
         with pytest.raises(ValueError, match="constant_c must be finite, got inf"):
             SeedConfig(constant_c=math.inf)
 
-    def test_min_seed_floor(self):
-        cfg = SeedConfig(constant_c=1e-9, min_seed=7)
-        assert seed_size(1000, NoiseParams(2, 0.3), cfg) == 7
-
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             seed_size(3, NoiseParams(2, 0.3), SeedConfig())
