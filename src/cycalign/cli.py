@@ -48,12 +48,26 @@ from .analysis import TailSpec
 from .recovery import SeedConfig, _seed_size
 
 
+def _comma_list(text: str, convert: Callable, kind: str) -> tuple:
+    values = []
+    for item in (v.strip() for v in text.split(",")):
+        if not item:
+            continue
+        try:
+            values.append(convert(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: expected a comma list of {kind}, "
+                f"got {item!r}") from None
+    return tuple(values)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return _comma_list(text, float, "numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:

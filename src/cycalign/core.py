@@ -178,18 +178,32 @@ def _int64_array(values, name: str) -> np.ndarray:
 
     Raises ValueError naming name and the first value that is not an
     integer: one with a fractional part, NaN, an infinity or a float
-    beyond the int64 range, and naming name for an int beyond that
-    range. Integral floats such as 2.0 are accepted.
+    beyond the int64 range; or naming name, and the value where it is
+    known, for an integer beyond that range. Integral floats such as
+    2.0 are accepted.
     """
     a = np.asarray(values)
     if a.dtype.kind == "f":
-        bad = ~(np.abs(a) < 2.0**63) | (a != np.floor(a))  # NaN fails both
+        bad = ~((a >= -2.0**63) & (a < 2.0**63)) | (a != np.floor(a))  # NaN fails both
         if bad.any():
-            raise ValueError(f"{name} must be integers, got {float(a.flat[bad.argmax()])!r}")
+            t = int(bad.argmax())
+            value = np.array(values, dtype=object).flat[t]
+            if isinstance(value, (int, np.integer)):  # numpy made a float of a large int
+                raise _int64_range_error(name, value)
+            raise ValueError(f"{name} must be integers, got {float(a.flat[t])!r}")
+    elif a.dtype.kind == "u" and a.dtype.itemsize == 8:  # the cast would wrap these
+        big = a > np.iinfo(np.int64).max
+        if big.any():
+            raise _int64_range_error(name, a.flat[big.argmax()])
     try:
         return np.array(a, dtype=np.int64)
     except OverflowError:
-        raise ValueError(f"{name} must be integers in the int64 range") from None
+        raise _int64_range_error(name) from None
+
+
+def _int64_range_error(name: str, value=None) -> ValueError:
+    got = "" if value is None else f", got {int(value)}"
+    return ValueError(f"{name} must be integers in the int64 range{got}")
 
 
 _INT8 = np.dtype(np.int8)

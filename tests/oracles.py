@@ -77,6 +77,44 @@ def tail_dp_full_array(vote_count: int, k: int, delta: float) -> float:
     return float(dist[: n + 1].sum())
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalize(z: int) -> int:
+    """The SplitMix64 finalizer on a Python int, masked to 64 bits."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def oracle_noise_by_definition(seed: int, i: int, j: int, k: int, delta: float) -> int:
+    """The oracle's noise for the canonical pair (i, j), one pair at a time.
+
+    The seed's base is mix(seed + golden), the pair's key (i << 32) ^ j,
+    the hash mix(base + mix(key + golden)); its top 53 bits are the
+    uniform u. Value 0 owns u < 1/k + delta, then each nonzero value a
+    step of (1 - 1/k - delta) / (k - 1), the last one up to 1.
+    """
+    base = splitmix64_finalize(((seed & _MASK64) + _GOLDEN64) & _MASK64)
+    key = splitmix64_finalize((((i << 32) ^ j) + _GOLDEN64) & _MASK64)
+    u = (splitmix64_finalize((base + key) & _MASK64) >> 11) * 2.0**-53
+    p_zero = 1.0 / k + delta
+    if p_zero >= 1.0 or u < p_zero:
+        return 0
+    return 1 + min(int((u - p_zero) / ((1.0 - p_zero) / (k - 1))), k - 2)
+
+
+def oracle_answers_by_definition(labels, pairs, k: int, delta: float, seed: int,
+                                 noiseless: bool = False) -> list[int]:
+    """(labels[i] - labels[j] + noise) mod k for each canonical pair (i, j)."""
+    return [(int(labels[i]) - int(labels[j])
+             + (0 if noiseless else oracle_noise_by_definition(seed, i, j, k, delta))) % k
+            for i, j in pairs]
+
+
 def hamming_by_scan(estimate, truth, k: int) -> int:
     """Min mismatches over all shifts, by explicit loop."""
     best = len(truth)

@@ -257,6 +257,23 @@ def test_non_numeric_list_token_exits_2_through_argparse(flag, value, no_run, ca
     assert f"argument {flag}: invalid" in err and repr(value) in err
 
 
+@pytest.mark.parametrize("command,flag,value,kind,item", [
+    ("sweep", "--n", "30,x", "integers", "x"),
+    ("sweep", "--n", "30,2.5", "integers", "2.5"),
+    ("sweep", "--delta", "0.4, half", "numbers", "half"),
+    ("sweep", "--constant-c", "40,4o", "numbers", "4o"),
+    ("phase", "--budget-scale", "1,0.5,y", "numbers", "y"),
+])
+def test_bad_comma_list_item_is_named(command, flag, value, kind, item, no_run, capsys):
+    argv = [command, "--n", "30", "--k", "2", "--delta", "0.45", flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument {flag}: invalid value {value!r}: expected a comma list of "
+            f"{kind}, got {item!r}") in err
+
+
 @pytest.mark.parametrize("argv", [
     ["mle-check", "--n", "6", "--k", "2", "--delta", "0.05", "--trials", "3"],
     ["simulate", "--n", "200", "--k", "2", "--delta", "0.05"],

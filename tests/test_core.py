@@ -204,6 +204,25 @@ class TestLookupOriented:
             (2**70, 3) in t  # noqa: B015
 
 
+    @pytest.mark.parametrize("pair", [(2**63, 3), (3, 2**63), (2**63, -1),
+                                      (-2**63 - 1, 3), (2**70, 3)])
+    def test_ints_beyond_int64_name_the_range(self, pair):
+        # numpy holds some of these pairs as float64 or uint64: the
+        # message still names the range, not a non-integer value
+        t = _transcript(5, 3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="nodes must be integers in the int64 range"):
+            pair in t  # noqa: B015
+        with pytest.raises(ValueError, match="nodes must be integers in the int64 range"):
+            t.lookup_oriented(*pair)
+
+    def test_int64_extremes_are_nodes_not_errors(self):
+        t = _transcript(5, 3, [(0, 1, 2)])
+        assert (-2**63, 1.0) not in t and (2**63 - 1, 1) not in t
+        with pytest.raises(ValueError, match=re.escape(
+                "labels must be integers in the int64 range, got 9223372036854775808")):
+            Labeling([2**63, 2**63 + 1], 3)
+
+
 class TestQueryTranscript:
     def test_size_counts_distinct_pairs(self):
         t = _transcript(5, 3, [(0, 1, 2), (1, 2, 0), (0, 4, 1)])

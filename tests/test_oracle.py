@@ -16,6 +16,10 @@ from cycalign import (
     sample_noise,
     seed_rest_plan,
 )
+from cycalign import oracle as oracle_module
+from cycalign.harness import full_pairwise_plan
+
+from oracles import oracle_answers_by_definition
 
 
 class TestNoiseFromUniform:
@@ -42,6 +46,36 @@ class TestNoiseFromUniform:
     def test_extreme_delta_always_zero(self):
         u = np.array([0.0, 0.5, 0.999999])
         assert noise_from_uniform(u, 2, 0.5).tolist() == [0, 0, 0]
+
+
+def _noise_by_where(u, k, delta):
+    """The inverse CDF as a select over u < p_zero, with truncation."""
+    p_zero = 1.0 / k + delta
+    step = (1.0 - p_zero) / (k - 1)
+    nonzero = 1 + np.minimum(((u - p_zero) / step).astype(np.int64), np.int64(k - 2))
+    return np.where(u < p_zero, np.int64(0), nonzero)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 127, 128, 300])
+@pytest.mark.parametrize("delta_of_k", [lambda k: 1e-12, lambda k: 1 / (2 * k),
+                                        lambda k: 0.9 * (k - 1) / k])
+def test_noise_from_uniform_at_every_boundary_matches_the_select_form(k, delta_of_k):
+    # each cell edge p_zero + j * step and its float neighbours on both sides
+    delta = delta_of_k(k)
+    p_zero = 1.0 / k + delta
+    edges = p_zero + np.arange(k) * ((1.0 - p_zero) / (k - 1))
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[u < 1.0]
+    got = noise_from_uniform(u, k, delta)
+    assert got.dtype == np.int64
+    assert got.tolist() == _noise_by_where(u, k, delta).tolist()
+
+
+def test_noise_from_uniform_does_not_modify_its_input():
+    u = np.array([0.1, 0.5, 0.9])
+    noise_from_uniform(u, 3, 0.2)
+    assert u.tolist() == [0.1, 0.5, 0.9]
 
 
 class TestSampleNoise:
@@ -195,6 +229,50 @@ class TestOnePlan:
         assert oracle.query_count == len(plan) == len(t)
         assert t.to_text() == text
         assert text == _oracle(self.LABELS, 3).execute_plan(plan).to_text()
+
+
+def _explicit_plan(n, count, rng):
+    lo = rng.integers(0, n - 1, count)
+    hi = lo + 1 + rng.integers(0, n, count) % (n - 1 - lo)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return QueryPlan.from_arrays(pairs[:, 0], pairs[:, 1], n)
+
+
+class TestAnswersByDefinition:
+    """Every answer equals the per-pair reference in plain Python ints:
+    in every plan form, for small and wide k, at the extremes of delta
+    and with tiles small enough that buffers are reused and rows split."""
+
+    PLANS = {
+        "block": lambda: seed_rest_plan(41, 6),
+        "explicit": lambda: _explicit_plan(60, 300, np.random.default_rng(3)),
+        "triangle": lambda: full_pairwise_plan(23),
+    }
+
+    @pytest.mark.parametrize("block", [1 << 16, 50, 7])
+    @pytest.mark.parametrize("form", sorted(PLANS))
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 127, 128, 300])
+    def test_matches_reference(self, monkeypatch, block, form, k):
+        monkeypatch.setattr(oracle_module, "_BLOCK", block)
+        plan = self.PLANS[form]()
+        labels = np.random.default_rng(k).integers(0, k, plan.n)
+        pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+        for delta, noiseless in [(1e-12, False), (1 / (2 * k), False),
+                                 ((k - 1) / k, False), (1 / (2 * k), True)]:
+            seed = 0xFEED_0000_0000_0000 + k  # above 2^63
+            t = FaultyOracle(Labeling(labels, k), NoiseParams(k, delta), seed,
+                             noiseless=noiseless).execute_plan(plan)
+            assert [a for _, _, a in t.items()] == oracle_answers_by_definition(
+                labels, pairs, k, delta, seed, noiseless), (delta, noiseless)
+
+    def test_negative_and_wide_seeds_are_taken_mod_2_64(self):
+        plan = seed_rest_plan(20, 4)
+        labels = [v % 5 for v in range(20)]
+        pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+        for seed in (-1, 2**64 + 7, 0):
+            t = FaultyOracle(Labeling(labels, 5), NoiseParams(5, 0.3), seed).execute_plan(plan)
+            assert [a for _, _, a in t.items()] == oracle_answers_by_definition(
+                labels, pairs, 5, 0.3, seed)
 
 
 class TestNoiseDistribution:
