@@ -177,7 +177,8 @@ class FaultyOracle:
         if self._answered is not None:
             raise ValueError(f"oracle already answered a plan of {self._answered} "
                              "pairs; an oracle answers one plan")
-        k, law = self.k, None if self.noiseless else _noise_law(self.k, self.params.delta)
+        k = self.k
+        law = None if self.noiseless else _noise_law(k, self.params.delta)
         # g_lo[i] - g_hi[j] + (noise - 1) lies in [0, 3k): the index of
         # its residue (the +1 of the noise is folded into g_lo)
         wide = np.int16 if 3 * k <= np.iinfo(np.int16).max else np.int64
