@@ -17,6 +17,13 @@ the correct label fails to beat one fixed wrong label exactly when the
 signed vote sum is <= 0. Its exponential decay rate is delta^2 * n * k
 for delta <= 1/(2k) and delta * n for larger delta, up to constants,
 which the fit helper checks empirically.
+
+tail_probabilities_exact evaluates a whole grid with one dynamic
+program per noise law: the pass runs to the law's largest vote count
+and reads each smaller count's tail on the way. The cells a pass keeps
+after t votes are computed from the cells kept after t - 1 votes alone,
+so they hold the same floats whichever count the pass runs to, and each
+tail equals its own pass's bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .core import (
     NoiseParams,
     QueryTranscript,
     RegimeMixingError,
+    _int64_array,
 )
 
 _MLE_ENUMERATION_LIMIT = 10**7
@@ -175,8 +183,20 @@ class TailSpec:
     params: NoiseParams
 
     def __post_init__(self):
-        if self.vote_count < 1:
-            raise ValueError(f"vote_count must be >= 1, got {self.vote_count}")
+        vote_count = _as_int(self.vote_count, "vote_count")
+        if vote_count < 1:
+            raise ValueError(f"vote_count must be >= 1, got {vote_count}")
+        object.__setattr__(self, "vote_count", vote_count)
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int by core's rule for nodes: integral floats and
+    numpy integers are accepted; a fractional part, NaN, an infinity or
+    a value beyond int64 raises ValueError naming name and the value."""
+    a = _int64_array(value, name)
+    if a.ndim:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(a)
 
 
 def vote_probabilities(params: NoiseParams) -> tuple[float, float, float]:
@@ -196,40 +216,48 @@ def _check_dp_votes(vote_count: int) -> None:
         )
 
 
-def tail_probability_exact(spec: TailSpec) -> float:
-    """Exact P(sum of signed votes <= 0) by convolution over {-n, ..., n}.
+def tail_probabilities_exact(specs: Sequence[TailSpec]) -> list[float]:
+    """tail_probability_exact of each spec, in order, with one dynamic
+    program per noise law.
 
-    The distribution of the running sum lives on 2n + 1 cells, sum s at
-    index s + n, but only a window [lo, hi) of them is kept: after
-    each vote the window grows by one cell on each side, exact zeros
-    are trimmed off both ends, and cells with s above the number of
-    votes still to come are dropped. Each step multiplies the window by
-    P[X=0] into the new window, then adds P[X=+1] times it one cell up
-    and P[X=-1] times it one cell down, in that order. That is the
-    sequence of float operations a convolution over all 2n + 1 cells
-    performs on every kept cell. The cells it skips either hold exactly
-    zero there, and adding a product with a zero leaves a nonzero value
-    unchanged, or lie above the votes still to come, so neither they
-    nor anything they feed is ever summed. The final sum runs over the
-    full zero-padded array, so numpy's pairwise summation order is
-    unchanged too, and the result equals that of the full-width
-    convolution bit for bit. Cost is O(n * window): the window stays
-    near the width over which the tails have not underflowed, ~4 600
-    cells on average at 20 000 votes for k = 4, delta = 0.05, against
-    40 001 for the full support.
-
-    Float accumulation error is O(vote_count * machine epsilon); the
-    test suite pins agreement with exact rational enumeration to 1e-12
-    at small sizes.
+    The specs are grouped by params in first-seen order. Every law's
+    largest vote count is checked against the vote guard before any
+    tail is computed; then each law gets one windowed pass up to its
+    largest count, and the tail at a smaller count m is read at step m.
+    That reading is exact: a kept cell with sum s after t votes depends
+    only on the cells s - 1, s and s + 1 after t - 1 votes, so it holds
+    the same float whatever count the pass runs to. A longer pass keeps
+    more cells above the tail (those with s up to its own count minus
+    t), never fewer, and the cells it trims are exact zeros in every
+    pass. At step m the cells with s <= 0 are copied at index s + m
+    into a zero array of m + 1 cells, which is the array the final sum
+    of a pass to m receives, so the summation order is the same too.
+    A grid of one law costs about what its largest count costs alone.
     """
-    n = spec.vote_count
-    _check_dp_votes(n)
-    up, down, zero = vote_probabilities(spec.params)
+    laws: dict[NoiseParams, dict[int, list[int]]] = {}
+    for i, spec in enumerate(specs):
+        laws.setdefault(spec.params, {}).setdefault(spec.vote_count, []).append(i)
+    for wanted in laws.values():
+        _check_dp_votes(max(wanted))
+    tails = [0.0] * len(specs)
+    for params, wanted in laws.items():
+        for votes, tail in _law_tails(params, set(wanted)).items():
+            for i in wanted[votes]:
+                tails[i] = tail
+    return tails
+
+
+def _law_tails(params: NoiseParams, counts: set[int]) -> dict[int, float]:
+    """The exact tail at each vote count in counts, from one windowed
+    pass of the dynamic program up to the largest of them."""
+    n = max(counts)
+    up, down, zero = vote_probabilities(params)
     cur = np.zeros(2 * n + 1)
     nxt = np.zeros(2 * n + 1)
     term = np.empty(2 * n + 1)
     cur[n] = 1.0
     lo, hi = n, n + 1
+    tails = {}
     for step in range(1, n + 1):
         w = cur[lo:hi]
         t = term[: hi - lo]
@@ -246,10 +274,48 @@ def tail_probability_exact(spec: TailSpec) -> float:
         while hi > lo and nxt[hi - 1] == 0.0:
             hi -= 1
         cur, nxt = nxt, cur
-    dist = nxt  # spare buffer: zero-pad the window to the full support
-    dist[:] = 0.0
-    dist[lo:hi] = cur[lo:hi]
-    return float(dist[: n + 1].sum())
+        if step in counts:
+            # zero-pad the cells with sum <= 0 to the support {-step, ..., 0}
+            top = min(hi, n + 1)
+            pad = np.zeros(step + 1)
+            pad[lo - n + step : top - n + step] = cur[lo:top]
+            tails[step] = float(pad.sum())
+    return tails
+
+
+def tail_probability_exact(spec: TailSpec) -> float:
+    """Exact P(sum of signed votes <= 0) by convolution over {-n, ..., n}.
+
+    A one-spec call of tail_probabilities_exact, which holds the one
+    dynamic-programming loop. Give that function a whole grid: a law's
+    pass to its largest count yields every smaller count's tail, since
+    the cells kept after t votes are the same floats whatever count the
+    pass runs to.
+
+    The distribution of the running sum lives on 2n + 1 cells, sum s at
+    index s + n, but only a window [lo, hi) of them is kept: after
+    each vote the window grows by one cell on each side, exact zeros
+    are trimmed off both ends, and cells with s above the number of
+    votes still to come are dropped. Each step multiplies the window by
+    P[X=0] into the new window, then adds P[X=+1] times it one cell up
+    and P[X=-1] times it one cell down, in that order. That is the
+    sequence of float operations a convolution over all 2n + 1 cells
+    performs on every kept cell. The cells it skips either hold exactly
+    zero there, and adding a product with a zero leaves a nonzero value
+    unchanged, or lie above the votes still to come, so neither they
+    nor anything they feed is ever summed. The final sum runs over the
+    zero-padded cells s <= 0, so numpy's pairwise summation order is
+    unchanged too, and the result equals that of the full-width
+    convolution bit for bit. Cost is O(n * window): the window stays
+    near the width over which the tails have not underflowed, ~4 600
+    cells on average at 20 000 votes for k = 4, delta = 0.05, against
+    40 001 for the full support.
+
+    Float accumulation error is O(vote_count * machine epsilon); the
+    test suite pins agreement with exact rational enumeration to 1e-12
+    at small sizes.
+    """
+    return tail_probabilities_exact([spec])[0]
 
 
 class TailEstimate(NamedTuple):
@@ -267,6 +333,7 @@ def tail_probability_mc(spec: TailSpec, trials: int,
     trinomial law rather than individual votes; the event {sum <= 0}
     has identical distribution either way.
     """
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     pv = np.asarray(vote_probabilities(spec.params))
@@ -320,8 +387,10 @@ def fit_tail_exponent(specs: Sequence[TailSpec],
         )
     regime = regimes.pop()
     if tails is None:
-        tails = [tail_probability_exact(s) for s in specs]
+        tails = tail_probabilities_exact(specs)
     tails = [float(t) for t in tails]
+    if len(tails) != len(specs):
+        raise ValueError(f"got {len(tails)} tail probabilities for {len(specs)} specs")
     if any(not 0.0 < t < 1.0 for t in tails):
         raise ValueError("all tail probabilities must lie strictly in (0, 1)")
     x = np.asarray([tail_predictor(s) for s in specs])

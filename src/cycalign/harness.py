@@ -25,13 +25,14 @@ import numpy as np
 from .analysis import (
     TailFit,
     TailSpec,
+    _as_int,
     _check_dp_votes,
     brute_force_mle,
     fit_tail_exponent,
     hamming_after_best_shift,
     recover_success,
     tail_predictor,
-    tail_probability_exact,
+    tail_probabilities_exact,
     tail_probability_mc,
     tail_regime,
 )
@@ -297,13 +298,13 @@ def check_lemma_grid(specs: Sequence[TailSpec], trials: int) -> None:
     Only the grid's shape is checked, before any tail is computed: it
     is nonempty, in one bias regime and within the exact tail's vote
     guard; a grid of 5 or more points, which gets a fit, spans more
-    than one predictor value; and trials is at least 1.
+    than one predictor value; and trials is an integer of at least 1.
     """
     if not specs:
         raise ValueError("need at least one tail spec")
     if len({tail_regime(s.params) for s in specs}) != 1:
         raise RegimeMixingError("grid straddles the delta = 1/(2k) regime boundary")
-    if trials < 1:
+    if _as_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_dp_votes(max(s.vote_count for s in specs))
     if len(specs) >= 5 and len({tail_predictor(s) for s in specs}) == 1:
@@ -319,14 +320,12 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
+    exact_tails = tail_probabilities_exact(specs)
     points = []
-    exact_tails = []
-    for idx, spec in enumerate(specs):
-        exact = tail_probability_exact(spec)
+    for idx, (spec, exact) in enumerate(zip(specs, exact_tails)):
         rng = np.random.default_rng(
             _substream(derive_trial_seed(base_seed, ("lemma", idx), 0), "mc"))
         mc = tail_probability_mc(spec, trials, rng)
-        exact_tails.append(exact)
         points.append(LemmaPoint(
             vote_count=spec.vote_count, k=spec.params.k,
             delta=spec.params.delta, regime=tail_regime(spec.params),

@@ -1,11 +1,12 @@
 """Analysis contracts: success scoring, likelihood, MLE, tail bounds."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cycalign import analysis
@@ -27,7 +28,9 @@ from cycalign import (
     likelihood_split,
     log_likelihood,
     recover_success,
+    run_lemma_check,
     shift_labeling,
+    tail_probabilities_exact,
     tail_probability_exact,
     tail_probability_mc,
     tail_regime,
@@ -342,6 +345,99 @@ class TestTailExactWindow:
         assert got == tail_dp_full_array(votes, k, delta) == value
 
 
+_LAW = st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.floats(0.0, (k - 1) / k, exclude_min=True)))
+
+
+@st.composite
+def _mixed_law_grids(draw):
+    """A shuffled spec list over 2-3 noise laws, each law with a
+    repeated vote count."""
+    specs = []
+    for k, delta in draw(st.lists(_LAW, min_size=2, max_size=3, unique=True)):
+        counts = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3))
+        specs += [TailSpec(c, NoiseParams(k, delta)) for c in counts + counts[:1]]
+    return draw(st.permutations(specs))
+
+
+class TestTailProbabilitiesExact:
+    """One pass per noise law gives every spec its own pass's float."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_mixed_law_grids())
+    def test_equals_full_array(self, specs):
+        want = {(s.vote_count, s.params.k, s.params.delta) for s in specs}
+        want = {key: tail_dp_full_array(*key) for key in want}
+        got = tail_probabilities_exact(specs)
+        assert got == [want[s.vote_count, s.params.k, s.params.delta] for s in specs]
+
+    def test_large_vote_counts_from_one_call(self):
+        specs = [TailSpec(2000, NoiseParams(2, 0.3)), TailSpec(4000, NoiseParams(4, 0.05)),
+                 TailSpec(4000, NoiseParams(2, 0.3))]
+        assert tail_probabilities_exact(specs) == [
+            3.5978498573685206e-196, 3.729442585351899e-09, 0.0]
+
+    def test_empty(self):
+        assert tail_probabilities_exact([]) == []
+
+    def test_vote_guard_before_any_pass(self, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass ran before the vote guard")
+        monkeypatch.setattr(analysis, "_law_tails", no_pass)
+        specs = [TailSpec(5, NoiseParams(2, 0.1)), TailSpec(100_001, NoiseParams(3, 0.1))]
+        with pytest.raises(InstanceTooLargeError, match="100001"):
+            tail_probabilities_exact(specs)
+
+    def test_lemma_check_tails_equal_per_spec_values(self):
+        specs = [TailSpec(n, NoiseParams(4, 0.05)) for n in (300, 100, 500, 200, 400)]
+        report = run_lemma_check(specs, trials=10)
+        assert [p.exact_tail for p in report.points] == [
+            tail_probability_exact(s) for s in specs]
+
+    def test_lemma_check_runs_one_pass_per_law(self, monkeypatch):
+        passes = []
+        law_tails = analysis._law_tails
+        def counted(params, counts):
+            passes.append(sorted(counts))
+            return law_tails(params, counts)
+        monkeypatch.setattr(analysis, "_law_tails", counted)
+        specs = [TailSpec(n, NoiseParams(2, 0.3)) for n in range(20, 101, 20)]
+        run_lemma_check(specs, trials=10)
+        assert passes == [[20, 40, 60, 80, 100]]
+
+
+class TestIntegerCounts:
+    """Vote counts and trial counts follow core's rule for nodes."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_values_become_int(self, value):
+        spec = TailSpec(value, NoiseParams(2, 0.1))
+        assert spec.vote_count == 3 and type(spec.vote_count) is int
+        assert tail_probability_exact(spec) == tail_dp_full_array(3, 2, 0.1)
+        est = tail_probability_mc(TailSpec(3, NoiseParams(2, 0.1)), value,
+                                  np.random.default_rng(0))
+        assert est.value in (0.0, 1 / 3, 2 / 3, 1.0)
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf])
+    def test_non_integers_rejected_by_name(self, value):
+        message = re.escape(f"must be integers, got {value!r}")
+        with pytest.raises(ValueError, match="vote_count " + message):
+            TailSpec(value, NoiseParams(2, 0.1))
+        with pytest.raises(ValueError, match="trials " + message):
+            tail_probability_mc(TailSpec(5, NoiseParams(2, 0.1)), value,
+                                np.random.default_rng(0))
+
+    def test_non_scalar_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("vote_count must be an integer, got [3]")):
+            TailSpec([3], NoiseParams(2, 0.1))
+
+    def test_range_checks_still_apply(self):
+        with pytest.raises(ValueError, match="vote_count must be >= 1, got 0"):
+            TailSpec(0.0, NoiseParams(2, 0.1))
+        with pytest.raises(ValueError, match="vote_count must be integers in the int64 range"):
+            TailSpec(2**64, NoiseParams(2, 0.1))
+
+
 class TestTailMonteCarlo:
     def test_single_trial_degenerate(self):
         spec = TailSpec(5, NoiseParams(2, 0.3))
@@ -430,8 +526,19 @@ class TestFitTailExponent:
 
     def test_tails_outside_unit_interval_rejected(self):
         specs = [TailSpec(n, NoiseParams(2, 0.3)) for n in range(20, 101, 20)]
-        with pytest.raises(ValueError):
+        message = "^all tail probabilities must lie strictly in \\(0, 1\\)$"
+        with pytest.raises(ValueError, match=message):
             fit_tail_exponent(specs, tails=[0.5, 0.4, 0.3, 0.2, 1.0])
+        # exact tails at 4 000+ votes underflow to 0.0
+        underflowing = [TailSpec(n, NoiseParams(2, 0.3)) for n in range(2000, 10001, 2000)]
+        with pytest.raises(ValueError, match=message):
+            fit_tail_exponent(underflowing)
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_tail_count_must_match_specs(self, count):
+        specs = [TailSpec(n, NoiseParams(2, 0.3)) for n in range(20, 101, 20)]
+        with pytest.raises(ValueError, match=f"^got {count} tail probabilities for 5 specs$"):
+            fit_tail_exponent(specs, tails=[0.5, 0.4, 0.3, 0.2, 0.1, 0.05][:count])
 
     def test_decay_rate_sandwich(self):
         # -ln(tail) / (delta^2 n k) stays inside a fixed positive band

@@ -228,6 +228,11 @@ class TestLemmaCheck:
         with pytest.raises(RegimeMixingError):
             run_lemma_check(specs, trials=100)
 
+    @pytest.mark.parametrize("trials", [2.5, float("nan")])
+    def test_fractional_trials_rejected_by_name(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be integers, got {trials!r}"):
+            run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))], trials=trials)
+
     def test_csv_rendering(self):
         report = run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))],
                                  trials=1000, base_seed=0)
