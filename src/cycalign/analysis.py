@@ -43,7 +43,7 @@ from .core import (
     NoiseParams,
     QueryTranscript,
     RegimeMixingError,
-    _int64_array,
+    _as_int,
 )
 
 _MLE_ENUMERATION_LIMIT = 10**7
@@ -187,16 +187,6 @@ class TailSpec:
         if vote_count < 1:
             raise ValueError(f"vote_count must be >= 1, got {vote_count}")
         object.__setattr__(self, "vote_count", vote_count)
-
-
-def _as_int(value, name: str) -> int:
-    """value as an int by core's rule for nodes: integral floats and
-    numpy integers are accepted; a fractional part, NaN, an infinity or
-    a value beyond int64 raises ValueError naming name and the value."""
-    a = _int64_array(value, name)
-    if a.ndim:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(a)
 
 
 def vote_probabilities(params: NoiseParams) -> tuple[float, float, float]:

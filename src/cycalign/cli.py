@@ -29,7 +29,6 @@ from .core import NoiseParams
 from .harness import (
     ConfigError,
     SweepConfig,
-    check_budget_scale,
     check_lemma_grid,
     check_mle_comparison,
     derive_trial_seed,
@@ -153,16 +152,14 @@ Run = Callable[[], int]
 
 def _cmd_simulate(args) -> Run:
     params = NoiseParams(args.k, args.delta)
-    cfg = SeedConfig(constant_c=args.constant_c)
-    check_budget_scale(args.budget_scale)
+    cfg = SeedConfig(constant_c=args.constant_c, budget_scale=args.budget_scale)
     _seed_size(args.n, params, cfg)  # rejects n < 4; the run warns
 
     def run() -> int:
         trial_seed = derive_trial_seed(args.seed, ("simulate", args.n, args.k,
                                                    args.delta, args.constant_c), 0)
         truth, result, outcome = run_trial_detailed(
-            args.n, params, cfg, trial_seed,
-            budget_scale=args.budget_scale, noiseless=args.noiseless)
+            args.n, params, cfg, trial_seed, noiseless=args.noiseless)
         mismatch = (result.labeling.labels - truth.labels) % args.k
         shift_counts = np.bincount(mismatch, minlength=args.k)
         best_shift = int(shift_counts.argmax())

@@ -201,6 +201,16 @@ def _int64_array(values, name: str) -> np.ndarray:
         raise _int64_range_error(name) from None
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int by the rule of _int64_array: integral floats and
+    numpy integers are accepted; a fractional part, NaN, an infinity or
+    a value beyond int64 raises ValueError naming name and the value."""
+    a = _int64_array(value, name)
+    if a.ndim:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(a)
+
+
 def _int64_range_error(name: str, value=None) -> ValueError:
     got = "" if value is None else f", got {int(value)}"
     return ValueError(f"{name} must be integers in the int64 range{got}")

@@ -15,9 +15,8 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from .analysis import (
     TailFit,
     TailSpec,
-    _as_int,
     _check_dp_votes,
     brute_force_mle,
     fit_tail_exponent,
@@ -42,14 +40,14 @@ from .core import (
     NoiseParams,
     QueryPlan,
     RegimeMixingError,
+    _as_int,
 )
 from .oracle import FaultyOracle
 from .recovery import (
     RecoveryResult,
     SeedConfig,
-    _seed_size,
+    _recover_seeded,
     recover_from_transcript,
-    run_algorithm1,
     seed_size,
 )
 
@@ -63,13 +61,6 @@ CSV_HEADER = ("n,k,delta,constant_c,seed_size,query_count,"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
-
-
-def check_budget_scale(budget_scale: float | None) -> None:
-    """Raise ConfigError unless budget_scale is None or finite and > 0."""
-    if budget_scale is not None and not 0 < budget_scale < math.inf:
-        raise ConfigError(
-            f"budget_scale must be positive and finite, got {budget_scale}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +81,15 @@ class SweepConfig:
             if not vals:
                 raise ConfigError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
-        for constant_c in self.constant_c_values:
-            try:
-                SeedConfig(constant_c=constant_c)
-            except ValueError as exc:  # valid or not whatever the cell
-                raise ConfigError(str(exc)) from None
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        check_budget_scale(self.budget_scale)
+        try:  # valid or not whatever the cell
+            for constant_c in self.constant_c_values:
+                SeedConfig(constant_c=constant_c, budget_scale=self.budget_scale)
+            trials = _as_int(self.trials, "trials")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {trials}")
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "base_seed", int(self.base_seed) & _MASK64)
 
 
@@ -145,28 +137,23 @@ def sample_truth(n: int, k: int, rng: np.random.Generator) -> Labeling:
     return Labeling(labels, k)
 
 
-def _effective_config(n: int, params: NoiseParams, cfg: SeedConfig,
-                      budget_scale: float | None) -> SeedConfig:
-    check_budget_scale(budget_scale)
-    if budget_scale is None or budget_scale == 1.0:
-        return cfg
-    base = _seed_size(n, params, cfg)
-    scaled = max(1, min(n // 2, math.ceil(budget_scale * base)))
-    return replace(cfg, explicit_size=scaled)
-
-
 def run_trial_detailed(
         n: int, params: NoiseParams, cfg: SeedConfig, trial_seed: int,
-        budget_scale: float | None = None, noiseless: bool = False,
+        noiseless: bool = False,
 ) -> tuple[Labeling, RecoveryResult, TrialOutcome]:
     """One end-to-end trial, returning the hidden truth and the full
     recovery result alongside the scored outcome."""
+    return _seeded_trial(n, params, seed_size(n, params, cfg), trial_seed, noiseless)
+
+
+def _seeded_trial(n: int, params: NoiseParams, s: int, trial_seed: int,
+                  noiseless: bool) -> tuple[Labeling, RecoveryResult, TrialOutcome]:
+    """run_trial_detailed with the seed already sized to s."""
     truth = sample_truth(n, params.k,
                          np.random.default_rng(_substream(trial_seed, "truth")))
     oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
                           noiseless=noiseless)
-    eff_cfg = _effective_config(n, params, cfg, budget_scale)
-    result = run_algorithm1(n, params, eff_cfg, oracle)
+    result = _recover_seeded(oracle, s)
     outcome = TrialOutcome(
         success=recover_success(result.labeling, truth),
         hamming=hamming_after_best_shift(result.labeling, truth),
@@ -176,21 +163,19 @@ def run_trial_detailed(
 
 
 def run_trial(n: int, params: NoiseParams, cfg: SeedConfig, trial_seed: int,
-              budget_scale: float | None = None,
               noiseless: bool = False) -> TrialOutcome:
     """One end-to-end trial: sample truth, query, recover, score."""
-    return run_trial_detailed(n, params, cfg, trial_seed,
-                              budget_scale=budget_scale,
-                              noiseless=noiseless)[2]
+    return run_trial_detailed(n, params, cfg, trial_seed, noiseless=noiseless)[2]
 
 
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:
     """One ExperimentRecord per valid (n, k, delta, constant_c) cell.
 
-    A cell that NoiseParams or seed_size rejects is skipped
-    with their message logged; trial errors abort with the offending
-    cell in the exception chain. Deterministic for a fixed config
-    (timing column aside).
+    Each cell sizes its seed once with seed_size, so it warns at most
+    once, and runs every trial with that seed. A cell that NoiseParams
+    or seed_size rejects is skipped with their message logged; trial
+    errors abort with the offending cell in the exception chain.
+    Deterministic for a fixed config (timing column aside).
     """
     records = []
     grid = itertools.product(config.n_values, config.k_values,
@@ -198,9 +183,8 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
     for n, k, delta, constant_c in grid:
         try:
             params = NoiseParams(k, delta)
-            cfg = SeedConfig(constant_c=constant_c)
-            eff_cfg = _effective_config(n, params, cfg, config.budget_scale)
-            cell_seed_size = _seed_size(n, params, eff_cfg)
+            s = seed_size(n, params, SeedConfig(constant_c=constant_c,
+                                                budget_scale=config.budget_scale))
         except ValueError as exc:
             logger.warning("skipping cell (n=%s, k=%s, delta=%s, c=%s): %s",
                            n, k, delta, constant_c, exc)
@@ -209,13 +193,10 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
         start = time.perf_counter()
         successes = 0
         hamming_total = 0
-        query_count = cell_seed_size * (n - cell_seed_size)
         for t in range(config.trials):
             trial_seed = derive_trial_seed(config.base_seed, cell, t)
             try:
-                outcome = run_trial(n, params, cfg, trial_seed,
-                                    budget_scale=config.budget_scale,
-                                    noiseless=noiseless)
+                outcome = _seeded_trial(n, params, s, trial_seed, noiseless)[2]
             except Exception as exc:
                 raise RuntimeError(
                     f"trial {t} of cell (n={n}, k={k}, delta={delta}, "
@@ -223,10 +204,9 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
                 ) from exc
             successes += outcome.success
             hamming_total += outcome.hamming
-            query_count = outcome.query_count
         records.append(ExperimentRecord(
             n=n, k=k, delta=float(delta), constant_c=float(constant_c),
-            seed_size=cell_seed_size, query_count=query_count,
+            seed_size=s, query_count=s * (n - s),
             trials=config.trials, successes=successes,
             mean_hamming=hamming_total / config.trials,
             wall_time_seconds=time.perf_counter() - start,
@@ -413,7 +393,7 @@ def check_mle_comparison(n: int, params: NoiseParams, trials: int) -> None:
     if n > 8 or params.k > 3:
         raise ValueError(f"comparison supports n <= 8 and k <= 3, "
                          f"got n={n}, k={params.k}")
-    if trials < 1:
+    if _as_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
@@ -430,6 +410,7 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     Restricted to n <= 8, k <= 3 to keep enumeration exhaustive.
     """
     check_mle_comparison(n, params, trials)
+    trials = _as_int(trials, "trials")
     plan = full_pairwise_plan(n)
     s = seed_size(n, params, cfg)
     agreements = 0

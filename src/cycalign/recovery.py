@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript
+from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript, _as_int
 from .oracle import FaultyOracle
 
 # Vote cells counted per bincount; a block's int index array stays in
@@ -60,23 +60,30 @@ _VOTE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SeedConfig:
-    """Tuning knobs for the seed-size formulas.
+    """The seed rule's knobs, which only seed_size applies.
 
-    constant_c scales the leading term of both seed-size branches and
-    must be positive and finite; explicit_size bypasses the formulas
-    entirely (validated against n at use time).
+    constant_c (positive, finite) scales both formulas; explicit_size,
+    an integer >= 1, replaces them; budget_scale (positive, finite)
+    multiplies the size from either before the clamp to [1, n/2].
     """
 
     constant_c: float = 40.0
     explicit_size: int | None = None
+    budget_scale: float | None = None
 
     def __post_init__(self):
         if not self.constant_c > 0:
             raise ValueError(f"constant_c must be positive, got {self.constant_c}")
         if self.constant_c == math.inf:
             raise ValueError(f"constant_c must be finite, got {self.constant_c}")
-        if self.explicit_size is not None and self.explicit_size < 1:
-            raise ValueError(f"explicit_size must be >= 1, got {self.explicit_size}")
+        if self.explicit_size is not None:
+            size = _as_int(self.explicit_size, "explicit_size")
+            if size < 1:
+                raise ValueError(f"explicit_size must be >= 1, got {size}")
+            object.__setattr__(self, "explicit_size", size)
+        if self.budget_scale is not None and not 0 < self.budget_scale < math.inf:
+            raise ValueError(
+                f"budget_scale must be positive and finite, got {self.budget_scale}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,13 @@ def validity_threshold(n: int, k: int) -> float:
 
 
 def seed_size(n: int, params: NoiseParams, cfg: SeedConfig = SeedConfig()) -> int:
-    """Seed-set size for an n-node instance.
+    """Seed-set size for an n-node instance, an integer n >= 4.
 
-    Uses ceil(c * ln n / (k delta^2)) when delta <= 1/(2k) and
-    ceil(c * ln n / delta) otherwise, at least 1 and clamped to
-    floor(n/2). cfg.explicit_size overrides the formulas.
-    Warns (never errors) when delta is below the validity threshold.
+    The base is cfg.explicit_size, else ceil(c * ln n / (k delta^2))
+    when delta <= 1/(2k) and ceil(c * ln n / delta) otherwise, clamped
+    to [1, floor(n/2)]; cfg.budget_scale then gives ceil(scale * base),
+    clamped again. Warns (never errors) once per call when delta is
+    below the validity threshold, so size once per run or sweep cell.
     """
     size = _seed_size(n, params, cfg)
     if params.delta < validity_threshold(n, params.k):
@@ -126,22 +134,27 @@ def seed_size(n: int, params: NoiseParams, cfg: SeedConfig = SeedConfig()) -> in
 
 
 def _seed_size(n: int, params: NoiseParams, cfg: SeedConfig) -> int:
-    """seed_size without the validity warning, for checking or sizing a
-    run whose own seed_size call gives it, so it is given once."""
+    """seed_size without the validity warning, for checking a run
+    before it starts; the run's own seed_size call gives the warning."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer >= 4, got {n!r}")
     if n < 4:
         raise ValueError(f"need n >= 4 for a seeded split, got n={n}")
     if cfg.explicit_size is not None:
-        if not 1 <= cfg.explicit_size <= n // 2:
+        if not cfg.explicit_size <= n // 2:
             raise ValueError(
                 f"explicit_size={cfg.explicit_size} outside [1, n/2] for n={n}"
             )
-        return int(cfg.explicit_size)
-    if params.delta <= 1.0 / (2 * params.k):
-        raw = cfg.constant_c * math.log(n) / (params.k * params.delta**2)
+        size = cfg.explicit_size
+    elif params.delta <= 1.0 / (2 * params.k):
+        size = cfg.constant_c * math.log(n) / (params.k * params.delta**2)
     else:
-        raw = cfg.constant_c * math.log(n) / params.delta
-    # clamped before ceil: a huge finite constant_c can make raw inf
-    return max(1, math.ceil(min(raw, n // 2)))
+        size = cfg.constant_c * math.log(n) / params.delta
+    # > 0, so ceil >= 1; clamped first, as a huge finite c or scale gives inf
+    size = math.ceil(min(size, n // 2))
+    if cfg.budget_scale is not None:
+        size = math.ceil(min(cfg.budget_scale * size, n // 2))
+    return size
 
 
 def effective_bias(params: NoiseParams) -> float:
@@ -255,7 +268,10 @@ def run_algorithm1(n: int, params: NoiseParams, cfg: SeedConfig,
         raise ValueError(f"oracle is for n={oracle.n}, requested n={n}")
     if params.k != oracle.k:
         raise ValueError(f"params.k={params.k} does not match oracle k={oracle.k}")
-    s = seed_size(n, params, cfg)
-    plan = seed_rest_plan(n, s)
-    transcript = oracle.execute_plan(plan)
-    return recover_from_transcript(transcript, s)
+    return _recover_seeded(oracle, seed_size(n, params, cfg))
+
+
+def _recover_seeded(oracle: FaultyOracle, seed_count: int) -> RecoveryResult:
+    """Query a fresh oracle's seed_count x rest block and recover."""
+    transcript = oracle.execute_plan(seed_rest_plan(oracle.n, seed_count))
+    return recover_from_transcript(transcript, seed_count)

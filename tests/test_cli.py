@@ -274,13 +274,23 @@ def test_bad_comma_list_item_is_named(command, flag, value, kind, item, no_run, 
             f"{kind}, got {item!r}") in err
 
 
+# below-boundary cells of the sweep and phase cases: at n = 200, k = 2
+# the boundary is 0.34, so delta 0.05 and 0.1 are below it, 0.45 is not
+_CELLS_BELOW = {"sweep": 2, "phase": 3}
+
+
 @pytest.mark.parametrize("argv", [
     ["mle-check", "--n", "6", "--k", "2", "--delta", "0.05", "--trials", "3"],
     ["simulate", "--n", "200", "--k", "2", "--delta", "0.05"],
     ["simulate", "--n", "200", "--k", "2", "--delta", "0.05", "--budget-scale", "0.5"],
+    ["sweep", "--n", "200", "--k", "2", "--delta", "0.05,0.1,0.45", "--trials", "3"],
+    ["phase", "--n", "200", "--k", "2", "--delta", "0.05,0.45", "--trials", "3",
+     "--budget-scale", "1,0.5,0.05"],
 ])
 def test_validity_warning_is_given_once(argv, capsys):
+    # once per sized seed: per run, and per sweep or phase cell
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 0
-    assert [w.category for w in caught] == [ValidityRegimeWarning]
+    assert [w.category for w in caught] == \
+        [ValidityRegimeWarning] * _CELLS_BELOW.get(argv[0], 1)

@@ -1,6 +1,7 @@
 """Harness contracts: trials, sweeps, reports, config parsing."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cycalign import (
     SeedConfig,
     SweepConfig,
     TailSpec,
+    ValidityRegimeWarning,
     derive_trial_seed,
     parse_config_file,
     recover_from_transcript,
@@ -26,7 +28,9 @@ from cycalign import (
     run_trial_detailed,
     sample_truth,
     seed_size,
+    validity_threshold,
 )
+from cycalign import harness, recovery
 from cycalign.harness import CSV_HEADER, lemma_report_to_csv, lemma_report_to_text
 
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
@@ -79,20 +83,26 @@ class TestRunTrial:
         wins = 0
         for t in range(100):
             ts = derive_trial_seed(3, ("starve",), t)
-            wins += run_trial(500, params, SeedConfig(), ts,
-                              budget_scale=0.01).success
+            wins += run_trial(500, params, SeedConfig(budget_scale=0.01), ts).success
         assert wins < 50
 
     def test_budget_scale_shrinks_queries(self):
         params = NoiseParams(2, 0.4)
         full = run_trial(100, params, SeedConfig(), 5)
-        tiny = run_trial(100, params, SeedConfig(), 5, budget_scale=0.05)
+        tiny = run_trial(100, params, SeedConfig(budget_scale=0.05), 5)
         assert tiny.query_count < full.query_count
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
     def test_bad_budget_scale_rejected(self, scale):
-        with pytest.raises(ConfigError, match="budget_scale must be positive and finite"):
-            run_trial(100, NoiseParams(2, 0.4), SeedConfig(), 5, budget_scale=scale)
+        with pytest.raises(ValueError, match="budget_scale must be positive and finite"):
+            run_trial(100, NoiseParams(2, 0.4), SeedConfig(budget_scale=scale), 5)
+
+    def test_non_integer_n_rejected_by_name(self):
+        params = NoiseParams(2, 0.4)
+        with pytest.raises(ValueError, match="n must be an integer >= 4, got 20.0"):
+            run_trial(20.0, params, SeedConfig(), 5)
+        assert run_trial(np.int64(20), params, SeedConfig(), 5) == \
+            run_trial(20, params, SeedConfig(), 5)
 
     def test_large_trial_memory_stays_near_the_answer_block(self):
         # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.
@@ -143,6 +153,41 @@ class TestRunSweep:
                        "need n >= 4 for a seeded split, got n=3"]:
             assert reason in text
 
+    def test_non_integer_n_cell_skipped_with_the_seed_size_message(self, caplog):
+        cfg = SweepConfig(n_values=(20.0, 20), k_values=(2,), delta_values=(0.4,),
+                          trials=1)
+        with caplog.at_level("WARNING", logger="cycalign.harness"):
+            records = run_sweep(cfg)
+        assert [r.n for r in records] == [20]
+        assert "n must be an integer >= 4, got 20.0" in caplog.text
+
+    def test_each_cell_sizes_its_seed_once(self, monkeypatch):
+        # the sweep_boundary grid: 18 cells of 10 trials, 7 below the
+        # validity boundary; each cell sizes once, no trial sizes again
+        calls = {"seed_size": 0, "_seed_size": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(recovery, "_seed_size",
+                            counting("_seed_size", recovery._seed_size))
+        for module in (harness, recovery):
+            monkeypatch.setattr(module, "seed_size",
+                                counting("seed_size", recovery.seed_size))
+        cfg = SweepConfig(n_values=(200, 400, 800), k_values=(2, 4),
+                          delta_values=(0.2, 0.3, 0.45), trials=10, base_seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_sweep(cfg)
+        assert len(records) == 18
+        assert calls == {"seed_size": 18, "_seed_size": 18}
+        below = [r for r in records if r.delta < validity_threshold(r.n, r.k)]
+        assert len(below) == 7
+        assert [w.category for w in caught] == [ValidityRegimeWarning] * 7
+
     def test_rerun_is_byte_identical_without_timing(self):
         cfg = SweepConfig(n_values=(16, 24), k_values=(2, 3),
                           delta_values=(0.45,), trials=5, base_seed=7)
@@ -162,6 +207,17 @@ class TestRunSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(n_values=(), k_values=(2,), delta_values=(0.3,))
+
+    @pytest.mark.parametrize("trials", [2.5, float("nan")])
+    def test_fractional_trials_rejected_by_name(self, trials):
+        with pytest.raises(ConfigError, match=f"trials must be integers, got {trials!r}"):
+            SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
+                        trials=trials)
+
+    def test_integral_float_trials_read_as_int(self):
+        cfg = SweepConfig(n_values=(20,), k_values=(2,), delta_values=(0.4,),
+                          trials=2.0)
+        assert cfg.trials == 2 and isinstance(cfg.trials, int)
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ConfigError):
@@ -255,6 +311,11 @@ class TestMleComparison:
             run_mle_comparison(6, NoiseParams(4, 0.4), trials=1)
         with pytest.raises(ValueError):
             run_mle_comparison(6, NoiseParams(2, 0.4), trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, float("inf")])
+    def test_fractional_trials_rejected_by_name(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be integers, got {trials!r}"):
+            run_mle_comparison(5, NoiseParams(2, 0.4), trials=trials)
 
     def test_empty_transcript_rejected_by_recovery(self):
         empty = QueryTranscript(6, 2, [], [], [])

@@ -1,6 +1,7 @@
 """The package's exports and the README's quickstart stay in step with the code."""
 
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -46,6 +47,16 @@ def test_deleted_names_are_gone():
     assert not hasattr(core, "as_strided")
     assert not hasattr(QueryPlan, "_row_starts")
     assert "min_seed" not in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
+
+
+def test_seed_config_holds_the_whole_seed_rule():
+    # budget_scale is a SeedConfig field that seed_size applies, not a
+    # trial keyword rewritten into explicit_size by the harness
+    assert "budget_scale" in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
+    for name in ("_effective_config", "check_budget_scale"):
+        assert not hasattr(harness, name), name
+    for fn in (harness.run_trial, harness.run_trial_detailed):
+        assert "budget_scale" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_only_the_plan_reads_its_form():

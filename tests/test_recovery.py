@@ -80,6 +80,30 @@ class TestSeedSize:
         with pytest.raises(ValueError, match="constant_c must be finite, got inf"):
             SeedConfig(constant_c=math.inf)
 
+    @pytest.mark.parametrize("size", [2.5, float("nan"), float("inf")])
+    def test_non_integer_explicit_size_rejected_by_name(self, size):
+        with pytest.raises(ValueError, match=f"explicit_size must be integers, got {size!r}"):
+            SeedConfig(explicit_size=size)
+
+    def test_integral_explicit_size_reads_as_int(self):
+        for size in (3.0, np.int64(3)):
+            cfg = SeedConfig(explicit_size=size)
+            assert cfg.explicit_size == 3 and type(cfg.explicit_size) is int
+            assert seed_size(100, NoiseParams(2, 0.3), cfg) == 3
+
+    def test_budget_scale_applies_to_either_base_then_clamps(self):
+        params = NoiseParams(2, 0.3)
+        # ceil(0.25 * 10) = 3; ceil(0.5 * ceil(ln 1000 / 0.3)) = ceil(0.5 * 24)
+        assert seed_size(100, params, SeedConfig(explicit_size=10, budget_scale=0.25)) == 3
+        assert seed_size(1000, params, SeedConfig(constant_c=1.0, budget_scale=0.5)) == 12
+        assert seed_size(100, params, SeedConfig(budget_scale=1e-9)) == 1
+        assert seed_size(100, params, SeedConfig(constant_c=1e308, budget_scale=1e308)) == 50
+
+    def test_non_integer_n_rejected_by_name(self):
+        with pytest.raises(ValueError, match="n must be an integer >= 4, got 20.0"):
+            seed_size(20.0, NoiseParams(2, 0.3), SeedConfig())
+        assert seed_size(np.int64(20), NoiseParams(2, 0.3), SeedConfig()) == 10
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             seed_size(3, NoiseParams(2, 0.3), SeedConfig())
