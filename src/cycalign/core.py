@@ -180,9 +180,14 @@ def _int64_array(values, name: str) -> np.ndarray:
     integer: one with a fractional part, NaN, an infinity or a float
     beyond the int64 range; or naming name, and the value where it is
     known, for an integer beyond that range. Integral floats such as
-    2.0 are accepted.
+    2.0 are accepted; text such as "3" or b"4" is not, although numpy
+    would parse it.
     """
     a = np.asarray(values)
+    if a.dtype.kind in "US":  # name the first text value, not one numpy made text
+        text = next((v for v in np.array(values, dtype=object).flat
+                     if isinstance(v, (str, bytes))), a)
+        raise ValueError(f"{name} must be integers, got {text!r}")
     if a.dtype.kind == "f":
         bad = ~((a >= -2.0**63) & (a < 2.0**63)) | (a != np.floor(a))  # NaN fails both
         if bad.any():

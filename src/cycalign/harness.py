@@ -25,7 +25,7 @@ from .analysis import (
     TailFit,
     TailSpec,
     _check_dp_votes,
-    brute_force_mle,
+    _MleTable,
     fit_tail_exponent,
     hamming_after_best_shift,
     recover_success,
@@ -296,11 +296,16 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     """Evaluate each spec exactly and by Monte Carlo; fit the exponent.
 
     The grid must sit in a single bias regime. With fewer than 5
-    points the report carries no fit.
+    points the report carries no fit. The fit runs on the exact tails
+    before the Monte Carlo points, so a grid whose tails it rejects
+    raises before any draw.
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
     exact_tails = tail_probabilities_exact(specs)
+    # the fit reads only the exact tails, and each point's draws keep
+    # their own seed whatever runs before them
+    fit = fit_tail_exponent(specs, tails=exact_tails) if len(specs) >= 5 else None
     points = []
     for idx, (spec, exact) in enumerate(zip(specs, exact_tails)):
         rng = np.random.default_rng(
@@ -312,9 +317,6 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
             predictor=tail_predictor(spec), exact_tail=exact,
             mc_tail=mc.value, mc_half_width=mc.half_width,
         ))
-    fit = None
-    if len(specs) >= 5:
-        fit = fit_tail_exponent(specs, tails=exact_tails)
     return LemmaCheckReport(points=tuple(points), fit=fit, trials=trials)
 
 
@@ -408,11 +410,17 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     enumeration sees all pairs. Agreement means the shift-normalized
     recovery output is one of the maximum-likelihood labelings.
     Restricted to n <= 8, k <= 3 to keep enumeration exhaustive.
+
+    Every trial shares the full-triangle plan, so the candidate table
+    of brute_force_mle is built once here and each transcript is only
+    scored against it; the winners stay label columns, compared with
+    the normalized recovery as arrays.
     """
     check_mle_comparison(n, params, trials)
     trials = _as_int(trials, "trials")
     plan = full_pairwise_plan(n)
     s = seed_size(n, params, cfg)
+    table = _MleTable(plan, params.k)
     agreements = 0
     nonunique = 0
     for t in range(trials):
@@ -423,13 +431,11 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
         oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
                               noiseless=noiseless)
         transcript = oracle.execute_plan(plan)
-        result = recover_from_transcript(transcript, s)
-        normalized = Labeling(
-            (result.labeling.labels - result.labeling.labels[0]) % params.k,
-            params.k)
-        candidates = brute_force_mle(transcript, n, params)
-        nonunique += len(candidates) > 1
-        agreements += any(normalized == c for c in candidates)
+        labels = recover_from_transcript(transcript, s).labeling.labels
+        normalized = (labels - labels[0]) % params.k
+        winners = table.winners(transcript._ans)
+        nonunique += winners.shape[1] > 1
+        agreements += bool((winners == normalized[:, None]).all(axis=0).any())
     return MleComparisonReport(trials=trials, agreements=agreements,
                                nonunique_mle=nonunique)
 

@@ -18,6 +18,7 @@ from cycalign import (
     InstanceTooLargeError,
     Labeling,
     NoiseParams,
+    QueryPlan,
     QueryTranscript,
     RegimeMixingError,
     TailSpec,
@@ -198,6 +199,35 @@ class TestBruteForceMle:
         t = _transcript(10, 10, [])
         with pytest.raises(InstanceTooLargeError):
             brute_force_mle(t, 10, NoiseParams(10, 0.05))
+
+    def test_size_guard_does_not_wrap(self):
+        # 2 ** np.int64(63) wraps to -2**63 in int64 arithmetic
+        t = QueryTranscript(64, 2, [], [], [])
+        with pytest.raises(InstanceTooLargeError,
+                           match=re.escape("k^(n-1) = 9223372036854775808 exceeds")):
+            brute_force_mle(t, np.int64(64), NoiseParams(2, 0.3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_table_scores_every_transcript_of_its_plan(self, data):
+        n = data.draw(st.integers(2, 6))
+        k = data.draw(st.sampled_from([2, 3, 4]))
+        pairs = data.draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                                   unique=True))
+        rows = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=len(pairs),
+                                           max_size=len(pairs)), min_size=1, max_size=4))
+        plan = QueryPlan(pairs, n=n)
+        table = analysis._MleTable(plan, k)
+        for row in rows:
+            answers = dict(zip(plan, row))
+            t = _transcript(n, k, [(i, j, a) for (i, j), a in answers.items()])
+            got = [tuple(c) for c in table.winners(t._ans).T.tolist()]
+            alone = [tuple(g.labels.tolist()) for g in brute_force_mle(
+                t, n, NoiseParams(k, 0.2))]
+            assert got == alone
+            assert sorted(got) == sorted(mle_by_scan(n, k, answers))
+            ids = [_mixed_radix_id(g, k) for g in got]
+            assert ids == sorted(set(ids))
 
     @given(st.data())
     def test_matches_scan_on_partial_transcripts(self, data):
@@ -426,6 +456,11 @@ class TestIntegerCounts:
         with pytest.raises(ValueError, match="trials " + message):
             tail_probability_mc(TailSpec(5, NoiseParams(2, 0.1)), value,
                                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", ["3", b"3", "2.5"])
+    def test_text_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"vote_count must be integers, got {value!r}")):
+            TailSpec(value, NoiseParams(2, 0.1))
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ValueError, match=re.escape("vote_count must be an integer, got [3]")):

@@ -25,6 +25,7 @@ from cycalign import (
     seed_rest_plan,
     shift_labeling,
 )
+from cycalign.core import _as_int
 
 
 class TestNoiseParams:
@@ -100,6 +101,23 @@ _CONVERTED = [
 def test_non_integer_values_are_named_not_truncated(name, build, value):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be integers, got {value!r}")):
         build(value)
+
+
+# QueryPlan(pairs) orients each pair before converting it, and text does
+# not compare with an int, so it raises TypeError there
+@pytest.mark.parametrize("name,build", _CONVERTED[:1] + _CONVERTED[2:])
+@pytest.mark.parametrize("value", ["1", b"1", "0.5"])
+def test_text_is_not_an_integer(name, build, value):
+    # numpy would parse "1" and b"1"; the value named is the text one
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be integers, got {value!r}")):
+        build(value)
+
+
+@pytest.mark.parametrize("value", ["3", b"4", "2.5", np.array(["3"])])
+def test_as_int_rejects_text_by_name(value):
+    shown = value.item() if isinstance(value, np.ndarray) else value
+    with pytest.raises(ValueError, match=re.escape(f"trials must be integers, got {shown!r}")):
+        _as_int(value, "trials")
 
 
 def test_the_first_non_integer_value_is_named_and_integral_floats_kept():

@@ -1,5 +1,6 @@
 """Harness contracts: trials, sweeps, reports, config parsing."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -8,6 +9,8 @@ import pytest
 
 from cycalign import (
     ConfigError,
+    FaultyOracle,
+    Labeling,
     MissingPairError,
     NoiseParams,
     QueryTranscript,
@@ -16,7 +19,9 @@ from cycalign import (
     SweepConfig,
     TailSpec,
     ValidityRegimeWarning,
+    brute_force_mle,
     derive_trial_seed,
+    full_pairwise_plan,
     parse_config_file,
     recover_from_transcript,
     records_to_csv,
@@ -30,7 +35,7 @@ from cycalign import (
     seed_size,
     validity_threshold,
 )
-from cycalign import harness, recovery
+from cycalign import analysis, harness, recovery
 from cycalign.harness import CSV_HEADER, lemma_report_to_csv, lemma_report_to_text
 
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
@@ -214,6 +219,12 @@ class TestRunSweep:
             SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
                         trials=trials)
 
+    @pytest.mark.parametrize("trials", ["3", b"3"])
+    def test_text_trials_rejected_by_name(self, trials):
+        with pytest.raises(ConfigError, match=re.escape(f"trials must be integers, got {trials!r}")):
+            SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
+                        trials=trials)
+
     def test_integral_float_trials_read_as_int(self):
         cfg = SweepConfig(n_values=(20,), k_values=(2,), delta_values=(0.4,),
                           trials=2.0)
@@ -289,6 +300,20 @@ class TestLemmaCheck:
         with pytest.raises(ValueError, match=f"trials must be integers, got {trials!r}"):
             run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))], trials=trials)
 
+    def test_fit_runs_before_any_monte_carlo_draw(self, monkeypatch):
+        calls = []
+        mc = harness.tail_probability_mc
+        monkeypatch.setattr(harness, "tail_probability_mc",
+                            lambda *args: calls.append(args) or mc(*args))
+        # exact tails at 4 000+ votes underflow to 0.0
+        specs = [TailSpec(n, NoiseParams(2, 0.3)) for n in range(2000, 10001, 2000)]
+        message = "^all tail probabilities must lie strictly in \\(0, 1\\)$"
+        with pytest.raises(ValueError, match=message):
+            run_lemma_check(specs, trials=200_000)
+        assert calls == []
+        run_lemma_check(specs[:4], trials=10)
+        assert len(calls) == 4
+
     def test_csv_rendering(self):
         report = run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))],
                                  trials=1000, base_seed=0)
@@ -303,6 +328,26 @@ class TestMleComparison:
                                     base_seed=0, noiseless=True)
         assert report.agreement_rate == 1.0
         assert report.nonunique_mle == 0
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3), (8, 2), (8, 3)])
+    def test_reports_equal_a_per_trial_reference(self, n, k, noiseless):
+        params = NoiseParams(k, 0.45)
+        for base_seed in (3, 41):
+            got = run_mle_comparison(n, params, trials=30, base_seed=base_seed,
+                                     noiseless=noiseless)
+            want = _mle_comparison_by_trial(n, params, 30, base_seed, noiseless)
+            assert (got.trials, got.agreements, got.nonunique_mle) == want
+
+    def test_candidate_table_is_built_once(self, monkeypatch):
+        builds = []
+        chunk = analysis._MleTable._chunk
+        def counted(table, start):
+            builds.append(start)
+            return chunk(table, start)
+        monkeypatch.setattr(analysis._MleTable, "_chunk", counted)
+        run_mle_comparison(8, NoiseParams(3, 0.45), trials=50)
+        assert builds == [0]
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
@@ -321,6 +366,27 @@ class TestMleComparison:
         empty = QueryTranscript(6, 2, [], [], [])
         with pytest.raises(MissingPairError):
             recover_from_transcript(empty, 3)
+
+
+def _mle_comparison_by_trial(n, params, trials, base_seed, noiseless):
+    """run_mle_comparison's counts, one brute_force_mle call and one
+    Labeling comparison per candidate in each trial."""
+    plan = full_pairwise_plan(n)
+    s = seed_size(n, params)
+    agreements = nonunique = 0
+    for t in range(trials):
+        trial_seed = derive_trial_seed(base_seed, ("mle", n, params.k, params.delta), t)
+        truth = sample_truth(n, params.k, np.random.default_rng(
+            harness._substream(trial_seed, "truth")))
+        oracle = FaultyOracle(truth, params, harness._substream(trial_seed, "oracle"),
+                              noiseless=noiseless)
+        transcript = oracle.execute_plan(plan)
+        labels = recover_from_transcript(transcript, s).labeling.labels
+        normalized = Labeling((labels - labels[0]) % params.k, params.k)
+        candidates = brute_force_mle(transcript, n, params)
+        nonunique += len(candidates) > 1
+        agreements += any(normalized == c for c in candidates)
+    return trials, agreements, nonunique
 
 
 class TestConfigFile:
