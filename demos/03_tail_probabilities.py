@@ -15,7 +15,7 @@ import numpy as np
 import cycalign as ca
 
 print("=" * 70)
-print("exact dynamic program vs Monte Carlo")
+print("exact log-space sum vs Monte Carlo")
 print("=" * 70)
 params = ca.NoiseParams(4, 0.05)
 rng = np.random.default_rng(7)

@@ -8,8 +8,8 @@ Contents:
   maximum-likelihood enumeration for tiny instances;
 * the tail probability P(sum_i X_i <= 0) for i.i.d. signed votes
   (X_i = +1 with probability 1/k + delta, -1 with probability
-  1/k - delta/(k-1), else 0), evaluated exactly by dynamic
-  programming, estimated by Monte Carlo, and summarized by a
+  1/k - delta/(k-1), else 0), evaluated exactly as a band-limited
+  log-space sum, estimated by Monte Carlo, and summarized by a
   regime-wise exponent fit.
 
 The tail quantity is the failure mode of a single plurality contest:
@@ -24,12 +24,10 @@ mixed-radix order) and then scores the answers against it. The table
 depends on the plan alone, so run_mle_comparison builds it once and
 scores each trial's transcript against the same table.
 
-tail_probabilities_exact evaluates a whole grid with one dynamic
-program per noise law: the pass runs to the law's largest vote count
-and reads each smaller count's tail on the way. The cells a pass keeps
-after t votes are computed from the cells kept after t - 1 votes alone,
-so they hold the same floats whichever count the pass runs to, and each
-tail equals its own pass's bit for bit.
+_log_tail is the one exact tail engine: it sums the trinomial terms
+of the tail in log space, visiting only those within _BAND_NATS of the
+largest, so it stays finite at vote counts where the tail underflows a
+float. tail_probability_exact is its exponential.
 """
 
 from __future__ import annotations
@@ -55,7 +53,8 @@ from .core import (
 
 _MLE_ENUMERATION_LIMIT = 10**7
 _MLE_CHUNK_CELLS = 1 << 22
-_DP_VOTE_LIMIT = 10**5
+_TAIL_VOTE_LIMIT = 10**5
+_BAND_NATS = 40.0  # terms further below the largest are dropped
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -241,115 +240,100 @@ def vote_probabilities(params: NoiseParams) -> tuple[float, float, float]:
     return up, down, zero
 
 
-def _check_dp_votes(vote_count: int) -> None:
+def _check_tail_votes(vote_count: int) -> None:
     """Raise InstanceTooLargeError above the exact tail's vote guard."""
-    if vote_count > _DP_VOTE_LIMIT:
+    if vote_count > _TAIL_VOTE_LIMIT:
         raise InstanceTooLargeError(
-            f"vote_count {vote_count} exceeds the dynamic-programming guard "
-            f"{_DP_VOTE_LIMIT}"
+            f"vote_count {vote_count} exceeds the exact-tail guard "
+            f"{_TAIL_VOTE_LIMIT}"
         )
 
 
-def tail_probabilities_exact(specs: Sequence[TailSpec]) -> list[float]:
-    """tail_probability_exact of each spec, in order, with one dynamic
-    program per noise law.
+def _log_tail(spec: TailSpec) -> float:
+    """log P(U - D <= 0) for (U, D, Z) ~ Multinomial(m; up, down, zero),
+    the counts of +1, -1 and 0 votes among m = spec.vote_count.
 
-    The specs are grouped by params in first-seen order. Every law's
-    largest vote count is checked against the vote guard before any
-    tail is computed; then each law gets one windowed pass up to its
-    largest count, and the tail at a smaller count m is read at step m.
-    That reading is exact: a kept cell with sum s after t votes depends
-    only on the cells s - 1, s and s + 1 after t - 1 votes, so it holds
-    the same float whatever count the pass runs to. A longer pass keeps
-    more cells above the tail (those with s up to its own count minus
-    t), never fewer, and the cells it trims are exact zeros in every
-    pass. At step m the cells with s <= 0 are copied at index s + m
-    into a zero array of m + 1 cells, which is the array the final sum
-    of a pass to m receives, so the summation order is the same too.
-    A grid of one law costs about what its largest count costs alone.
+    The terms with u <= d are walked one line d - u = j at a time,
+    from j = 0 outward. Each line's largest term is found by bisection
+    on the ratio of neighbouring terms and taken in log space from
+    math.lgamma; the rest of the line is walked outward from it by
+    that exact ratio, up to the last term within _BAND_NATS of the
+    largest term seen so far. The law's mode has u > d, so line peaks
+    fall as j grows, and the walk stops at the first line whose peak is
+    below that band. Lines are added with a running log-sum-exp, so no
+    term underflows, and only the band's terms are visited: no O(m)
+    array is built.
+
+    k = 2 has no zero votes, so each line is the one term u + d = m;
+    the maximal bias has no down votes, so the tail is empty and the
+    result is -inf.
     """
-    laws: dict[NoiseParams, dict[int, list[int]]] = {}
-    for i, spec in enumerate(specs):
-        laws.setdefault(spec.params, {}).setdefault(spec.vote_count, []).append(i)
-    for wanted in laws.values():
-        _check_dp_votes(max(wanted))
-    tails = [0.0] * len(specs)
-    for params, wanted in laws.items():
-        for votes, tail in _law_tails(params, set(wanted)).items():
-            for i in wanted[votes]:
-                tails[i] = tail
-    return tails
-
-
-def _law_tails(params: NoiseParams, counts: set[int]) -> dict[int, float]:
-    """The exact tail at each vote count in counts, from one windowed
-    pass of the dynamic program up to the largest of them."""
-    n = max(counts)
-    up, down, zero = vote_probabilities(params)
-    cur = np.zeros(2 * n + 1)
-    nxt = np.zeros(2 * n + 1)
-    term = np.empty(2 * n + 1)
-    cur[n] = 1.0
-    lo, hi = n, n + 1
-    tails = {}
-    for step in range(1, n + 1):
-        w = cur[lo:hi]
-        t = term[: hi - lo]
-        nxt[lo - 1] = nxt[hi] = 0.0
-        np.multiply(w, zero, out=nxt[lo:hi])
-        np.multiply(w, up, out=t)
-        np.add(nxt[lo + 1 : hi + 1], t, out=nxt[lo + 1 : hi + 1])
-        np.multiply(w, down, out=t)
-        np.add(nxt[lo - 1 : hi - 1], t, out=nxt[lo - 1 : hi - 1])
-        # a sum above n - step cannot get back to <= 0 in the votes left
-        lo, hi = lo - 1, min(hi + 1, 2 * n - step + 1)
-        while lo < hi and nxt[lo] == 0.0:
-            lo += 1
-        while hi > lo and nxt[hi - 1] == 0.0:
-            hi -= 1
-        cur, nxt = nxt, cur
-        if step in counts:
-            # zero-pad the cells with sum <= 0 to the support {-step, ..., 0}
-            top = min(hi, n + 1)
-            pad = np.zeros(step + 1)
-            pad[lo - n + step : top - n + step] = cur[lo:top]
-            tails[step] = float(pad.sum())
-    return tails
+    m = spec.vote_count
+    _check_tail_votes(m)
+    up, down, zero = vote_probabilities(spec.params)
+    if down == 0.0:
+        return -math.inf
+    log_up, log_down = math.log(up), math.log(down)
+    log_zero = math.log(zero) if zero else 0.0  # k = 2: z is 0 on every term
+    rise = up * down / (zero * zero) if zero else 0.0
+    head = math.lgamma(m + 1)
+    top, total = -math.inf, 0.0  # largest log term so far; the sum / exp(top)
+    for j in range(m + 1):
+        last = (m - j) // 2  # largest u on the line: z = m - 2u - j >= 0
+        if zero:
+            # the first u whose next term, ratio z(z-1) rise / ((u+1)(d+1)), is no larger
+            peak, hi = 0, last
+            while peak < hi:
+                mid = (peak + hi) // 2
+                z = m - 2 * mid - j
+                if z * (z - 1) * rise > (mid + 1) * (mid + j + 1):
+                    peak = mid + 1
+                else:
+                    hi = mid
+        elif (m - j) % 2:
+            continue
+        else:
+            peak = last
+        d, z = peak + j, m - 2 * peak - j
+        t = (head - math.lgamma(peak + 1) - math.lgamma(d + 1) - math.lgamma(z + 1)
+             + peak * log_up + d * log_down + z * log_zero)
+        if t < top - _BAND_NATS:
+            break
+        if t > top:
+            total, top = total * math.exp(top - t), t
+        line = 1.0  # the line's sum / exp(t)
+        if zero:
+            floor = math.exp(top - _BAND_NATS - t)
+            r, u = 1.0, peak
+            while True:  # up the line; r becomes 0 past its last term
+                z = m - 2 * u - j
+                r *= z * (z - 1) * rise / ((u + 1) * (u + j + 1))
+                if r < floor:
+                    break
+                line, u = line + r, u + 1
+            r, u = 1.0, peak
+            while True:  # down the line; r becomes 0 past u = 0
+                z = m - 2 * u - j
+                r *= u * (u + j) / ((z + 1) * (z + 2) * rise)
+                if r < floor:
+                    break
+                line, u = line + r, u - 1
+        total += line * math.exp(t - top)
+    return top + math.log(total)
 
 
 def tail_probability_exact(spec: TailSpec) -> float:
-    """Exact P(sum of signed votes <= 0) by convolution over {-n, ..., n}.
+    """P(sum of signed votes <= 0), as exp of the log-space sum _log_tail.
 
-    A one-spec call of tail_probabilities_exact, which holds the one
-    dynamic-programming loop. Give that function a whole grid: a law's
-    pass to its largest count yields every smaller count's tail, since
-    the cells kept after t votes are the same floats whatever count the
-    pass runs to.
-
-    The distribution of the running sum lives on 2n + 1 cells, sum s at
-    index s + n, but only a window [lo, hi) of them is kept: after
-    each vote the window grows by one cell on each side, exact zeros
-    are trimmed off both ends, and cells with s above the number of
-    votes still to come are dropped. Each step multiplies the window by
-    P[X=0] into the new window, then adds P[X=+1] times it one cell up
-    and P[X=-1] times it one cell down, in that order. That is the
-    sequence of float operations a convolution over all 2n + 1 cells
-    performs on every kept cell. The cells it skips either hold exactly
-    zero there, and adding a product with a zero leaves a nonzero value
-    unchanged, or lie above the votes still to come, so neither they
-    nor anything they feed is ever summed. The final sum runs over the
-    zero-padded cells s <= 0, so numpy's pairwise summation order is
-    unchanged too, and the result equals that of the full-width
-    convolution bit for bit. Cost is O(n * window): the window stays
-    near the width over which the tails have not underflowed, ~4 600
-    cells on average at 20 000 votes for k = 4, delta = 0.05, against
-    40 001 for the full support.
-
-    Float accumulation error is O(vote_count * machine epsilon); the
-    test suite pins agreement with exact rational enumeration to 1e-12
-    at small sizes.
+    Below about exp(-745) the float underflows to 0.0, though the sum
+    itself stays finite. The log terms' rounding grows as
+    m ln m * machine epsilon, m the vote count, from math.lgamma of
+    numbers up to m, so counts above 10^5 raise InstanceTooLargeError.
+    The test suite pins agreement with exact rational enumeration to
+    1e-12 at small sizes, and with exact binomial sums to 1e-9 in log
+    up to 10 000 votes.
     """
-    return tail_probabilities_exact([spec])[0]
+    return math.exp(_log_tail(spec))
 
 
 class TailEstimate(NamedTuple):
@@ -408,8 +392,8 @@ def fit_tail_exponent(specs: Sequence[TailSpec],
                       tails: Sequence[float] | None = None) -> TailFit:
     """Fit -ln(tail) = slope * predictor + intercept over a spec grid.
 
-    All specs must fall in one bias regime; tails default to the exact
-    dynamic-programming values and must lie strictly in (0, 1).
+    All specs must fall in one bias regime; tails default to
+    tail_probability_exact of each spec and must lie strictly in (0, 1).
     """
     specs = list(specs)
     if len(specs) < 5:
@@ -421,7 +405,7 @@ def fit_tail_exponent(specs: Sequence[TailSpec],
         )
     regime = regimes.pop()
     if tails is None:
-        tails = tail_probabilities_exact(specs)
+        tails = [tail_probability_exact(s) for s in specs]
     tails = [float(t) for t in tails]
     if len(tails) != len(specs):
         raise ValueError(f"got {len(tails)} tail probabilities for {len(specs)} specs")

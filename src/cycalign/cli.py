@@ -200,9 +200,6 @@ def _sweep_config_from_args(args) -> dict:
     for key in ("n_values", "k_values", "delta_values"):
         if key not in base:
             raise ConfigError(f"missing {key}: pass the flag or a config file")
-    base.setdefault("constant_c_values", (40.0,))
-    base.setdefault("trials", 100)
-    base.setdefault("base_seed", 0)
     return base
 
 

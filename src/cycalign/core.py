@@ -311,8 +311,11 @@ class QueryPlan:
 
     def __init__(self, pairs: Iterable[tuple[int, int]], n: int):
         """Plan of the pairs (x, y), each in either orientation."""
-        canon = [canonical_pair(x, y) for x, y in pairs]
-        lo, hi = _int64_array(canon, "pair endpoints").reshape(-1, 2).T.copy()
+        ends = _int64_array(list(pairs), "pair endpoints").reshape(-1, 2)
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        if (lo == hi).any():
+            x = lo[(lo == hi).argmax()]
+            raise IdentityPairError(f"pair ({x}, {x}) has identical endpoints")
         self._lo, self._hi, _ = _sorted_entries(n, lo, hi)
         self.n, self._s = int(n), None
 

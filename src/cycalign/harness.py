@@ -24,13 +24,13 @@ import numpy as np
 from .analysis import (
     TailFit,
     TailSpec,
-    _check_dp_votes,
+    _check_tail_votes,
     _MleTable,
     fit_tail_exponent,
     hamming_after_best_shift,
     recover_success,
     tail_predictor,
-    tail_probabilities_exact,
+    tail_probability_exact,
     tail_probability_mc,
     tail_regime,
 )
@@ -286,7 +286,7 @@ def check_lemma_grid(specs: Sequence[TailSpec], trials: int) -> None:
         raise RegimeMixingError("grid straddles the delta = 1/(2k) regime boundary")
     if _as_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_dp_votes(max(s.vote_count for s in specs))
+    _check_tail_votes(max(s.vote_count for s in specs))
     if len(specs) >= 5 and len({tail_predictor(s) for s in specs}) == 1:
         raise DegenerateGridError("predictor is constant across the grid")
 
@@ -302,7 +302,7 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
-    exact_tails = tail_probabilities_exact(specs)
+    exact_tails = [tail_probability_exact(s) for s in specs]
     # the fit reads only the exact tails, and each point's draws keep
     # their own seed whatever runs before them
     fit = fit_tail_exponent(specs, tails=exact_tails) if len(specs) >= 5 else None

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import tail_regime
 from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript, _as_int
 from .oracle import FaultyOracle
 
@@ -146,7 +147,7 @@ def _seed_size(n: int, params: NoiseParams, cfg: SeedConfig) -> int:
                 f"explicit_size={cfg.explicit_size} outside [1, n/2] for n={n}"
             )
         size = cfg.explicit_size
-    elif params.delta <= 1.0 / (2 * params.k):
+    elif tail_regime(params) == "small":
         size = cfg.constant_c * math.log(n) / (params.k * params.delta**2)
     else:
         size = cfg.constant_c * math.log(n) / params.delta

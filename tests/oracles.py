@@ -7,6 +7,7 @@ implementations separate from the package is the point; do not import
 package internals beyond public constructors.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -57,9 +58,11 @@ def tail_enum_patterns(vote_count: int, k: int, delta: float) -> Fraction:
 def tail_dp_full_array(vote_count: int, k: int, delta: float) -> float:
     """P(sum of signed votes <= 0) by float convolution over all 2n + 1 sums.
 
-    The reference for the package's windowed dynamic program: the same
-    vote probabilities and the same three array operations per vote,
-    applied to the whole support, so both must agree bit for bit.
+    A float reference for the package's log-space tail sum, by another
+    route: the running sum's distribution, one vote at a time. Its
+    rounding grows as vote_count * machine epsilon, so the two agree to
+    a relative tolerance, not bit for bit, and it underflows to 0.0
+    where the true tail is below the smallest float.
     P[X=-1] is exactly 0 at delta = (k-1)/k, as in NoiseParams.p_nonzero,
     where float round-off would leave it off zero.
     """
@@ -75,6 +78,32 @@ def tail_dp_full_array(vote_count: int, k: int, delta: float) -> float:
         nxt[:-1] += down * dist[1:]
         dist = nxt
     return float(dist[: n + 1].sum())
+
+
+def log_tail_binomial_exact(vote_count: int, up: float, down: float) -> float:
+    """log P(U <= D) for U + D = vote_count, U ~ Binomial(vote_count, up),
+    from the big-integer sum of C(m, u) up^u down^(m-u) over u <= m/2.
+
+    up > down are the floats given (they need not sum to exactly 1).
+    Writing up = a / 2^e and down = b / 2^e, every term is the integer
+    C(m, u) a^u b^(m-u) over 2^(e m). The terms are summed in integers
+    from u = m // 2 down, each from the one before exactly; each is at
+    most b / a times the one before, so once a term is below 2^-128 of
+    the sum, the rest add less than a float can resolve. Only the sum's
+    top 64 bits meet a float, so the result is finite where the tail
+    underflows.
+    """
+    (a, da), (b, db) = up.as_integer_ratio(), down.as_integer_ratio()
+    scale = max(da, db)  # the denominators are powers of two
+    a, b = a * (scale // da), b * (scale // db)
+    m, u = vote_count, vote_count // 2
+    term, total = comb(m, u) * a**u * b ** (m - u), 0
+    while term > total >> 128:
+        total += term
+        term = term * u * b // ((m - u + 1) * a)
+        u -= 1
+    shift = max(total.bit_length() - 64, 0)
+    return math.log(total >> shift) + (shift - m * (scale.bit_length() - 1)) * math.log(2)
 
 
 _MASK64 = (1 << 64) - 1

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +32,6 @@ from cycalign import (
     recover_success,
     run_lemma_check,
     shift_labeling,
-    tail_probabilities_exact,
     tail_probability_exact,
     tail_probability_mc,
     tail_regime,
@@ -40,6 +40,7 @@ from cycalign import (
 from oracles import (
     hamming_by_scan,
     linear_fit_by_formula,
+    log_tail_binomial_exact,
     mle_by_scan,
     success_by_scan,
     tail_dp_full_array,
@@ -339,7 +340,10 @@ class TestTailExact:
 
 
 class TestTailExactWindow:
-    """The windowed DP gives exactly the floats of the full-width loop."""
+    """The log-space sum against the float convolution over the whole
+    support, to a relative tolerance: each side rounds in its own way.
+    The absolute floor covers tails near the smallest normal float,
+    where the convolution keeps few digits."""
 
     @given(st.integers(2, 6).flatmap(lambda k: st.tuples(
         st.just(k),
@@ -348,22 +352,25 @@ class TestTailExactWindow:
     def test_equals_full_array(self, case):
         k, delta, votes = case
         spec = TailSpec(votes, NoiseParams(k, delta))
-        assert tail_probability_exact(spec) == tail_dp_full_array(votes, k, delta)
+        assert tail_probability_exact(spec) == pytest.approx(
+            tail_dp_full_array(votes, k, delta), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("votes", [1, 2, 51, 300])
     def test_maximal_bias_window_moves_right(self, k, votes):
-        # delta = (k-1)/k: P[X=-1] = P[X=0] = 0 up to round-off
+        # delta = (k-1)/k: no down or zero votes, so the tail is empty
         delta = (k - 1) / k
         spec = TailSpec(votes, NoiseParams(k, delta))
-        assert tail_probability_exact(spec) == tail_dp_full_array(votes, k, delta)
+        assert analysis._log_tail(spec) == -math.inf
+        assert tail_probability_exact(spec) == 0.0 == tail_dp_full_array(votes, k, delta)
 
     @pytest.mark.parametrize("votes", [1, 2, 7, 8, 299, 300])
     def test_two_labels_alternating_zeros(self, votes):
-        # k = 2 has no zero votes, so every other cell of the window is 0
+        # k = 2 has no zero votes: every term has u + d = votes
         for delta in (0.01, 0.3, 0.49):
             spec = TailSpec(votes, NoiseParams(2, delta))
-            assert tail_probability_exact(spec) == tail_dp_full_array(votes, 2, delta)
+            assert tail_probability_exact(spec) == pytest.approx(
+                tail_dp_full_array(votes, 2, delta), rel=1e-12)
 
     @pytest.mark.parametrize("votes,k,delta,value", [
         (2000, 2, 0.3, 3.5978498573685206e-196),
@@ -371,52 +378,52 @@ class TestTailExactWindow:
         (4000, 4, 0.05, 3.729442585351899e-09),
     ])
     def test_large_vote_counts(self, votes, k, delta, value):
+        # values of the full-width convolution
         got = tail_probability_exact(TailSpec(votes, NoiseParams(k, delta)))
-        assert got == tail_dp_full_array(votes, k, delta) == value
+        assert got == pytest.approx(value, rel=1e-10)
 
 
-_LAW = st.integers(2, 6).flatmap(lambda k: st.tuples(
-    st.just(k), st.floats(0.0, (k - 1) / k, exclude_min=True)))
+class TestLogTail:
+    """_log_tail stays finite and exact where the float tail underflows."""
 
+    @pytest.mark.parametrize("votes", [2000, 4000, 10000])
+    @pytest.mark.parametrize("delta", [0.05, 0.3])
+    def test_two_labels_match_exact_binomial_sums(self, votes, delta):
+        params = NoiseParams(2, delta)
+        up, down, _ = vote_probabilities(params)
+        want = log_tail_binomial_exact(votes, up, down)
+        assert analysis._log_tail(TailSpec(votes, params)) == pytest.approx(want, abs=1e-9)
 
-@st.composite
-def _mixed_law_grids(draw):
-    """A shuffled spec list over 2-3 noise laws, each law with a
-    repeated vote count."""
-    specs = []
-    for k, delta in draw(st.lists(_LAW, min_size=2, max_size=3, unique=True)):
-        counts = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3))
-        specs += [TailSpec(c, NoiseParams(k, delta)) for c in counts + counts[:1]]
-    return draw(st.permutations(specs))
+    def test_finite_where_the_float_underflows(self):
+        spec = TailSpec(4000, NoiseParams(2, 0.3))
+        assert analysis._log_tail(spec) == pytest.approx(-896.6596791654902, abs=1e-9)
+        assert tail_probability_exact(spec) == 0.0
+        deep = analysis._log_tail(TailSpec(16000, NoiseParams(4, 1 / 3)))
+        assert -math.inf < deep < -745.2  # exp underflows below about -745.13
+
+    def test_band_memory_is_small(self):
+        # only the band's terms are visited: a list of one float per
+        # vote would alone hold ~640 KB at 20 000 votes
+        tracemalloc.start()
+        try:
+            analysis._log_tail(TailSpec(20000, NoiseParams(3, 0.4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
 
 
 class TestTailProbabilitiesExact:
-    """One pass per noise law gives every spec its own pass's float."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(_mixed_law_grids())
-    def test_equals_full_array(self, specs):
-        want = {(s.vote_count, s.params.k, s.params.delta) for s in specs}
-        want = {key: tail_dp_full_array(*key) for key in want}
-        got = tail_probabilities_exact(specs)
-        assert got == [want[s.vote_count, s.params.k, s.params.delta] for s in specs]
-
-    def test_large_vote_counts_from_one_call(self):
-        specs = [TailSpec(2000, NoiseParams(2, 0.3)), TailSpec(4000, NoiseParams(4, 0.05)),
-                 TailSpec(4000, NoiseParams(2, 0.3))]
-        assert tail_probabilities_exact(specs) == [
-            3.5978498573685206e-196, 3.729442585351899e-09, 0.0]
-
-    def test_empty(self):
-        assert tail_probabilities_exact([]) == []
+    """A grid's exact tails: one tail_probability_exact per spec, after
+    the vote guard."""
 
     def test_vote_guard_before_any_pass(self, monkeypatch):
-        def no_pass(*args):
-            raise AssertionError("a pass ran before the vote guard")
-        monkeypatch.setattr(analysis, "_law_tails", no_pass)
-        specs = [TailSpec(5, NoiseParams(2, 0.1)), TailSpec(100_001, NoiseParams(3, 0.1))]
-        with pytest.raises(InstanceTooLargeError, match="100001"):
-            tail_probabilities_exact(specs)
+        def no_tail(*args):
+            raise AssertionError("a tail was computed before the vote guard")
+        monkeypatch.setattr(analysis, "_log_tail", no_tail)
+        specs = [TailSpec(5, NoiseParams(2, 0.1)), TailSpec(100_001, NoiseParams(2, 0.1))]
+        with pytest.raises(InstanceTooLargeError, match="100001 exceeds the exact-tail guard"):
+            run_lemma_check(specs, trials=10)
 
     def test_lemma_check_tails_equal_per_spec_values(self):
         specs = [TailSpec(n, NoiseParams(4, 0.05)) for n in (300, 100, 500, 200, 400)]
@@ -424,16 +431,19 @@ class TestTailProbabilitiesExact:
         assert [p.exact_tail for p in report.points] == [
             tail_probability_exact(s) for s in specs]
 
-    def test_lemma_check_runs_one_pass_per_law(self, monkeypatch):
-        passes = []
-        law_tails = analysis._law_tails
-        def counted(params, counts):
-            passes.append(sorted(counts))
-            return law_tails(params, counts)
-        monkeypatch.setattr(analysis, "_law_tails", counted)
+    def test_lemma_check_one_tail_per_spec(self, monkeypatch):
+        calls = []
+        log_tail = analysis._log_tail
+        def counted(spec):
+            calls.append(spec.vote_count)
+            return log_tail(spec)
+        monkeypatch.setattr(analysis, "_log_tail", counted)
         specs = [TailSpec(n, NoiseParams(2, 0.3)) for n in range(20, 101, 20)]
         run_lemma_check(specs, trials=10)
-        assert passes == [[20, 40, 60, 80, 100]]
+        assert calls == [20, 40, 60, 80, 100]
+        calls.clear()
+        fit_tail_exponent(specs)
+        assert calls == [20, 40, 60, 80, 100]
 
 
 class TestIntegerCounts:
@@ -443,7 +453,8 @@ class TestIntegerCounts:
     def test_integral_values_become_int(self, value):
         spec = TailSpec(value, NoiseParams(2, 0.1))
         assert spec.vote_count == 3 and type(spec.vote_count) is int
-        assert tail_probability_exact(spec) == tail_dp_full_array(3, 2, 0.1)
+        assert tail_probability_exact(spec) == pytest.approx(
+            tail_dp_full_array(3, 2, 0.1), rel=1e-12)
         est = tail_probability_mc(TailSpec(3, NoiseParams(2, 0.1)), value,
                                   np.random.default_rng(0))
         assert est.value in (0.0, 1 / 3, 2 / 3, 1.0)

@@ -186,7 +186,7 @@ def no_run(monkeypatch):
 
 @pytest.mark.parametrize("argv,message", [
     (["lemma-check", "--n", "200000", "--k", "2", "--delta", "0.3"],
-     "exceeds the dynamic-programming guard"),
+     "exceeds the exact-tail guard"),
     (["lemma-check", "--n", "50,50,50,50,50", "--k", "2", "--delta", "0.3"],
      "predictor is constant"),
     (["lemma-check", "--n", "20", "--k", "2", "--delta", "0.3", "--trials", "0"],

@@ -47,6 +47,11 @@ def test_deleted_names_are_gone():
     assert not hasattr(core, "as_strided")
     assert not hasattr(QueryPlan, "_row_starts")
     assert "min_seed" not in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
+    # one exact tail engine: no grid pass per noise law beside it
+    for name in ("tail_probabilities_exact", "_law_tails"):
+        assert name not in cycalign.__all__
+        for module in (cycalign, analysis, harness):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_seed_config_holds_the_whole_seed_rule():
