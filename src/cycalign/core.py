@@ -43,6 +43,7 @@ same seed or any plan of exactly those pairs, and one gather otherwise.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -102,7 +103,7 @@ class NoiseParams:
 
     def __post_init__(self):
         _check_size("k", self.k)
-        d = float(self.delta)
+        d = _as_real(self.delta, "delta")
         if not (0.0 < d <= (self.k - 1) / self.k):
             raise ValueError(
                 f"delta must lie in (0, (k-1)/k] = (0, {(self.k - 1) / self.k:g}], got {d!r}"
@@ -214,6 +215,15 @@ def _as_int(value, name: str) -> int:
     if a.ndim:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(a)
+
+
+def _as_real(value, name: str) -> float:
+    """value as a float: ints, floats and numpy reals are accepted;
+    anything else, such as text or None, raises ValueError naming name
+    and the value, although float() would parse text."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _int64_range_error(name: str, value=None) -> ValueError:

@@ -16,7 +16,7 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .analysis import (
     _MleTable,
     fit_tail_exponent,
     hamming_after_best_shift,
-    recover_success,
     tail_predictor,
     tail_probability_exact,
     tail_probability_mc,
@@ -41,6 +40,7 @@ from .core import (
     QueryPlan,
     RegimeMixingError,
     _as_int,
+    _as_real,
 )
 from .oracle import FaultyOracle
 from .recovery import (
@@ -82,6 +82,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
         try:  # valid or not whatever the cell
+            for delta in self.delta_values:
+                _as_real(delta, "delta")
             for constant_c in self.constant_c_values:
                 SeedConfig(constant_c=constant_c, budget_scale=self.budget_scale)
             trials = _as_int(self.trials, "trials")
@@ -146,26 +148,23 @@ def run_trial_detailed(
     return _seeded_trial(n, params, seed_size(n, params, cfg), trial_seed, noiseless)
 
 
+def _trial_oracle(n: int, params: NoiseParams, trial_seed: int,
+                  noiseless: bool) -> tuple[Labeling, FaultyOracle]:
+    """The hidden truth of a trial and a fresh oracle over it."""
+    truth = sample_truth(n, params.k,
+                         np.random.default_rng(_substream(trial_seed, "truth")))
+    return truth, FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
+                               noiseless=noiseless)
+
+
 def _seeded_trial(n: int, params: NoiseParams, s: int, trial_seed: int,
                   noiseless: bool) -> tuple[Labeling, RecoveryResult, TrialOutcome]:
     """run_trial_detailed with the seed already sized to s."""
-    truth = sample_truth(n, params.k,
-                         np.random.default_rng(_substream(trial_seed, "truth")))
-    oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
-                          noiseless=noiseless)
+    truth, oracle = _trial_oracle(n, params, trial_seed, noiseless)
     result = _recover_seeded(oracle, s)
-    outcome = TrialOutcome(
-        success=recover_success(result.labeling, truth),
-        hamming=hamming_after_best_shift(result.labeling, truth),
-        query_count=result.query_count,
-    )
-    return truth, result, outcome
-
-
-def run_trial(n: int, params: NoiseParams, cfg: SeedConfig, trial_seed: int,
-              noiseless: bool = False) -> TrialOutcome:
-    """One end-to-end trial: sample truth, query, recover, score."""
-    return run_trial_detailed(n, params, cfg, trial_seed, noiseless=noiseless)[2]
+    hamming = hamming_after_best_shift(result.labeling, truth)
+    return truth, result, TrialOutcome(success=hamming == 0, hamming=hamming,
+                                       query_count=result.query_count)
 
 
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:
@@ -235,16 +234,8 @@ def records_to_csv(records: Sequence[ExperimentRecord],
 
 def records_to_json(records: Sequence[ExperimentRecord],
                     include_timing: bool = True) -> str:
-    rows = []
-    for r in records:
-        row = {
-            "n": r.n, "k": r.k, "delta": r.delta, "constant_c": r.constant_c,
-            "seed_size": r.seed_size, "query_count": r.query_count,
-            "trials": r.trials, "successes": r.successes,
-            "mean_hamming": float(r.mean_hamming),
-            "wall_time_seconds": r.wall_time_seconds if include_timing else 0.0,
-        }
-        rows.append(row)
+    rows = [asdict(r if include_timing else replace(r, wall_time_seconds=0.0))
+            for r in records]
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
@@ -344,15 +335,8 @@ def lemma_report_to_text(report: LemmaCheckReport) -> str:
 def lemma_report_to_json(report: LemmaCheckReport) -> str:
     payload = {
         "trials": report.trials,
-        "points": [
-            {
-                "vote_count": p.vote_count, "k": p.k, "delta": p.delta,
-                "regime": p.regime, "predictor": p.predictor,
-                "exact_tail": p.exact_tail, "mc_tail": p.mc_tail,
-                "mc_half_width": p.mc_half_width,
-            }
-            for p in report.points
-        ],
+        "points": [asdict(p) for p in report.points],
+        # the fit's predictors and -ln(tail) values stay out of the JSON
         "fit": None if report.fit is None else {
             "slope": report.fit.slope, "intercept": report.fit.intercept,
             "r_squared": report.fit.r_squared, "regime": report.fit.regime,
@@ -401,7 +385,6 @@ def check_mle_comparison(n: int, params: NoiseParams, trials: int) -> None:
 
 def run_mle_comparison(n: int, params: NoiseParams, trials: int,
                        base_seed: int = 0,
-                       cfg: SeedConfig = SeedConfig(),
                        noiseless: bool = False) -> MleComparisonReport:
     """Compare vote-based recovery against brute-force ML labelings.
 
@@ -419,18 +402,14 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     check_mle_comparison(n, params, trials)
     trials = _as_int(trials, "trials")
     plan = full_pairwise_plan(n)
-    s = seed_size(n, params, cfg)
+    s = seed_size(n, params)
     table = _MleTable(plan, params.k)
     agreements = 0
     nonunique = 0
     for t in range(trials):
         trial_seed = derive_trial_seed(
             base_seed, ("mle", n, params.k, params.delta), t)
-        truth = sample_truth(n, params.k,
-                             np.random.default_rng(_substream(trial_seed, "truth")))
-        oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
-                              noiseless=noiseless)
-        transcript = oracle.execute_plan(plan)
+        transcript = _trial_oracle(n, params, trial_seed, noiseless)[1].execute_plan(plan)
         labels = recover_from_transcript(transcript, s).labeling.labels
         normalized = (labels - labels[0]) % params.k
         winners = table.winners(transcript._ans)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import tail_regime
-from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript, _as_int
+from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript, _as_int, _as_real
 from .oracle import FaultyOracle
 
 # Vote cells counted per bincount; a block's int index array stays in
@@ -73,6 +73,9 @@ class SeedConfig:
     budget_scale: float | None = None
 
     def __post_init__(self):
+        _as_real(self.constant_c, "constant_c")
+        if self.budget_scale is not None:
+            _as_real(self.budget_scale, "budget_scale")
         if not self.constant_c > 0:
             raise ValueError(f"constant_c must be positive, got {self.constant_c}")
         if self.constant_c == math.inf:
@@ -174,21 +177,19 @@ def _vote_rows(a: np.ndarray, k: int,
     is the package's one vote kernel. a - ref + k lies in (0, 2k), so
     one bincount over row * 2k + (a - ref + k) needs no modulus; the
     count of residue v is then raw[v] + raw[v + k]. The cell indices
-    are built _VOTE_BLOCK at a time, a tile of whole rows or of one
-    row's columns, so the cost per vote does not depend on k.
+    are built a tile of whole rows at a time, about _VOTE_BLOCK cells
+    and at least one row, as the oracle tiles a plan, so the cost per
+    vote does not depend on k.
     """
     rows, width = np.broadcast(a, ref).shape
     if rows * width <= _VOTE_BLOCK:
         raw = _raw_vote_counts(a, ref, k)
     else:
         a, ref = np.broadcast_to(a, (rows, width)), np.broadcast_to(ref, (rows, width))
-        cols = min(width, _VOTE_BLOCK)
-        step = _VOTE_BLOCK // cols
-        raw = np.zeros((rows, 2 * k), dtype=np.intp)
+        step = max(1, _VOTE_BLOCK // width)
+        raw = np.empty((rows, 2 * k), dtype=np.intp)
         for i in range(0, rows, step):
-            for j in range(0, width, cols):
-                tile = np.s_[i:i + step, j:j + cols]
-                raw[i:i + step] += _raw_vote_counts(a[tile], ref[tile], k)
+            raw[i:i + step] = _raw_vote_counts(a[i:i + step], ref[i:i + step], k)
     counts = raw[:, :k] + raw[:, k:]
     winners = counts.argmax(axis=1)
     top2 = np.partition(counts, k - 2, axis=1)[:, k - 2:]
@@ -263,7 +264,10 @@ def run_algorithm1(n: int, params: NoiseParams, cfg: SeedConfig,
     Sizes the seed, issues the single batched seed-vs-rest plan, then
     reconciles the seed and extends to the rest. Total work and query
     count are both seed_count * (n - seed_count). An oracle that
-    already answered a plan rejects this one with ValueError.
+    already answered a plan rejects this one with ValueError, as does
+    one for another n or k. params.delta only sizes the seed and is not
+    checked against the oracle's noise law: a larger delta than the
+    oracle's gives a smaller seed, and recovery may fail.
     """
     if oracle.n != n:
         raise ValueError(f"oracle is for n={oracle.n}, requested n={n}")

@@ -26,7 +26,7 @@ from cycalign import (
     run_lemma_check,
     run_mle_comparison,
     run_sweep,
-    run_trial,
+    run_trial_detailed,
     seed_size,
     tail_probability_exact,
     tail_probability_mc,
@@ -91,8 +91,8 @@ def test_criterion_3_noiseless_exactness():
         n = int(rng.integers(5, 201))
         k = int(rng.integers(2, 9))
         ts = derive_trial_seed(0, ("noiseless", n, k), idx)
-        out = run_trial(n, NoiseParams(k, 0.2), SeedConfig(), ts,
-                        noiseless=True)
+        out = run_trial_detailed(n, NoiseParams(k, 0.2), SeedConfig(), ts,
+                                 noiseless=True)[2]
         wins += out.success and out.hamming == 0
     ok = wins == cases
     _report("3", ok, f"exact noiseless recoveries {wins}/{cases} (need all)")

@@ -39,7 +39,7 @@ class TestNoiseParams:
         assert p.p_nonzero == pytest.approx(0.0)
 
     @pytest.mark.parametrize("k,delta", [(1, 0.1), (2, 0.0), (2, 0.51),
-                                         (2, -0.1), (4, 0.76)])
+                                         (2, -0.1), (4, 0.76), (3, "0.3"), (3, None)])
     def test_invalid(self, k, delta):
         with pytest.raises(ValueError):
             NoiseParams(k, delta)

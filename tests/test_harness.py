@@ -9,14 +9,18 @@ import pytest
 
 from cycalign import (
     ConfigError,
+    ExperimentRecord,
     FaultyOracle,
     Labeling,
+    LemmaCheckReport,
+    LemmaPoint,
     MissingPairError,
     NoiseParams,
     QueryTranscript,
     RegimeMixingError,
     SeedConfig,
     SweepConfig,
+    TailFit,
     TailSpec,
     ValidityRegimeWarning,
     brute_force_mle,
@@ -29,14 +33,14 @@ from cycalign import (
     run_lemma_check,
     run_mle_comparison,
     run_sweep,
-    run_trial,
     run_trial_detailed,
     sample_truth,
     seed_size,
     validity_threshold,
 )
 from cycalign import analysis, harness, recovery
-from cycalign.harness import CSV_HEADER, lemma_report_to_csv, lemma_report_to_text
+from cycalign.harness import (CSV_HEADER, lemma_report_to_csv, lemma_report_to_json,
+                              lemma_report_to_text)
 
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
 
@@ -72,13 +76,13 @@ class TestSampleTruth:
 class TestRunTrial:
     def test_noiseless_outcome(self):
         params = NoiseParams(3, 0.2)
-        out = run_trial(30, params, SeedConfig(), trial_seed=11, noiseless=True)
+        out = run_trial_detailed(30, params, SeedConfig(), trial_seed=11, noiseless=True)[2]
         s = seed_size(30, params, SeedConfig())
         assert out == (True, 0, s * (30 - s))
 
     def test_deterministic_under_fixed_seed(self):
         params = NoiseParams(2, 0.35)
-        runs = [run_trial(60, params, SeedConfig(), trial_seed=1234)
+        runs = [run_trial_detailed(60, params, SeedConfig(), trial_seed=1234)[2]
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
@@ -88,26 +92,27 @@ class TestRunTrial:
         wins = 0
         for t in range(100):
             ts = derive_trial_seed(3, ("starve",), t)
-            wins += run_trial(500, params, SeedConfig(budget_scale=0.01), ts).success
+            outcome = run_trial_detailed(500, params, SeedConfig(budget_scale=0.01), ts)[2]
+            wins += outcome.success
         assert wins < 50
 
     def test_budget_scale_shrinks_queries(self):
         params = NoiseParams(2, 0.4)
-        full = run_trial(100, params, SeedConfig(), 5)
-        tiny = run_trial(100, params, SeedConfig(budget_scale=0.05), 5)
+        full = run_trial_detailed(100, params, SeedConfig(), 5)[2]
+        tiny = run_trial_detailed(100, params, SeedConfig(budget_scale=0.05), 5)[2]
         assert tiny.query_count < full.query_count
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
     def test_bad_budget_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="budget_scale must be positive and finite"):
-            run_trial(100, NoiseParams(2, 0.4), SeedConfig(budget_scale=scale), 5)
+            run_trial_detailed(100, NoiseParams(2, 0.4), SeedConfig(budget_scale=scale), 5)
 
     def test_non_integer_n_rejected_by_name(self):
         params = NoiseParams(2, 0.4)
         with pytest.raises(ValueError, match="n must be an integer >= 4, got 20.0"):
-            run_trial(20.0, params, SeedConfig(), 5)
-        assert run_trial(np.int64(20), params, SeedConfig(), 5) == \
-            run_trial(20, params, SeedConfig(), 5)
+            run_trial_detailed(20.0, params, SeedConfig(), 5)
+        assert run_trial_detailed(np.int64(20), params, SeedConfig(), 5)[2] == \
+            run_trial_detailed(20, params, SeedConfig(), 5)[2]
 
     def test_large_trial_memory_stays_near_the_answer_block(self):
         # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.
@@ -242,13 +247,30 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("c,message", [(-1.0, "constant_c must be positive, got -1.0"),
                                            (0.0, "constant_c must be positive, got 0.0"),
-                                           (float("inf"), "constant_c must be finite")])
+                                           (float("inf"), "constant_c must be finite"),
+                                           ("40", "constant_c must be a real number, got '40'")])
     def test_bad_constant_c_rejected_with_the_seed_config_message(self, c, message):
         # constant_c is valid or not whatever the cell, so one bad value
         # rejects the grid instead of skipping its cells
         with pytest.raises(ConfigError, match=message):
             SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
                         constant_c_values=(40.0, c))
+
+    @pytest.mark.parametrize("name,grid", [
+        ("delta", dict(delta_values=(0.2, "0.2"))),
+        ("budget_scale", dict(delta_values=(0.2,), budget_scale="0.2")),
+    ])
+    def test_text_numbers_rejected_by_name(self, name, grid):
+        # float() would parse the text, and its repr would seed other trials
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number, got '0.2'$"):
+            SweepConfig(n_values=(200,), k_values=(4,), trials=20, **grid)
+
+    def test_numpy_reals_accepted(self):
+        cfg = SweepConfig(n_values=(20,), k_values=(2,), delta_values=(np.float32(0.25),),
+                          constant_c_values=(np.int64(40),), budget_scale=np.float64(0.5),
+                          trials=1)
+        record, = run_sweep(cfg)
+        assert (record.delta, record.constant_c) == (0.25, 40.0)
 
 
 class TestRecordSerialization:
@@ -272,6 +294,18 @@ class TestRecordSerialization:
         rows = json.loads(records_to_json(run_sweep(cfg), include_timing=False))
         assert rows[0]["n"] == 20
         assert rows[0]["wall_time_seconds"] == 0.0
+
+    def test_json_bytes(self):
+        record = ExperimentRecord(n=20, k=2, delta=0.4, constant_c=40.0, seed_size=3,
+                                  query_count=51, trials=4, successes=3,
+                                  mean_hamming=0.75, wall_time_seconds=0.125)
+        row = ('[\n  {{\n    "constant_c": 40.0,\n    "delta": 0.4,\n    "k": 2,\n'
+               '    "mean_hamming": 0.75,\n    "n": 20,\n    "query_count": 51,\n'
+               '    "seed_size": 3,\n    "successes": 3,\n    "trials": 4,\n'
+               '    "wall_time_seconds": {}\n  }}\n]\n')
+        assert records_to_json([record]) == row.format("0.125")
+        assert records_to_json([record], include_timing=False) == row.format("0.0")
+        assert records_to_json([]) == "[]\n"
 
 
 class TestLemmaCheck:
@@ -313,6 +347,25 @@ class TestLemmaCheck:
         assert calls == []
         run_lemma_check(specs[:4], trials=10)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("fit,fit_json", [
+        (None, "null"),
+        # the fit's predictors and -ln(tail) values stay out of the JSON
+        (TailFit(slope=0.5, intercept=-0.25, r_squared=0.96875, regime="large",
+                 predictors=(9.0,), neg_log_tails=(4.15,)),
+         '{\n    "intercept": -0.25,\n    "r_squared": 0.96875,\n'
+         '    "regime": "large",\n    "slope": 0.5\n  }'),
+    ])
+    def test_json_bytes(self, fit, fit_json):
+        point = LemmaPoint(vote_count=30, k=2, delta=0.3, regime="large", predictor=9.0,
+                           exact_tail=0.015625, mc_tail=0.0155, mc_half_width=0.00025)
+        report = LemmaCheckReport(points=(point,), fit=fit, trials=2000)
+        assert lemma_report_to_json(report) == (
+            '{\n  "fit": ' + fit_json + ',\n  "points": [\n    {\n'
+            '      "delta": 0.3,\n      "exact_tail": 0.015625,\n      "k": 2,\n'
+            '      "mc_half_width": 0.00025,\n      "mc_tail": 0.0155,\n'
+            '      "predictor": 9.0,\n      "regime": "large",\n'
+            '      "vote_count": 30\n    }\n  ],\n  "trials": 2000\n}\n')
 
     def test_csv_rendering(self):
         report = run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))],

@@ -15,9 +15,10 @@ from cycalign import (FaultyOracle, QueryPlan, QueryTranscript, analysis, core, 
 ROOT = Path(__file__).resolve().parent.parent
 
 # step functions and readers that copied the seed x rest pipeline;
-# recover_from_transcript and QueryTranscript.lookup_oriented replace them
+# recover_from_transcript and QueryTranscript.lookup_oriented replace them;
+# run_trial only took the outcome out of run_trial_detailed
 DELETED = ["plurality", "estimate_pairwise_diff", "align_seed", "extend_labels",
-           "lookup_oriented"]
+           "lookup_oriented", "run_trial"]
 
 
 def test_all_names_are_unique_and_resolve():
@@ -29,8 +30,9 @@ def test_all_names_are_unique_and_resolve():
 def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in cycalign.__all__
-        for module in (cycalign, core, recovery):
+        for module in (cycalign, core, recovery, harness):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "cfg" not in inspect.signature(harness.run_mle_comparison).parameters
     assert not hasattr(QueryTranscript, "answers")
     assert not hasattr(FaultyOracle, "issued")
     assert not hasattr(FaultyOracle, "query")
@@ -60,8 +62,7 @@ def test_seed_config_holds_the_whole_seed_rule():
     assert "budget_scale" in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
     for name in ("_effective_config", "check_budget_scale"):
         assert not hasattr(harness, name), name
-    for fn in (harness.run_trial, harness.run_trial_detailed):
-        assert "budget_scale" not in inspect.signature(fn).parameters, fn.__name__
+    assert "budget_scale" not in inspect.signature(harness.run_trial_detailed).parameters
 
 
 def test_only_the_plan_reads_its_form():

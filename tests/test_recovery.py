@@ -26,7 +26,7 @@ from cycalign import (
     recover_from_transcript,
     recover_success,
     run_algorithm1,
-    run_trial,
+    run_trial_detailed,
     sample_noise,
     sample_truth,
     seed_rest_plan,
@@ -84,6 +84,12 @@ class TestSeedSize:
     def test_non_integer_explicit_size_rejected_by_name(self, size):
         with pytest.raises(ValueError, match=f"explicit_size must be integers, got {size!r}"):
             SeedConfig(explicit_size=size)
+
+    @pytest.mark.parametrize("field,value", [("constant_c", "40"), ("constant_c", None),
+                                             ("budget_scale", "0.5")])
+    def test_non_real_constants_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            SeedConfig(**{field: value})
 
     def test_integral_explicit_size_reads_as_int(self):
         for size in (3.0, np.int64(3)):
@@ -365,6 +371,20 @@ class TestRunAlgorithm:
                 run_algorithm1(20, NoiseParams(2, 0.4), SeedConfig(), oracle)
             assert oracle.query_count == len(used)
 
+    def test_oracle_for_another_n_rejected(self):
+        oracle = FaultyOracle(sample_truth(20, 2, np.random.default_rng(0)),
+                              NoiseParams(2, 0.4), 1)
+        with pytest.raises(ValueError, match="^oracle is for n=20, requested n=30$"):
+            run_algorithm1(30, NoiseParams(2, 0.4), SeedConfig(), oracle)
+        assert oracle.query_count == 0
+
+    def test_oracle_for_another_k_rejected(self):
+        oracle = FaultyOracle(sample_truth(20, 2, np.random.default_rng(0)),
+                              NoiseParams(2, 0.4), 1)
+        with pytest.raises(ValueError, match="^params.k=3 does not match oracle k=2$"):
+            run_algorithm1(20, NoiseParams(3, 0.4), SeedConfig(), oracle)
+        assert oracle.query_count == 0
+
     def test_non_adaptive_plan_is_pure(self):
         # the query set is a function of (n, params, cfg) alone
         params = NoiseParams(3, 0.45)
@@ -429,7 +449,8 @@ class TestRunAlgorithm:
             wins = 0
             for t_idx in range(trials):
                 ts = derive_trial_seed(9, ("mono", delta), t_idx)
-                wins += run_trial(n, NoiseParams(k, delta), SeedConfig(), ts).success
+                outcome = run_trial_detailed(n, NoiseParams(k, delta), SeedConfig(), ts)[2]
+                wins += outcome.success
             rates.append(wins)
         for lo_wins, hi_wins in zip(rates, rates[1:]):
             if hi_wins >= lo_wins:
@@ -447,5 +468,5 @@ class TestRunAlgorithm:
         params = NoiseParams(2, 0.1)
         for t_idx in range(trials):
             ts = derive_trial_seed(0, ("n500",), t_idx)
-            wins += run_trial(500, params, SeedConfig(), ts).success
+            wins += run_trial_detailed(500, params, SeedConfig(), ts)[2].success
         assert wins >= 95, f"recovered {wins}/{trials}"
