@@ -19,15 +19,19 @@ for delta <= 1/(2k) and delta * n for larger delta, up to constants,
 which the fit helper checks empirically.
 
 brute_force_mle builds a candidate table for the transcript's plan
-(_MleTable: every labeling's labels and pair differences, in
+(_MleTable: every labeling's labels and pair differences mod k, in
 mixed-radix order) and then scores the answers against it. The table
 depends on the plan alone, so run_mle_comparison builds it once and
-scores each trial's transcript against the same table.
+scores a stack of trials' answers against it at a time
+(_MleTable.score); both go through the table's one agree count.
 
 _log_tail is the one exact tail engine: it sums the trinomial terms
 of the tail in log space, visiting only those within _BAND_NATS of the
 largest, so it stays finite at vote counts where the tail underflows a
-float. tail_probability_exact is its exponential.
+float. Each line of terms is walked as arrays a chunk at a time, with
+the products and sums of a walk one term at a time in the same order,
+so the result does not depend on the chunk size. tail_probability_exact
+is its exponential.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .core import (
     QueryPlan,
     QueryTranscript,
     RegimeMixingError,
+    _answer_dtype,
     _as_int,
 )
 
@@ -55,6 +60,7 @@ _MLE_ENUMERATION_LIMIT = 10**7
 _MLE_CHUNK_CELLS = 1 << 22
 _TAIL_VOTE_LIMIT = 10**5
 _BAND_NATS = 40.0  # terms further below the largest are dropped
+_WALK_CHUNK = 256  # terms per array step of a line's walk
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -130,15 +136,16 @@ class _MleTable:
     label 0, ready to score against any answers to that plan.
 
     Candidates are held a chunk at a time as an (n, chunk) table of
-    their labels in the cell type (int8 unless k > 128): node 0 is 0
-    and node i > 0 is digit i - 1 of the candidate id in base k, so the
-    columns run in mixed-radix order. Beside it sits d = labels[lo] -
-    labels[hi], one row per pair, each value in (-k, k). A chunk holds
-    at most _MLE_CHUNK_CELLS // max(n, |pairs|) candidates, so both
-    arrays stay within _MLE_CHUNK_CELLS cells whatever n and the plan
-    size are. When the whole enumeration fits in one chunk the table
-    keeps it and every score reads it; otherwise each score rebuilds
-    the chunks one at a time.
+    their labels in the answers' type (int8 up to k = 127): node 0 is
+    0 and node i > 0 is digit i - 1 of the candidate id in base k, so
+    the columns run in mixed-radix order. Beside it sits
+    (labels[lo] - labels[hi]) mod k, one row per pair: a pair agrees
+    with answer a exactly when its value equals a. A chunk holds at
+    most _MLE_CHUNK_CELLS // max(n, |pairs|) candidates, so both arrays
+    stay within _MLE_CHUNK_CELLS cells whatever n and the plan size
+    are. When the whole enumeration fits in one chunk the table keeps
+    it and every score reads it; otherwise each score rebuilds the
+    chunks one at a time.
     """
 
     def __init__(self, plan: QueryPlan, k: int):
@@ -151,38 +158,51 @@ class _MleTable:
             )
         self.n, self.k, self.total = n, k, total
         self.lo, self.hi = plan.lo, plan.hi
-        self.cell = np.min_scalar_type(-k)  # holds every d and every a - k
+        self.cell = _answer_dtype(k)  # holds every label difference and k
         self.count = np.min_scalar_type(self.lo.size)  # holds every agree count
         self.chunk = max(1, _MLE_CHUNK_CELLS // max(n, self.lo.size))
         self._kept = self._chunk(0) if self.chunk >= total else None
 
     def _chunk(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Labels and pair differences of candidates start, start + 1, ..."""
+        """Labels and pair differences mod k of candidates start, start + 1, ..."""
         rest = np.arange(start, min(start + self.chunk, self.total), dtype=np.int64)
         labels = np.zeros((self.n, rest.size), dtype=self.cell)
         for node in range(1, self.n):
             rest, labels[node] = np.divmod(rest, self.k)
-        return labels, labels[self.lo] - labels[self.hi]
+        diffs = labels[self.lo] - labels[self.hi]
+        diffs += (diffs < 0) * self.cell.type(self.k)  # mod k: % is ~10x slower
+        return labels, diffs
+
+    def _agree(self, answers: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+        """(T, chunk) agree counts of a chunk's candidates, diffs from
+        _chunk, under each row of the (T, |pairs|) answers.
+
+        The one agree count: a cell agrees when its difference mod k
+        equals the answer, and a candidate's count is summed in the
+        narrowest unsigned type that holds the number of pairs (uint8 up
+        to 255 pairs), which is exact and about three times faster than
+        numpy's default int64 sum. The rows are compared one at a time
+        into one buffer of diffs' shape, so T rows cost no more memory
+        than one.
+        """
+        answers = answers.astype(self.cell, copy=False)
+        agree = np.empty((answers.shape[0], diffs.shape[1]), dtype=self.count)
+        hit = np.empty(diffs.shape, dtype=np.bool_)
+        for row, out in zip(answers, agree):
+            np.equal(diffs, row[:, None], out=hit)
+            np.add.reduce(hit.view(np.uint8), axis=0, dtype=self.count, out=out)
+        return agree
 
     def winners(self, answers: np.ndarray) -> np.ndarray:
         """The (n, m) labels of every candidate with the most agreeing
         pairs under answers (one per pair, in [0, k)), in mixed-radix
-        order. Pair t agrees exactly when d[t] == a or d[t] == a - k;
-        the counts are summed in the narrowest unsigned type that holds
-        the number of pairs (uint8 up to 255 pairs), which is exact and
-        about three times faster than numpy's default int64 sum."""
-        # subtract k in int64: cell need not hold k (it is int8 at k = 128)
-        wide = answers.astype(np.int64)[:, None]
-        ans = wide.astype(self.cell)
-        ans_wrapped = (wide - self.k).astype(self.cell)
+        order."""
         chunks = ([self._kept] if self._kept is not None else
                   map(self._chunk, range(0, self.total, self.chunk)))
         best_agree = -1
         best: list[np.ndarray] = []
-        for labels, d in chunks:
-            hit = d == ans
-            hit |= d == ans_wrapped
-            agree = hit.sum(axis=0, dtype=self.count)
+        for labels, diffs in chunks:
+            agree = self._agree(answers[None], diffs)[0]
             top = int(agree.max())
             if top > best_agree:
                 best_agree = top
@@ -190,6 +210,24 @@ class _MleTable:
             elif top == best_agree:
                 best.append(labels[:, agree == top])
         return np.concatenate(best, axis=1)
+
+    def score(self, answers: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
+        """For T trials of this plan, their (T, |pairs|) answers and the
+        (T, n) labels a recovery gave them: how many trials' labels,
+        shifted so that node 0 is 0, are a maximum-likelihood candidate,
+        and how many trials have more than one.
+
+        A trial's candidate is column id of the table, id being the
+        mixed-radix number of its shifted labels, so no winner's labels
+        are compared. Needs a table kept whole.
+        """
+        assert self._kept is not None, "score reads a table kept whole"
+        agree = self._agree(answers, self._kept[1])
+        best = agree == agree.max(axis=1, keepdims=True)
+        shifted = (labels[:, 1:] - labels[:, :1]) % self.k
+        ids = shifted @ self.k ** np.arange(self.n - 1, dtype=np.int64)
+        return (int(np.count_nonzero(best[np.arange(len(ids)), ids])),
+                int(np.count_nonzero(np.count_nonzero(best, axis=1) > 1)))
 
 
 def brute_force_mle(transcript: QueryTranscript, n: int,
@@ -257,12 +295,12 @@ def _log_tail(spec: TailSpec) -> float:
     from j = 0 outward. Each line's largest term is found by bisection
     on the ratio of neighbouring terms and taken in log space from
     math.lgamma; the rest of the line is walked outward from it by
-    that exact ratio, up to the last term within _BAND_NATS of the
-    largest term seen so far. The law's mode has u > d, so line peaks
-    fall as j grows, and the walk stops at the first line whose peak is
-    below that band. Lines are added with a running log-sum-exp, so no
-    term underflows, and only the band's terms are visited: no O(m)
-    array is built.
+    that exact ratio (_walk_side), up to the last term within
+    _BAND_NATS of the largest term seen so far. The law's mode has
+    u > d, so line peaks fall as j grows, and the walk stops at the
+    first line whose peak is below that band. Lines are added with a
+    running log-sum-exp, so no term underflows, and only the band's
+    terms are visited: no O(m) array is built.
 
     k = 2 has no zero votes, so each line is the one term u + d = m;
     the maximal bias has no down votes, so the tail is empty and the
@@ -304,22 +342,57 @@ def _log_tail(spec: TailSpec) -> float:
         line = 1.0  # the line's sum / exp(t)
         if zero:
             floor = math.exp(top - _BAND_NATS - t)
-            r, u = 1.0, peak
-            while True:  # up the line; r becomes 0 past its last term
-                z = m - 2 * u - j
-                r *= z * (z - 1) * rise / ((u + 1) * (u + j + 1))
-                if r < floor:
-                    break
-                line, u = line + r, u + 1
-            r, u = 1.0, peak
-            while True:  # down the line; r becomes 0 past u = 0
-                z = m - 2 * u - j
-                r *= u * (u + j) / ((z + 1) * (z + 2) * rise)
-                if r < floor:
-                    break
-                line, u = line + r, u - 1
+            line = _walk_side(line, floor, m - j, j, rise, peak, 1)
+            line = _walk_side(line, floor, m - j, j, rise, peak, -1)
         total += line * math.exp(t - top)
     return top + math.log(total)
+
+
+def _walk_side(line: float, floor: float, width: int, j: int, rise: float,
+               peak: int, step: int) -> float:
+    """line plus the terms of line d - u = j (width = m - j, so
+    z = width - 2u) next to its peak on one side, as ratios to the peak
+    term, up to the first ratio below floor.
+
+    u runs from peak by step (+1 up the line, -1 down it) at most to
+    the line's end, u = width // 2 or u = 0, where the ratio is 0. The
+    ratios of neighbouring terms are computed _WALK_CHUNK at a time as
+    arrays, their running product by one sequential accumulate and the
+    kept terms added to line by another, so every product and partial
+    sum is the same float operation, in the same order, as a walk one
+    term at a time.
+    """
+    count = width // 2 - peak + 1 if step > 0 else peak + 1
+    r = 1.0  # the running product, carried from chunk to chunk
+    for a in range(0, count, _WALK_CHUNK):
+        c = min(_WALK_CHUNK, count - a)
+        # u, z and their products are whole numbers below 2^53: exact in
+        # floats, as they are in the Python ints of a scalar walk
+        u = np.arange(peak + step * a, peak + step * (a + c), step, dtype=np.float64)
+        z = width - 2 * u
+        if step > 0:  # term u + 1 over term u
+            p = z * (z - 1)
+            p *= rise
+            u += 1
+            p /= u * (u + j)
+        else:  # term u - 1 over term u
+            z += 1
+            q = z * (z + 1)
+            q *= rise
+            p = u * (u + j)
+            p /= q
+        p[0] *= r
+        np.multiply.accumulate(p, out=p)
+        cut = int((p < floor).argmax())
+        if p[cut] >= floor:  # no ratio below floor in this chunk
+            cut = c
+        if cut:
+            r = float(p[cut - 1])
+            p[0] += line
+            line = float(np.add.accumulate(p[:cut], out=p[:cut])[-1])
+        if cut < c:
+            break
+    return line
 
 
 def tail_probability_exact(spec: TailSpec) -> float:

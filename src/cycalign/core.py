@@ -182,7 +182,8 @@ def _int64_array(values, name: str) -> np.ndarray:
     beyond the int64 range; or naming name, and the value where it is
     known, for an integer beyond that range. Integral floats such as
     2.0 are accepted; text such as "3" or b"4" is not, although numpy
-    would parse it.
+    would parse it. None or another object that is not a number raises
+    ValueError naming name and the object.
     """
     a = np.asarray(values)
     if a.dtype.kind in "US":  # name the first text value, not one numpy made text
@@ -205,6 +206,10 @@ def _int64_array(values, name: str) -> np.ndarray:
         return np.array(a, dtype=np.int64)
     except OverflowError:
         raise _int64_range_error(name) from None
+    except TypeError:  # None or another object that is not a number
+        bad = next((v for v in np.array(values, dtype=object).flat
+                    if not isinstance(v, numbers.Number)), values)
+        raise ValueError(f"{name} must be integers, got {bad!r}") from None
 
 
 def _as_int(value, name: str) -> int:
@@ -414,6 +419,26 @@ class QueryPlan:
         held[held] = (self._lo[i] == rows[held]) & (self._hi[i] == s)
         return np.where(held, starts, -1)
 
+    def _block(self, answers: np.ndarray, s: int) -> np.ndarray:
+        """The (..., s, n - s) seed x rest block of answers, which hold
+        one value per pair in the plan's order on their last axis;
+        needs 1 <= s < n.
+
+        When the seed rows' runs of rest pairs are consecutive (see
+        _rest_starts), the block is a view of answers; otherwise one
+        gather copies it. Raises MissingPairError naming the first
+        absent pair in row-major order.
+        """
+        starts = self._rest_starts(s)
+        if (starts < 0).any():
+            x = int((starts < 0).argmax())
+            gap = next(y for y in range(s, self.n) if self._position(x, y) < 0)
+            raise MissingPairError(f"pair ({x}, {gap}) was never queried")
+        w = self.n - s
+        if (np.diff(starts) == w).all():
+            return answers[..., starts[0]:starts[0] + s * w].reshape(*answers.shape[:-1], s, w)
+        return answers[..., starts[:, None] + np.arange(w)]
+
     def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Pair arrays (lo, hi) that broadcast together to about size
         pairs each, at least one whole row of a seed x rest plan, and
@@ -544,15 +569,7 @@ class QueryTranscript:
                 and np.array_equal(c, np.arange(s, n))):
             raise ValueError(f"oriented_matrix reads rows 0 .. s-1 against cols "
                              f"s .. n-1 for one 1 <= s < n = {n}")
-        starts = self._plan._rest_starts(s)
-        if (starts < 0).any():
-            x = int((starts < 0).argmax())
-            gap = next(y for y in range(s, n) if self._plan._position(x, y) < 0)
-            raise MissingPairError(f"pair ({x}, {gap}) was never queried")
-        w = n - s
-        if (np.diff(starts) == w).all():
-            return self._ans[starts[0]:starts[0] + s * w].reshape(s, w)
-        return self._ans[starts[:, None] + np.arange(w)]
+        return self._plan._block(self._ans, s)
 
     def to_text(self) -> str:
         """Serialize as a header line ``k=<k>,n=<n>`` then ``i,j,answer`` lines."""

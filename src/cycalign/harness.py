@@ -42,18 +42,19 @@ from .core import (
     _as_int,
     _as_real,
 )
-from .oracle import FaultyOracle
+from .oracle import FaultyOracle, _answer_rows
 from .recovery import (
     RecoveryResult,
     SeedConfig,
+    _recover_blocks,
     _recover_seeded,
-    recover_from_transcript,
     seed_size,
 )
 
 logger = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+_MLE_BATCH = 32  # trials answered, recovered and scored as one stack
 
 CSV_HEADER = ("n,k,delta,constant_c,seed_size,query_count,"
               "trials,successes,mean_hamming,wall_time_seconds")
@@ -87,12 +88,13 @@ class SweepConfig:
             for constant_c in self.constant_c_values:
                 SeedConfig(constant_c=constant_c, budget_scale=self.budget_scale)
             trials = _as_int(self.trials, "trials")
+            base_seed = _as_seed(self.base_seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if trials < 1:
             raise ConfigError(f"trials must be >= 1, got {trials}")
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "base_seed", int(self.base_seed) & _MASK64)
+        object.__setattr__(self, "base_seed", base_seed)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,16 @@ def _hash64(payload: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _as_seed(base_seed) -> int:
+    """base_seed as a 64-bit seed: an integer of any size, Python or
+    numpy, masked to 64 bits. Anything else goes through _as_int, so
+    an integral float is read as its integer and 2.7, text or None
+    raises ValueError naming base_seed."""
+    if not isinstance(base_seed, (int, np.integer)):
+        base_seed = _as_int(base_seed, "base_seed")
+    return int(base_seed) & _MASK64
+
+
 def derive_trial_seed(base_seed: int, cell: tuple, trial_index: int) -> int:
     """base_seed XOR a stable hash of (cell, trial index)."""
     payload = "|".join(repr(part) for part in (*cell, trial_index))
@@ -134,9 +146,14 @@ def _substream(seed: int, tag: str) -> int:
 
 def sample_truth(n: int, k: int, rng: np.random.Generator) -> Labeling:
     """Uniform ground truth with node 0 pinned to label 0."""
+    return Labeling(_truth_labels(n, k, rng), k)
+
+
+def _truth_labels(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The labels of sample_truth, unchecked."""
     labels = rng.integers(0, k, size=n)
     labels[0] = 0
-    return Labeling(labels, k)
+    return labels
 
 
 def run_trial_detailed(
@@ -148,19 +165,17 @@ def run_trial_detailed(
     return _seeded_trial(n, params, seed_size(n, params, cfg), trial_seed, noiseless)
 
 
-def _trial_oracle(n: int, params: NoiseParams, trial_seed: int,
-                  noiseless: bool) -> tuple[Labeling, FaultyOracle]:
-    """The hidden truth of a trial and a fresh oracle over it."""
-    truth = sample_truth(n, params.k,
-                         np.random.default_rng(_substream(trial_seed, "truth")))
-    return truth, FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
-                               noiseless=noiseless)
+def _trial_truth(n: int, k: int, trial_seed: int) -> np.ndarray:
+    """The labels of a trial's hidden truth, from its own generator."""
+    return _truth_labels(n, k, np.random.default_rng(_substream(trial_seed, "truth")))
 
 
 def _seeded_trial(n: int, params: NoiseParams, s: int, trial_seed: int,
                   noiseless: bool) -> tuple[Labeling, RecoveryResult, TrialOutcome]:
     """run_trial_detailed with the seed already sized to s."""
-    truth, oracle = _trial_oracle(n, params, trial_seed, noiseless)
+    truth = Labeling(_trial_truth(n, params.k, trial_seed), params.k)
+    oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
+                          noiseless=noiseless)
     result = _recover_seeded(oracle, s)
     hamming = hamming_after_best_shift(result.labeling, truth)
     return truth, result, TrialOutcome(success=hamming == 0, hamming=hamming,
@@ -293,6 +308,7 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
+    base_seed = _as_seed(base_seed)
     exact_tails = [tail_probability_exact(s) for s in specs]
     # the fit reads only the exact tails, and each point's draws keep
     # their own seed whatever runs before them
@@ -395,26 +411,35 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     Restricted to n <= 8, k <= 3 to keep enumeration exhaustive.
 
     Every trial shares the full-triangle plan, so the candidate table
-    of brute_force_mle is built once here and each transcript is only
-    scored against it; the winners stay label columns, compared with
-    the normalized recovery as arrays.
+    of brute_force_mle is built once here. Trials then run in batches
+    of _MLE_BATCH: each trial keeps its own seed, truth and oracle seed,
+    and the batch is answered (oracle._answer_rows), recovered
+    (recovery._recover_blocks) and scored against the table
+    (_MleTable.score) as one stack. The counts are those of running
+    each trial through FaultyOracle, recover_from_transcript and
+    brute_force_mle alone.
     """
     check_mle_comparison(n, params, trials)
     trials = _as_int(trials, "trials")
+    base_seed = _as_seed(base_seed)
+    k = params.k
     plan = full_pairwise_plan(n)
     s = seed_size(n, params)
-    table = _MleTable(plan, params.k)
+    table = _MleTable(plan, k)
+    cell = ("mle", n, k, params.delta)
     agreements = 0
     nonunique = 0
-    for t in range(trials):
-        trial_seed = derive_trial_seed(
-            base_seed, ("mle", n, params.k, params.delta), t)
-        transcript = _trial_oracle(n, params, trial_seed, noiseless)[1].execute_plan(plan)
-        labels = recover_from_transcript(transcript, s).labeling.labels
-        normalized = (labels - labels[0]) % params.k
-        winners = table.winners(transcript._ans)
-        nonunique += winners.shape[1] > 1
-        agreements += bool((winners == normalized[:, None]).all(axis=0).any())
+    for start in range(0, trials, _MLE_BATCH):
+        truths, oracle_seeds = [], []
+        for t in range(start, min(start + _MLE_BATCH, trials)):
+            trial_seed = derive_trial_seed(base_seed, cell, t)
+            truths.append(_trial_truth(n, k, trial_seed))
+            oracle_seeds.append(_substream(trial_seed, "oracle"))
+        answers = _answer_rows(np.stack(truths), oracle_seeds, params, plan, noiseless)
+        labels = _recover_blocks(plan._block(answers, s), k)[0]
+        agree, ties = table.score(answers, labels)
+        agreements += agree
+        nonunique += ties
     return MleComparisonReport(trials=trials, agreements=agreements,
                                nonunique_mle=nonunique)
 

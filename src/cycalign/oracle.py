@@ -38,6 +38,15 @@ type, is added to g[lo] - g[hi] + k. A lookup of the residue of that
 sum writes the tile's answers straight into the answer array. On a
 seed x rest tile no temporary is larger than one row.
 
+The hash is composed in two helpers, the only copy of it: _pair_keys
+computes mix(((i << 32) ^ j) + golden), which depends on the pair
+alone, and _seeded_noise adds a seed's base, mixes again and turns the
+top bits into noise. FaultyOracle.execute_plan calls both per tile
+with one scalar base. _answer_rows answers one small plan for a batch
+of oracles, as the small-instance MLE check needs: it computes the
+plan's keys once and the noise of every oracle in one pass, with a
+column of bases, and each row equals that oracle's execute_plan.
+
 Answers are written straight into the transcript's compact answer type
 (int8 up to k = 127) and handed over, so the transcript is the plan
 plus that array, kept without a copy.
@@ -75,6 +84,62 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= np.right_shift(z, _SHIFT[27], out=tmp)
     z *= _MIX2
     z ^= np.right_shift(z, _SHIFT[31], out=tmp)
+
+
+def _seed_bases(seeds) -> np.ndarray:
+    """mix(seed + golden) of each 64-bit seed (Python ints, masked to
+    64 bits), as a uint64 array."""
+    bases = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF for seed in seeds], dtype=np.uint64)
+    bases += _GOLDEN
+    _mix64(bases, np.empty_like(bases))
+    return bases
+
+
+def _pair_keys(lo: np.ndarray, hi: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = mix(((lo << 32) ^ hi) + golden), the part of each pair's
+    hash that depends on the pair alone; lo and hi broadcast to out's
+    shape and tmp is uint64 scratch of that shape."""
+    np.bitwise_xor(lo.view(np.uint64) << _SHIFT[32], hi.view(np.uint64), out=out)
+    out += _GOLDEN
+    _mix64(out, tmp)
+
+
+def _seeded_noise(keys: np.ndarray, base, z: np.ndarray, tmp: np.ndarray,
+                  k: int, law: tuple[float, float], wide: type) -> np.ndarray:
+    """noise - 1 of the pairs with these keys under the seed base(s):
+    the hash mix(base + key), its top 53 bits as a uniform, then the
+    inverse CDF of law, cast to wide.
+
+    base is a uint64 scalar, or a column of one base per row; z and tmp
+    are C-contiguous uint64 scratch of the shape keys and base broadcast
+    to (z may be keys itself). The result is a view of z.
+    """
+    np.add(keys, base, out=z)
+    _mix64(z, tmp)
+    z >>= _SHIFT[11]
+    u = np.multiply(z, 2.0**-53, out=tmp.view(np.float64))  # top 53 bits
+    _noise_minus_one(u, k, *law)
+    noise = z.reshape(-1).view(wide)[:z.size].reshape(z.shape)  # z is free from here
+    np.copyto(noise, u, casting="unsafe")  # whole numbers in [-1, k-2]
+    return noise
+
+
+def _label_terms(labels: np.ndarray, k: int,
+                 noisy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(g_lo, g_hi) with g_lo[..., i] - g_hi[..., j] + (noise - 1), or
+    + 0 without noise, in [0, 3k): the index of its residue in
+    _residue_table(k) (the +1 of the noise is folded into g_lo). Their
+    type is int16 where 3k fits, else int64."""
+    wide = np.int16 if 3 * k <= np.iinfo(np.int16).max else np.int64
+    g_hi = labels.astype(wide)
+    return g_hi + (k + 1 if noisy else k), g_hi
+
+
+def _residue_table(k: int) -> np.ndarray:
+    """(a mod k) at index a + k for every a in [-k, 2k), in the
+    transcript's answer type: a lookup is ~4x cheaper than the integer
+    division of %."""
+    return (np.arange(-k, 2 * k) % k).astype(_answer_dtype(k))
 
 
 def _noise_law(k: int, delta: float) -> tuple[float, float] | None:
@@ -147,11 +212,6 @@ class FaultyOracle:
         self.params = params
         self.rng_seed = int(rng_seed)
         self.noiseless = bool(noiseless)
-        # (a mod k) at index a + k for every a in [-k, 2k), in the
-        # transcript's answer type: a lookup is ~4x cheaper than the
-        # integer division of %
-        self._residues = (np.arange(-self.k, 2 * self.k) % self.k).astype(
-            _answer_dtype(self.k))
         self._answered: int | None = None  # size of the answered plan, None before it
 
     @property
@@ -179,17 +239,12 @@ class FaultyOracle:
                              "pairs; an oracle answers one plan")
         k = self.k
         law = None if self.noiseless else _noise_law(k, self.params.delta)
-        # g_lo[i] - g_hi[j] + (noise - 1) lies in [0, 3k): the index of
-        # its residue (the +1 of the noise is folded into g_lo)
-        wide = np.int16 if 3 * k <= np.iinfo(np.int16).max else np.int64
-        g_hi = self._truth.labels.astype(wide)
-        g_lo = g_hi + (k if law is None else k + 1)
+        g_lo, g_hi = _label_terms(self._truth.labels, k, law is not None)
+        wide = g_hi.dtype.type
         if law is not None:
-            base = np.array([self.rng_seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-            base += _GOLDEN
-            _mix64(base, np.empty_like(base))
-            base = base[0]
-        out = np.empty(len(plan), dtype=self._residues.dtype)
+            base = _seed_bases([self.rng_seed])[0]
+        residues = _residue_table(k)
+        out = np.empty(len(plan), dtype=residues.dtype)
         z = tmp = np.empty(0, dtype=np.uint64)
         d = np.empty(0, dtype=wide)
         at = 0
@@ -202,19 +257,37 @@ class FaultyOracle:
             np.subtract(g_lo[lo], g_hi[hi], out=dt)
             if law is not None:
                 zt, tt = z[:m].reshape(shape), tmp[:m].reshape(shape)
-                # h = mix(base + mix(((lo << 32) ^ hi) + golden))
-                np.bitwise_xor(lo.view(np.uint64) << _SHIFT[32], hi.view(np.uint64), out=zt)
-                zt += _GOLDEN
-                _mix64(zt, tt)
-                zt += base
-                _mix64(zt, tt)
-                zt >>= _SHIFT[11]
-                u = np.multiply(zt, 2.0**-53, out=tt.view(np.float64))  # top 53 bits
-                _noise_minus_one(u, k, *law)
-                noise = z.view(wide)[:m].reshape(shape)  # z is free from here
-                np.copyto(noise, u, casting="unsafe")  # whole numbers in [-1, k-2]
+                _pair_keys(lo, hi, zt, tt)
+                # a local view of z, so z is freed after tmp: freeing it
+                # first makes malloc hand the pages back to the system on
+                # every call, and the next call faults them in again
+                noise = _seeded_noise(zt, base, zt, tt, k, law, wide)
                 dt += noise
-            np.take(self._residues, d[:m], out=out[at:at + m])
+            np.take(residues, d[:m], out=out[at:at + m])
             at += m
         self._answered = len(plan)
         return QueryTranscript._from_plan(plan, self.k, out)
+
+
+def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan,
+                 noiseless: bool = False) -> np.ndarray:
+    """Answers of many oracles to one small plan, one row per oracle.
+
+    Row t equals the answers of FaultyOracle(Labeling(labels[t], k),
+    params, seeds[t], noiseless).execute_plan(plan), byte for byte:
+    labels is (T, n), seeds holds T ints, and the result is (T,
+    len(plan)) in the transcript's answer type. The pair keys are
+    computed once for all rows, and the noise of all rows in one pass
+    with a column of seed bases. Every temporary is T x len(plan), so
+    this is for tiny plans, such as the full triangle of the MLE check.
+    """
+    k = params.k
+    law = None if noiseless else _noise_law(k, params.delta)
+    g_lo, g_hi = _label_terms(labels, k, law is not None)
+    d = g_lo[:, plan.lo] - g_hi[:, plan.hi]
+    if law is not None:
+        keys, z = np.empty(len(plan), np.uint64), np.empty(d.shape, np.uint64)
+        _pair_keys(plan.lo, plan.hi, keys, np.empty_like(keys))
+        d += _seeded_noise(keys, _seed_bases(seeds)[:, None], z, np.empty_like(z),
+                           k, law, d.dtype.type)
+    return np.take(_residue_table(k), d)

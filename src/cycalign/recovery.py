@@ -19,10 +19,13 @@ delta >~ (ln n / (n k))^(1/4) below which seed reconciliation starves.
 All votes break ties toward the smallest label, making every outcome a
 deterministic function of the transcript.
 
-recover_from_transcript is the one place that runs steps 1-3: it reads
-the seed x rest block once, with QueryTranscript.oriented_matrix, and
-returns every node's label and vote margin, so each step's outcome can
-be read off its RecoveryResult. run_algorithm1 sizes the seed, queries
+_recover_blocks is the one place that runs steps 1-3, on a stack of
+seed x rest answer blocks. recover_from_transcript reads a transcript's
+block once, with QueryTranscript.oriented_matrix, runs it as a stack of
+one (through views, with no copy of the block) and returns every node's
+label and vote margin, so each step's outcome can be read off its
+RecoveryResult; the small-instance MLE check runs a batch of trials'
+blocks through it at once. run_algorithm1 sizes the seed, queries
 the block from a fresh oracle and hands the transcript to it. On that
 path no pair array exists: seed_rest_plan records only (n, s), the
 oracle fills the s x (n - s) answer block directly, and the read is a
@@ -173,39 +176,41 @@ def _vote_rows(a: np.ndarray, k: int,
     votes (a - ref) mod k.
 
     a and ref hold labels in [0, k) of any integer type and memory
-    layout and broadcast together to a (rows, width) vote matrix. This
-    is the package's one vote kernel. a - ref + k lies in (0, 2k), so
-    one bincount over row * 2k + (a - ref + k) needs no modulus; the
-    count of residue v is then raw[v] + raw[v + k]. The cell indices
-    are built a tile of whole rows at a time, about _VOTE_BLOCK cells
-    and at least one row, as the oracle tiles a plan, so the cost per
-    vote does not depend on k.
+    layout and broadcast together to a (..., rows, width) stack of vote
+    matrices; winners and margins are (..., rows). This is the
+    package's one vote kernel. a - ref + k lies in (0, 2k), so one
+    bincount over row * 2k + (a - ref + k) needs no modulus; the count
+    of residue v is then raw[v] + raw[v + k]. The cell indices are
+    built a tile of whole rows at a time, the same rows of every
+    matrix, about _VOTE_BLOCK cells and at least one row per matrix, as
+    the oracle tiles a plan, so the cost per vote does not depend on k.
     """
-    rows, width = np.broadcast(a, ref).shape
-    if rows * width <= _VOTE_BLOCK:
+    shape = np.broadcast(a, ref).shape
+    if math.prod(shape) <= _VOTE_BLOCK:
         raw = _raw_vote_counts(a, ref, k)
     else:
-        a, ref = np.broadcast_to(a, (rows, width)), np.broadcast_to(ref, (rows, width))
-        step = max(1, _VOTE_BLOCK // width)
-        raw = np.empty((rows, 2 * k), dtype=np.intp)
-        for i in range(0, rows, step):
-            raw[i:i + step] = _raw_vote_counts(a[i:i + step], ref[i:i + step], k)
-    counts = raw[:, :k] + raw[:, k:]
-    winners = counts.argmax(axis=1)
-    top2 = np.partition(counts, k - 2, axis=1)[:, k - 2:]
-    margins = top2[:, 1] - top2[:, 0]
+        a, ref = np.broadcast_to(a, shape), np.broadcast_to(ref, shape)
+        step = max(1, _VOTE_BLOCK // shape[-1])
+        raw = np.empty((*shape[:-1], 2 * k), dtype=np.intp)
+        for i in range(0, shape[-2], step):
+            raw[..., i:i + step, :] = _raw_vote_counts(
+                a[..., i:i + step, :], ref[..., i:i + step, :], k)
+    counts = raw[..., :k] + raw[..., k:]
+    winners = counts.argmax(axis=-1)
+    top2 = np.partition(counts, k - 2, axis=-1)[..., k - 2:]
+    margins = top2[..., 1] - top2[..., 0]
     return winners, margins
 
 
 def _raw_vote_counts(a, ref, k: int) -> np.ndarray:
-    """(rows, 2k) counts of a - ref + k per row of the broadcast (a, ref)."""
+    """(..., rows, 2k) counts of a - ref + k per row of the broadcast (a, ref)."""
     cells = np.subtract(a, ref, dtype=np.intp)
-    rows = cells.shape[0]
-    cells += np.arange(k, 2 * k * rows, 2 * k)[:, None]
+    rows = cells.shape[:-1]
+    cells += np.arange(k, 2 * k * math.prod(rows), 2 * k).reshape(*rows, 1)
     # order="K" reads the cells in memory order, so a transposed ref is
     # not copied; the counts do not depend on the order
     return np.bincount(cells.ravel(order="K"),
-                       minlength=2 * k * rows).reshape(rows, 2 * k)
+                       minlength=2 * k * math.prod(rows)).reshape(*rows, 2 * k)
 
 
 def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:
@@ -235,26 +240,34 @@ def recover_from_transcript(transcript: QueryTranscript,
         raise ValueError(f"seed_count must lie in [1, n), got {seed_count}")
     seed = np.arange(seed_count, dtype=np.int64)
     rest = np.arange(seed_count, n, dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    margins = np.zeros(n, dtype=np.int64)
-    mat = transcript.oriented_matrix(seed, rest)
-
-    margins[0] = rest.size  # anchor: fixed by convention, not by vote
-    if seed_count > 1:
-        winners, m = _vote_rows(mat[1:], k, mat[0])
-        labels[1:seed_count] = winners
-        margins[1:seed_count] = m
-
-    winners, m = _vote_rows(labels[:seed_count], k, mat.T)
-    labels[seed_count:] = winners
-    margins[seed_count:] = m
-
+    labels, margins = _recover_blocks(transcript.oriented_matrix(seed, rest)[None], k)
     return RecoveryResult(
-        labeling=Labeling(labels, k),
+        labeling=Labeling(labels[0], k),
         seed=tuple(range(seed_count)),
         query_count=seed_count * (n - seed_count),
-        per_node_margin=margins,
+        per_node_margin=margins[0],
     )
+
+
+def _recover_blocks(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3 on a stack of T seed x rest answer blocks (T, s, w),
+    block t of trial t: every node's labels and vote margins, each
+    (T, s + w).
+
+    Each step is one _vote_rows call on the whole stack: step 2 reads
+    each block's seed rows against its anchor row, step 3 each block's
+    seed labels against its columns. Both read the blocks through
+    views, so a block is never copied.
+    """
+    t, s, w = mats.shape
+    labels = np.zeros((t, s + w), dtype=np.int64)
+    margins = np.zeros((t, s + w), dtype=np.int64)
+    margins[:, 0] = w  # anchor: fixed by convention, not by vote
+    if s > 1:
+        labels[:, 1:s], margins[:, 1:s] = _vote_rows(mats[:, 1:], k, mats[:, :1])
+    labels[:, s:], margins[:, s:] = _vote_rows(labels[:, None, :s], k,
+                                               mats.transpose(0, 2, 1))
+    return labels, margins
 
 
 def run_algorithm1(n: int, params: NoiseParams, cfg: SeedConfig,

@@ -106,6 +106,71 @@ def log_tail_binomial_exact(vote_count: int, up: float, down: float) -> float:
     return math.log(total >> shift) + (shift - m * (scale.bit_length() - 1)) * math.log(2)
 
 
+def log_tail_by_scalar_walk(vote_count: int, up: float, down: float,
+                            zero: float, band_nats: float = 40.0) -> float:
+    """log P(U - D <= 0) for (U, D, Z) ~ Multinomial(vote_count; up,
+    down, zero), by the package's band-limited log-space walk taken one
+    term at a time in Python floats.
+
+    The same algorithm as the package's exact tail: per line d - u = j
+    a bisection for the peak, math.lgamma at the peak, and a walk out
+    from it by the ratio of neighbouring terms while they stay within
+    band_nats of the largest term so far. Every product and sum is a
+    scalar float operation in walk order, so the package's array walk
+    must agree with it bit for bit.
+    """
+    m = vote_count
+    if down == 0.0:
+        return -math.inf
+    log_up, log_down = math.log(up), math.log(down)
+    log_zero = math.log(zero) if zero else 0.0  # k = 2: z is 0 on every term
+    rise = up * down / (zero * zero) if zero else 0.0
+    head = math.lgamma(m + 1)
+    top, total = -math.inf, 0.0  # largest log term so far; the sum / exp(top)
+    for j in range(m + 1):
+        last = (m - j) // 2  # largest u on the line: z = m - 2u - j >= 0
+        if zero:
+            # the first u whose next term, ratio z(z-1) rise / ((u+1)(d+1)), is no larger
+            peak, hi = 0, last
+            while peak < hi:
+                mid = (peak + hi) // 2
+                z = m - 2 * mid - j
+                if z * (z - 1) * rise > (mid + 1) * (mid + j + 1):
+                    peak = mid + 1
+                else:
+                    hi = mid
+        elif (m - j) % 2:
+            continue
+        else:
+            peak = last
+        d, z = peak + j, m - 2 * peak - j
+        t = (head - math.lgamma(peak + 1) - math.lgamma(d + 1) - math.lgamma(z + 1)
+             + peak * log_up + d * log_down + z * log_zero)
+        if t < top - band_nats:
+            break
+        if t > top:
+            total, top = total * math.exp(top - t), t
+        line = 1.0  # the line's sum / exp(t)
+        if zero:
+            floor = math.exp(top - band_nats - t)
+            r, u = 1.0, peak
+            while True:  # up the line; r becomes 0 past its last term
+                z = m - 2 * u - j
+                r *= z * (z - 1) * rise / ((u + 1) * (u + j + 1))
+                if r < floor:
+                    break
+                line, u = line + r, u + 1
+            r, u = 1.0, peak
+            while True:  # down the line; r becomes 0 past u = 0
+                z = m - 2 * u - j
+                r *= u * (u + j) / ((z + 1) * (z + 2) * rise)
+                if r < floor:
+                    break
+                line, u = line + r, u - 1
+        total += line * math.exp(t - top)
+    return top + math.log(total)
+
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 

@@ -41,6 +41,7 @@ from oracles import (
     hamming_by_scan,
     linear_fit_by_formula,
     log_tail_binomial_exact,
+    log_tail_by_scalar_walk,
     mle_by_scan,
     success_by_scan,
     tail_dp_full_array,
@@ -381,6 +382,33 @@ class TestTailExactWindow:
         # values of the full-width convolution
         got = tail_probability_exact(TailSpec(votes, NoiseParams(k, delta)))
         assert got == pytest.approx(value, rel=1e-10)
+
+
+class TestLogTailWalk:
+    """The array walk of each line gives the scalar walk's value bit
+    for bit: the same products and partial sums, in the same order."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("votes", [1, 2, 3, 57, 4000, 20000, 100_000])
+    def test_equals_the_scalar_walk(self, k, votes):
+        # k = 2 skips every line of the wrong parity; delta = (k-1)/k
+        # has no down votes, so both give -inf
+        deltas = [0.05, 0.3]
+        if votes <= 4000:
+            deltas += [0.01, 1 / (2 * k), 0.9 * (k - 1) / k]
+        for delta in deltas + [(k - 1) / k]:
+            spec = TailSpec(votes, NoiseParams(k, delta))
+            want = log_tail_by_scalar_walk(votes, *vote_probabilities(spec.params))
+            assert analysis._log_tail(spec) == want, delta
+        assert want == -math.inf
+
+    def test_walk_crosses_chunks(self, monkeypatch):
+        # chunks of a few terms: the running product and sum carry over
+        monkeypatch.setattr(analysis, "_WALK_CHUNK", 3)
+        for k, votes, delta in [(3, 57, 0.1), (4, 4000, 0.05), (5, 2000, 0.3)]:
+            spec = TailSpec(votes, NoiseParams(k, delta))
+            assert analysis._log_tail(spec) == log_tail_by_scalar_walk(
+                votes, *vote_probabilities(spec.params))
 
 
 class TestLogTail:

@@ -1,5 +1,6 @@
 """Harness contracts: trials, sweeps, reports, config parsing."""
 
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -230,6 +231,22 @@ class TestRunSweep:
             SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
                         trials=trials)
 
+    @pytest.mark.parametrize("base_seed", [2.7, float("nan"), "5", b"5", None])
+    def test_bad_base_seed_rejected_by_name(self, base_seed):
+        # int() would truncate 2.7 and parse "5"; None is no integer
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"base_seed must be integers, got {base_seed!r}")):
+            SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
+                        base_seed=base_seed)
+
+    @pytest.mark.parametrize("base_seed,stored", [
+        (5, 5), (np.int64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1), (5.0, 5),
+        (-1, 2**64 - 1), (np.int8(-2), 2**64 - 2), (2**64 + 5, 5)])
+    def test_base_seed_read_mod_2_64(self, base_seed, stored):
+        cfg = SweepConfig(n_values=(10,), k_values=(2,), delta_values=(0.3,),
+                          base_seed=base_seed)
+        assert cfg.base_seed == stored and type(cfg.base_seed) is int
+
     def test_integral_float_trials_read_as_int(self):
         cfg = SweepConfig(n_values=(20,), k_values=(2,), delta_values=(0.4,),
                           trials=2.0)
@@ -334,6 +351,13 @@ class TestLemmaCheck:
         with pytest.raises(ValueError, match=f"trials must be integers, got {trials!r}"):
             run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))], trials=trials)
 
+    @pytest.mark.parametrize("base_seed", [2.7, "5", None])
+    def test_bad_base_seed_rejected_by_name(self, base_seed):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"base_seed must be integers, got {base_seed!r}")):
+            run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))], trials=10,
+                            base_seed=base_seed)
+
     def test_fit_runs_before_any_monte_carlo_draw(self, monkeypatch):
         calls = []
         mc = harness.tail_probability_mc
@@ -386,11 +410,36 @@ class TestMleComparison:
     @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3), (8, 2), (8, 3)])
     def test_reports_equal_a_per_trial_reference(self, n, k, noiseless):
         params = NoiseParams(k, 0.45)
-        for base_seed in (3, 41):
-            got = run_mle_comparison(n, params, trials=30, base_seed=base_seed,
+        # trial counts on both sides of the batch edges of _MLE_BATCH = 32
+        for base_seed, trials in itertools.product((3, 41), (30, 1, 31, 32, 33, 70)):
+            got = run_mle_comparison(n, params, trials=trials, base_seed=base_seed,
                                      noiseless=noiseless)
-            want = _mle_comparison_by_trial(n, params, 30, base_seed, noiseless)
+            want = _mle_comparison_by_trial(n, params, trials, base_seed, noiseless)
             assert (got.trials, got.agreements, got.nonunique_mle) == want
+
+    @pytest.mark.parametrize("trials", [1, 32, 33, 200])
+    def test_batch_oracle_runs_once_per_batch(self, monkeypatch, trials):
+        sizes = []
+        answer_rows = harness._answer_rows
+        def counted(labels, *args):
+            sizes.append(len(labels))
+            return answer_rows(labels, *args)
+        monkeypatch.setattr(harness, "_answer_rows", counted)
+        run_mle_comparison(8, NoiseParams(3, 0.45), trials=trials)
+        assert len(sizes) == -(-trials // harness._MLE_BATCH)
+        assert sum(sizes) == trials and max(sizes) <= harness._MLE_BATCH
+
+    def test_memory_stays_near_one_batch(self):
+        # one batch's answers, votes and agree counts; a batch of all 200
+        # trials would hold 200 x 2187 agree counts and their maxima
+        run_mle_comparison(8, NoiseParams(3, 0.45), trials=1)  # imports, caches
+        tracemalloc.start()
+        try:
+            run_mle_comparison(8, NoiseParams(3, 0.45), trials=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, f"peak {peak / 1e6:.2f} MB"
 
     def test_candidate_table_is_built_once(self, monkeypatch):
         builds = []
@@ -414,6 +463,18 @@ class TestMleComparison:
     def test_fractional_trials_rejected_by_name(self, trials):
         with pytest.raises(ValueError, match=f"trials must be integers, got {trials!r}"):
             run_mle_comparison(5, NoiseParams(2, 0.4), trials=trials)
+
+    @pytest.mark.parametrize("base_seed", [2.7, "5", None])
+    def test_bad_base_seed_rejected_by_name(self, base_seed):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"base_seed must be integers, got {base_seed!r}")):
+            run_mle_comparison(5, NoiseParams(2, 0.4), trials=3, base_seed=base_seed)
+
+    def test_base_seed_forms_give_the_same_report(self):
+        params = NoiseParams(3, 0.45)
+        for same in [(5, np.int64(5), 5.0, 2**64 + 5), (-3, np.int16(-3), 2**64 - 3)]:
+            reports = {run_mle_comparison(6, params, trials=40, base_seed=b) for b in same}
+            assert len(reports) == 1
 
     def test_empty_transcript_rejected_by_recovery(self):
         empty = QueryTranscript(6, 2, [], [], [])

@@ -275,6 +275,31 @@ class TestAnswersByDefinition:
                 labels, pairs, 5, 0.3, seed)
 
 
+class TestAnswerRows:
+    """The batch oracle of the MLE check: each row is the answers of
+    that row's own oracle, byte for byte, and the per-pair reference."""
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_rows_equal_one_oracle_each(self, n, k, noiseless):
+        rng = np.random.default_rng(10 * n + k)
+        params = NoiseParams(k, 0.45 if k == 3 else 0.3)
+        plan = full_pairwise_plan(n)
+        pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+        labels = rng.integers(0, k, (7, n))
+        seeds = [int(v) for v in rng.integers(0, 2**63, 7)]
+        seeds[:2] = [-1, 2**64 + 7]  # taken mod 2^64, as by the oracle
+        rows = oracle_module._answer_rows(labels, seeds, params, plan, noiseless)
+        assert rows.shape == (7, len(plan))
+        for row, truth, seed in zip(rows, labels, seeds):
+            ans = FaultyOracle(Labeling(truth, k), params, seed,
+                               noiseless=noiseless).execute_plan(plan)._ans
+            assert row.dtype == ans.dtype and row.tobytes() == ans.tobytes()
+            assert row.tolist() == oracle_answers_by_definition(
+                truth, pairs, k, params.delta, seed, noiseless)
+
+
 class TestNoiseDistribution:
     def test_residuals_follow_the_law(self):
         # chi-square over >= 1e5 answered pairs at significance 1e-3

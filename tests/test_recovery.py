@@ -239,6 +239,24 @@ class TestVoteRows:
         self._check(rng.integers(0, 4, (9, 30)).T, 4)
 
 
+class TestVoteStacks:
+    """_vote_rows on a stack of matrices, as the batched MLE check uses
+    it, equals the kernel on each matrix alone, in and across tiles."""
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 16])
+    def test_stack_equals_each_matrix_alone(self, block, monkeypatch):
+        monkeypatch.setattr(recovery, "_VOTE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for k, t, rows, width in [(2, 3, 5, 9), (3, 4, 7, 3), (5, 2, 1, 6)]:
+            a = rng.integers(0, k, (t, rows, width)).astype(np.int8)
+            for ref in (a[:, :1], rng.integers(0, k, (t, width, rows)).transpose(0, 2, 1)):
+                winners, margins = _vote_rows(a, k, ref)
+                for i in range(t):
+                    alone = _vote_rows(a[i], k, ref[i])
+                    assert winners[i].tolist() == alone[0].tolist()
+                    assert margins[i].tolist() == alone[1].tolist()
+
+
 class TestEffectiveBias:
     def test_values(self):
         assert effective_bias(NoiseParams(2, 0.25)) == pytest.approx(0.125)
