@@ -222,6 +222,19 @@ def _as_int(value, name: str) -> int:
     return int(a)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _as_seed(value, name: str) -> int:
+    """value as a 64-bit seed: an integer of any size, Python or numpy,
+    masked to 64 bits. Anything else goes through _as_int, so an
+    integral float is read as its integer and 2.7, text or None raises
+    ValueError naming name."""
+    if not isinstance(value, (int, np.integer)):
+        value = _as_int(value, name)
+    return int(value) & _MASK64
+
+
 def _as_real(value, name: str) -> float:
     """value as a float: ints, floats and numpy reals are accepted;
     anything else, such as text or None, raises ValueError naming name
@@ -444,15 +457,17 @@ class QueryPlan:
         pairs each, at least one whole row of a seed x rest plan, and
         cover the plan's pairs in its order, row-major within a tile.
 
-        A seed x rest tile is a column of rows against the row of rest
-        nodes, so no pair array is gathered or built.
+        A seed x rest tile is an (r, 1) column of rows against the
+        (1, w) row of rest nodes, so no pair array is gathered or built
+        and indexing a (T, n) stack of labels with either broadcasts
+        over the leading T.
         """
         s = self._s
         if s is None:
             for a in range(0, self._lo.size, size):
                 yield self._lo[a:a + size], self._hi[a:a + size]
             return
-        rest = np.arange(s, self.n, dtype=np.int64)
+        rest = np.arange(s, self.n, dtype=np.int64)[None]
         step = max(1, size // rest.size)  # whole rows per tile
         for r in range(0, s, step):
             yield np.arange(r, min(r + step, s), dtype=np.int64)[:, None], rest

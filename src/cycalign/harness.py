@@ -41,6 +41,7 @@ from .core import (
     RegimeMixingError,
     _as_int,
     _as_real,
+    _as_seed,
 )
 from .oracle import FaultyOracle, _answer_rows
 from .recovery import (
@@ -53,7 +54,6 @@ from .recovery import (
 
 logger = logging.getLogger(__name__)
 
-_MASK64 = (1 << 64) - 1
 _MLE_BATCH = 32  # trials answered, recovered and scored as one stack
 
 CSV_HEADER = ("n,k,delta,constant_c,seed_size,query_count,"
@@ -88,7 +88,7 @@ class SweepConfig:
             for constant_c in self.constant_c_values:
                 SeedConfig(constant_c=constant_c, budget_scale=self.budget_scale)
             trials = _as_int(self.trials, "trials")
-            base_seed = _as_seed(self.base_seed)
+            base_seed = _as_seed(self.base_seed, "base_seed")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if trials < 1:
@@ -124,20 +124,12 @@ def _hash64(payload: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _as_seed(base_seed) -> int:
-    """base_seed as a 64-bit seed: an integer of any size, Python or
-    numpy, masked to 64 bits. Anything else goes through _as_int, so
-    an integral float is read as its integer and 2.7, text or None
-    raises ValueError naming base_seed."""
-    if not isinstance(base_seed, (int, np.integer)):
-        base_seed = _as_int(base_seed, "base_seed")
-    return int(base_seed) & _MASK64
-
-
 def derive_trial_seed(base_seed: int, cell: tuple, trial_index: int) -> int:
-    """base_seed XOR a stable hash of (cell, trial index)."""
+    """base_seed, read mod 2^64, XOR a stable hash of (cell, trial
+    index). Raises ValueError naming base_seed if it is not an integer
+    (see core._as_seed)."""
     payload = "|".join(repr(part) for part in (*cell, trial_index))
-    return (int(base_seed) ^ _hash64(payload)) & _MASK64
+    return _as_seed(base_seed, "base_seed") ^ _hash64(payload)
 
 
 def _substream(seed: int, tag: str) -> int:
@@ -161,7 +153,15 @@ def run_trial_detailed(
         noiseless: bool = False,
 ) -> tuple[Labeling, RecoveryResult, TrialOutcome]:
     """One end-to-end trial, returning the hidden truth and the full
-    recovery result alongside the scored outcome."""
+    recovery result alongside the scored outcome.
+
+    trial_seed is an integer of any size, used as given: its streams
+    hash its decimal text, so it is not read mod 2^64. Anything else
+    goes through _as_int, so an integral float is read as its integer
+    and 2.7, text or None raises ValueError naming trial_seed.
+    """
+    if not isinstance(trial_seed, (int, np.integer)):
+        trial_seed = _as_int(trial_seed, "trial_seed")
     return _seeded_trial(n, params, seed_size(n, params, cfg), trial_seed, noiseless)
 
 
@@ -308,7 +308,7 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
-    base_seed = _as_seed(base_seed)
+    base_seed = _as_seed(base_seed, "base_seed")
     exact_tails = [tail_probability_exact(s) for s in specs]
     # the fit reads only the exact tails, and each point's draws keep
     # their own seed whatever runs before them
@@ -421,7 +421,7 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     """
     check_mle_comparison(n, params, trials)
     trials = _as_int(trials, "trials")
-    base_seed = _as_seed(base_seed)
+    base_seed = _as_seed(base_seed, "base_seed")
     k = params.k
     plan = full_pairwise_plan(n)
     s = seed_size(n, params)

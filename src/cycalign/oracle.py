@@ -22,30 +22,27 @@ second plan on the same oracle is an error whatever pairs it holds.
 The oracle keeps no history of pairs, only the size of the plan it
 answered.
 
-The oracle never asks which form a plan has (see core): it answers
-the plan's tiles, pair arrays (lo, hi) that broadcast together, in the
-plan's order, into one answer array. A tile of a seed x rest plan is a
-column of seed rows against the row of rest nodes, so on that path no
-pair array is gathered or built. The noise of a pair depends only on
-its (i, j), so a pair's answer is the same in any plan answered by an
-oracle with the same seed.
+Every answer comes from one kernel, _answer_rows, which answers one
+plan for a stack of T oracles under the same noise law, one row of
+answers per oracle. FaultyOracle.execute_plan is its one-row call; the
+small-instance MLE check answers a batch of trials with one call. The
+kernel never asks which form a plan has (see core): it answers the
+plan's tiles, pair arrays (lo, hi) that broadcast together, in the
+plan's order. A tile of a seed x rest plan is a column of seed rows
+against the row of rest nodes, so on that path no pair array is
+gathered or built. The noise of a pair depends only on its (i, j) and
+the seed, so a pair's answer is the same in any plan and in any row
+answered with the same seed.
 
-Each tile runs one fused kernel over buffers sized to the largest tile
-and reused by the rest: the hash is computed in place in one uint64
-buffer, its uniform goes to a float buffer (the hash's scratch), the
-inverse CDF works in place there, and the noise, cast to a small signed
-type, is added to g[lo] - g[hi] + k. A lookup of the residue of that
-sum writes the tile's answers straight into the answer array. On a
-seed x rest tile no temporary is larger than one row.
-
-The hash is composed in two helpers, the only copy of it: _pair_keys
-computes mix(((i << 32) ^ j) + golden), which depends on the pair
-alone, and _seeded_noise adds a seed's base, mixes again and turns the
-top bits into noise. FaultyOracle.execute_plan calls both per tile
-with one scalar base. _answer_rows answers one small plan for a batch
-of oracles, as the small-instance MLE check needs: it computes the
-plan's keys once and the noise of every oracle in one pass, with a
-column of bases, and each row equals that oracle's execute_plan.
+A tile holds about _BLOCK / T pairs, and it runs one fused pass over
+buffers sized to the largest tile's T rows and reused by the rest. The
+pair's part of the hash, mix(((i << 32) ^ j) + golden), is computed
+once per tile for all rows, and each row adds its own seed's base. The
+hash is mixed in place in one uint64 buffer, its uniform goes to a
+float buffer (the hash's scratch), the inverse CDF works in place
+there, and the noise, cast to a small signed type, is added to
+g[lo] - g[hi] + k. A lookup of the residue of that sum writes the
+tile's answers straight into the answer rows.
 
 Answers are written straight into the transcript's compact answer type
 (int8 up to k = 127) and handed over, so the transcript is the plan
@@ -64,6 +61,7 @@ from .core import (
     QueryPlan,
     QueryTranscript,
     _answer_dtype,
+    _as_seed,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -71,8 +69,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT = {b: np.uint64(b) for b in (11, 27, 30, 31, 32)}  # shift counts
 
-# Pairs answered per tile: the tile's buffers stay in cache, where
-# plan-sized temporaries would stream through memory.
+# Answers per tile, over all of its rows: the tile's buffers stay in
+# cache, where plan-sized temporaries would stream through memory.
 _BLOCK = 1 << 16
 
 
@@ -84,62 +82,6 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= np.right_shift(z, _SHIFT[27], out=tmp)
     z *= _MIX2
     z ^= np.right_shift(z, _SHIFT[31], out=tmp)
-
-
-def _seed_bases(seeds) -> np.ndarray:
-    """mix(seed + golden) of each 64-bit seed (Python ints, masked to
-    64 bits), as a uint64 array."""
-    bases = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF for seed in seeds], dtype=np.uint64)
-    bases += _GOLDEN
-    _mix64(bases, np.empty_like(bases))
-    return bases
-
-
-def _pair_keys(lo: np.ndarray, hi: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = mix(((lo << 32) ^ hi) + golden), the part of each pair's
-    hash that depends on the pair alone; lo and hi broadcast to out's
-    shape and tmp is uint64 scratch of that shape."""
-    np.bitwise_xor(lo.view(np.uint64) << _SHIFT[32], hi.view(np.uint64), out=out)
-    out += _GOLDEN
-    _mix64(out, tmp)
-
-
-def _seeded_noise(keys: np.ndarray, base, z: np.ndarray, tmp: np.ndarray,
-                  k: int, law: tuple[float, float], wide: type) -> np.ndarray:
-    """noise - 1 of the pairs with these keys under the seed base(s):
-    the hash mix(base + key), its top 53 bits as a uniform, then the
-    inverse CDF of law, cast to wide.
-
-    base is a uint64 scalar, or a column of one base per row; z and tmp
-    are C-contiguous uint64 scratch of the shape keys and base broadcast
-    to (z may be keys itself). The result is a view of z.
-    """
-    np.add(keys, base, out=z)
-    _mix64(z, tmp)
-    z >>= _SHIFT[11]
-    u = np.multiply(z, 2.0**-53, out=tmp.view(np.float64))  # top 53 bits
-    _noise_minus_one(u, k, *law)
-    noise = z.reshape(-1).view(wide)[:z.size].reshape(z.shape)  # z is free from here
-    np.copyto(noise, u, casting="unsafe")  # whole numbers in [-1, k-2]
-    return noise
-
-
-def _label_terms(labels: np.ndarray, k: int,
-                 noisy: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(g_lo, g_hi) with g_lo[..., i] - g_hi[..., j] + (noise - 1), or
-    + 0 without noise, in [0, 3k): the index of its residue in
-    _residue_table(k) (the +1 of the noise is folded into g_lo). Their
-    type is int16 where 3k fits, else int64."""
-    wide = np.int16 if 3 * k <= np.iinfo(np.int16).max else np.int64
-    g_hi = labels.astype(wide)
-    return g_hi + (k + 1 if noisy else k), g_hi
-
-
-def _residue_table(k: int) -> np.ndarray:
-    """(a mod k) at index a + k for every a in [-k, 2k), in the
-    transcript's answer type: a lookup is ~4x cheaper than the integer
-    division of %."""
-    return (np.arange(-k, 2 * k) % k).astype(_answer_dtype(k))
 
 
 def _noise_law(k: int, delta: float) -> tuple[float, float] | None:
@@ -197,8 +139,9 @@ class FaultyOracle:
     params : NoiseParams
         Noise law for the answers.
     rng_seed : int
-        64-bit seed; together with the pair it fully determines each
-        noise draw.
+        64-bit seed, read mod 2^64; together with the pair it fully
+        determines each noise draw. An integral float is read as its
+        integer; 2.7, text or None raises ValueError naming rng_seed.
     noiseless : bool
         Test mode forcing every noise draw to 0, which makes answers
         exact differences.
@@ -210,7 +153,7 @@ class FaultyOracle:
             raise ValueError(f"truth has k={truth.k} but params.k={params.k}")
         self._truth = truth
         self.params = params
-        self.rng_seed = int(rng_seed)
+        self.rng_seed = _as_seed(rng_seed, "rng_seed")
         self.noiseless = bool(noiseless)
         self._answered: int | None = None  # size of the answered plan, None before it
 
@@ -237,57 +180,73 @@ class FaultyOracle:
         if self._answered is not None:
             raise ValueError(f"oracle already answered a plan of {self._answered} "
                              "pairs; an oracle answers one plan")
-        k = self.k
-        law = None if self.noiseless else _noise_law(k, self.params.delta)
-        g_lo, g_hi = _label_terms(self._truth.labels, k, law is not None)
-        wide = g_hi.dtype.type
-        if law is not None:
-            base = _seed_bases([self.rng_seed])[0]
-        residues = _residue_table(k)
-        out = np.empty(len(plan), dtype=residues.dtype)
-        z = tmp = np.empty(0, dtype=np.uint64)
-        d = np.empty(0, dtype=wide)
-        at = 0
-        for lo, hi in plan._tiles(_BLOCK):
-            shape = np.broadcast_shapes(lo.shape, hi.shape)
-            m = math.prod(shape)
-            if m > d.size:  # buffers for the largest tile, reused by the rest
-                z, tmp, d = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m, wide)
-            dt = d[:m].reshape(shape)
-            np.subtract(g_lo[lo], g_hi[hi], out=dt)
-            if law is not None:
-                zt, tt = z[:m].reshape(shape), tmp[:m].reshape(shape)
-                _pair_keys(lo, hi, zt, tt)
-                # a local view of z, so z is freed after tmp: freeing it
-                # first makes malloc hand the pages back to the system on
-                # every call, and the next call faults them in again
-                noise = _seeded_noise(zt, base, zt, tt, k, law, wide)
-                dt += noise
-            np.take(residues, d[:m], out=out[at:at + m])
-            at += m
+        answers = _answer_rows(self._truth.labels[None], [self.rng_seed], self.params,
+                               plan, self.noiseless)[0]
         self._answered = len(plan)
-        return QueryTranscript._from_plan(plan, self.k, out)
+        return QueryTranscript._from_plan(plan, self.k, answers)
 
 
 def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan,
                  noiseless: bool = False) -> np.ndarray:
-    """Answers of many oracles to one small plan, one row per oracle.
+    """Answers of T oracles under one noise law to one plan, one row
+    per oracle: the package's one answer kernel.
 
     Row t equals the answers of FaultyOracle(Labeling(labels[t], k),
     params, seeds[t], noiseless).execute_plan(plan), byte for byte:
-    labels is (T, n), seeds holds T ints, and the result is (T,
-    len(plan)) in the transcript's answer type. The pair keys are
-    computed once for all rows, and the noise of all rows in one pass
-    with a column of seed bases. Every temporary is T x len(plan), so
-    this is for tiny plans, such as the full triangle of the MLE check.
+    labels is (T, n), seeds holds T integers, each read mod 2^64, and
+    the result is (T, len(plan)) in the transcript's answer type. No
+    temporary is larger than a tile's T rows.
     """
-    k = params.k
+    k, rows = params.k, len(labels)
     law = None if noiseless else _noise_law(k, params.delta)
-    g_lo, g_hi = _label_terms(labels, k, law is not None)
-    d = g_lo[:, plan.lo] - g_hi[:, plan.hi]
-    if law is not None:
-        keys, z = np.empty(len(plan), np.uint64), np.empty(d.shape, np.uint64)
-        _pair_keys(plan.lo, plan.hi, keys, np.empty_like(keys))
-        d += _seeded_noise(keys, _seed_bases(seeds)[:, None], z, np.empty_like(z),
-                           k, law, d.dtype.type)
-    return np.take(_residue_table(k), d)
+    # g_lo[:, i] - g_hi[:, j] + (noise - 1), or + 0 without noise, lies
+    # in [0, 3k) (the +1 of the noise is folded into g_lo) and indexes
+    # its residue in the table: a lookup is ~4x cheaper than the integer
+    # division of %
+    wide = np.int16 if 3 * k <= np.iinfo(np.int16).max else np.int64
+    g_hi = labels.astype(wide)
+    g_lo = g_hi + (k if law is None else k + 1)
+    residues = (np.arange(-k, 2 * k) % k).astype(_answer_dtype(k))
+    if law is not None:  # each row's seed base, mix(seed + golden)
+        bases = np.array([_as_seed(seed, "seeds") for seed in seeds], dtype=np.uint64)
+        bases += _GOLDEN
+        _mix64(bases, np.empty_like(bases))
+    out = np.empty((rows, len(plan)), dtype=residues.dtype)
+    z = tmp = np.empty(0, dtype=np.uint64)
+    d = np.empty(0, dtype=wide)
+    at = 0
+    for lo, hi in plan._tiles(max(1, _BLOCK // rows)):
+        shape = np.broadcast(lo, hi).shape
+        m = math.prod(shape)
+        if rows * m > d.size:  # buffers for the largest tile, reused by the rest
+            z, tmp = np.empty(rows * m, np.uint64), np.empty(rows * m, np.uint64)
+            d = np.empty(rows * m, wide)
+        dt = d[:rows * m].reshape(rows, *shape)
+        # np.take gathers along the node axis as fast as a 1-d index;
+        # g[:, hi] goes through numpy's slower mixed-index path
+        np.subtract(np.take(g_lo, lo, axis=1), np.take(g_hi, hi, axis=1), out=dt)
+        if law is not None:
+            zt, tt = z[:rows * m].reshape(dt.shape), tmp[:rows * m].reshape(dt.shape)
+            # the pair's part of the hash, once for all rows: a single
+            # row's keys are zt itself, so its base is added in place (a
+            # keys array that only overlaps zt would be copied first)
+            keys, scratch = ((zt, tt) if rows == 1 else
+                             (tmp[:m].reshape(shape), z[:m].reshape(shape)))
+            np.bitwise_xor(lo.view(np.uint64) << _SHIFT[32], hi.view(np.uint64), out=keys)
+            keys += _GOLDEN
+            _mix64(keys, scratch)
+            np.add(keys, bases.reshape(rows, *(1,) * len(shape)), out=zt)
+            _mix64(zt, tt)
+            zt >>= _SHIFT[11]
+            u = np.multiply(zt, 2.0**-53, out=tt.view(np.float64))  # top 53 bits
+            _noise_minus_one(u, k, *law)
+            # noise - 1 over z, which is free from here; a local view, so
+            # z is freed after tmp: freeing it first makes malloc hand the
+            # pages back to the system on every call, and the next call
+            # faults them in again
+            noise = z.view(wide)[:rows * m].reshape(dt.shape)
+            np.copyto(noise, u, casting="unsafe")  # whole numbers in [-1, k-2]
+            dt += noise
+        np.take(residues, dt, out=out[:, at:at + m].reshape(dt.shape))
+        at += m
+    return out

@@ -54,7 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import tail_regime
-from .core import Labeling, NoiseParams, QueryPlan, QueryTranscript, _as_int, _as_real
+from .core import (
+    Labeling,
+    NoiseParams,
+    QueryPlan,
+    QueryTranscript,
+    _as_int,
+    _as_real,
+    _check_size,
+)
 from .oracle import FaultyOracle
 
 # Vote cells counted per bincount; a block's int index array stays in
@@ -115,7 +123,9 @@ class ValidityRegimeWarning(UserWarning):
 
 def validity_threshold(n: int, k: int) -> float:
     """Smallest bias for which n rest nodes can reconcile a seed set,
-    (ln n / (n k))^(1/4) up to constants."""
+    (ln n / (n k))^(1/4) up to constants; n and k are integers >= 2."""
+    _check_size("n", n)
+    _check_size("k", k)
     return (math.log(n) / (n * k)) ** 0.25
 
 
@@ -186,11 +196,11 @@ def _vote_rows(a: np.ndarray, k: int,
     the oracle tiles a plan, so the cost per vote does not depend on k.
     """
     shape = np.broadcast(a, ref).shape
-    if math.prod(shape) <= _VOTE_BLOCK:
+    if math.prod(shape) <= _VOTE_BLOCK:  # one tile: the loop's views would add ~20%
         raw = _raw_vote_counts(a, ref, k)
     else:
         a, ref = np.broadcast_to(a, shape), np.broadcast_to(ref, shape)
-        step = max(1, _VOTE_BLOCK // shape[-1])
+        step = max(1, _VOTE_BLOCK // math.prod((*shape[:-2], shape[-1])))
         raw = np.empty((*shape[:-1], 2 * k), dtype=np.intp)
         for i in range(0, shape[-2], step):
             raw[..., i:i + step, :] = _raw_vote_counts(
@@ -219,8 +229,11 @@ def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:
     This is the full non-adaptive query set: a pure function of
     (n, seed_count), computable before any answer is observed. The plan
     records only the rectangle; its pair arrays lo and hi are built on
-    first access, which the oracle and the recovery never make.
+    first access, which the oracle and the recovery never make. n is
+    an integer >= 2 and seed_count one in [1, n) (see core._as_int).
     """
+    _check_size("n", n)
+    seed_count = _as_int(seed_count, "seed_count")
     if not 1 <= seed_count < n:
         raise ValueError(f"seed_count must lie in [1, n), got {seed_count}")
     return QueryPlan._seed_rest(n, seed_count)
@@ -233,9 +246,11 @@ def recover_from_transcript(transcript: QueryTranscript,
     The transcript must contain every pair between the first
     seed_count nodes and the rest; extra pairs are ignored. Reported
     query_count is the number of pairs the votes consumed,
-    seed_count * (n - seed_count).
+    seed_count * (n - seed_count). seed_count is an integer in [1, n)
+    (see core._as_int).
     """
     n, k = transcript.n, transcript.k
+    seed_count = _as_int(seed_count, "seed_count")
     if not 1 <= seed_count < n:
         raise ValueError(f"seed_count must lie in [1, n), got {seed_count}")
     seed = np.arange(seed_count, dtype=np.int64)

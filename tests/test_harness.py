@@ -62,6 +62,19 @@ class TestSeedDerivation:
         assert derive_trial_seed(9, ("c",), 0) == \
             9 ^ derive_trial_seed(0, ("c",), 0)
 
+    @pytest.mark.parametrize("base_seed", [2.7, float("nan"), "5", b"5", None])
+    def test_bad_base_seed_rejected_by_name(self, base_seed):
+        # int() would truncate 2.7 and parse "5"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"base_seed must be integers, got {base_seed!r}")):
+            derive_trial_seed(base_seed, ("c",), 0)
+
+    def test_base_seed_read_mod_2_64(self):
+        want = derive_trial_seed(5, ("c",), 3)
+        for same in (np.int64(5), 5.0, 2**64 + 5, np.uint64(5)):
+            assert derive_trial_seed(same, ("c",), 3) == want
+        assert derive_trial_seed(-1, ("c",), 3) == derive_trial_seed(2**64 - 1, ("c",), 3)
+
 
 class TestSampleTruth:
     def test_anchor_pinned_and_in_range(self):
@@ -114,6 +127,23 @@ class TestRunTrial:
             run_trial_detailed(20.0, params, SeedConfig(), 5)
         assert run_trial_detailed(np.int64(20), params, SeedConfig(), 5)[2] == \
             run_trial_detailed(20, params, SeedConfig(), 5)[2]
+
+    @pytest.mark.parametrize("trial_seed", [2.7, "x", "5", None])
+    def test_bad_trial_seed_rejected_by_name(self, trial_seed):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"trial_seed must be integers, got {trial_seed!r}")):
+            run_trial_detailed(20, NoiseParams(2, 0.4), SeedConfig(), trial_seed)
+
+    def test_integer_trial_seed_is_used_unmasked(self):
+        # the trial's streams hash the seed's decimal text, so -1 and
+        # 2^64 - 1 are different trials; an integral float reads as its int
+        def run(seed):
+            truth, result, outcome = run_trial_detailed(40, NoiseParams(3, 0.45),
+                                                        SeedConfig(), seed)
+            return truth.labels.tolist(), result.labeling.labels.tolist(), outcome
+
+        assert run(7.0) == run(np.int64(7)) == run(7)
+        assert run(-1)[0] != run(2**64 - 1)[0]
 
     def test_large_trial_memory_stays_near_the_answer_block(self):
         # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.

@@ -1,6 +1,7 @@
 """Oracle contracts: noise law, one plan per oracle, determinism."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,7 +256,9 @@ class TestAnswersByDefinition:
     def test_matches_reference(self, monkeypatch, block, form, k):
         monkeypatch.setattr(oracle_module, "_BLOCK", block)
         plan = self.PLANS[form]()
-        labels = np.random.default_rng(k).integers(0, k, plan.n)
+        rng = np.random.default_rng(k)
+        labels = rng.integers(0, k, plan.n)
+        stack = rng.integers(0, k, (3, plan.n))
         pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
         for delta, noiseless in [(1e-12, False), (1 / (2 * k), False),
                                  ((k - 1) / k, False), (1 / (2 * k), True)]:
@@ -264,6 +267,16 @@ class TestAnswersByDefinition:
                              noiseless=noiseless).execute_plan(plan)
             assert [a for _, _, a in t.items()] == oracle_answers_by_definition(
                 labels, pairs, k, delta, seed, noiseless), (delta, noiseless)
+            # the kernel on stacks of T = 1 and 3 rows, each with its own
+            # seed, in tiles of _BLOCK / T pairs
+            for rows in (labels[None], stack):
+                seeds = [seed + 7919 * r for r in range(len(rows))]
+                got = oracle_module._answer_rows(rows, seeds, NoiseParams(k, delta),
+                                                 plan, noiseless)
+                assert got.shape == (len(rows), len(plan))
+                for row, truth, row_seed in zip(got, rows, seeds):
+                    assert row.tolist() == oracle_answers_by_definition(
+                        truth, pairs, k, delta, row_seed, noiseless), (len(rows), delta)
 
     def test_negative_and_wide_seeds_are_taken_mod_2_64(self):
         plan = seed_rest_plan(20, 4)
@@ -298,6 +311,39 @@ class TestAnswerRows:
             assert row.dtype == ans.dtype and row.tobytes() == ans.tobytes()
             assert row.tolist() == oracle_answers_by_definition(
                 truth, pairs, k, params.delta, seed, noiseless)
+
+    def test_memory_stays_near_the_answer_rows(self):
+        # T = 4 rows of 810 000 one-byte answers; besides them only the
+        # tile's buffers (18 bytes a cell) and np.take's intp copy of the
+        # tile's indices, over about _BLOCK cells of all rows together
+        plan = seed_rest_plan(3000, 300)
+        labels = np.random.default_rng(5).integers(0, 4, (4, plan.n))
+        for noiseless in (False, True):
+            tracemalloc.start()
+            try:
+                rows = oracle_module._answer_rows(labels, [1, 2, 3, 4], NoiseParams(4, 0.3),
+                                                  plan, noiseless)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rows.nbytes == 4 * len(plan)
+            assert peak <= rows.nbytes + 32 * (1 << 16), f"peak {peak / 1e6:.2f} MB"
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [2.7, float("nan"), "5", b"5", None])
+    def test_bad_seed_rejected_by_name(self, seed):
+        # int() would truncate 2.7 and parse "5"; None is no integer
+        with pytest.raises(ValueError,
+                           match=re.escape(f"rng_seed must be integers, got {seed!r}")):
+            _oracle([0, 1, 2], 3, seed=seed)
+
+    def test_seed_forms_read_mod_2_64(self):
+        plan = seed_rest_plan(12, 3)
+        for same in [(5, np.int64(5), 5.0, 2**64 + 5), (-3, np.int16(-3), 2**64 - 3)]:
+            oracles = [_oracle(list(range(12)), 12, seed=seed) for seed in same]
+            assert {o.rng_seed for o in oracles} == {same[-1] % 2**64}
+            assert len({o.execute_plan(plan).to_text() for o in oracles}) == 1
 
 
 class TestNoiseDistribution:

@@ -5,6 +5,7 @@ tests read each step's outcome off its RecoveryResult.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,14 @@ class TestSeedSize:
         assert 0.05 < validity_threshold(200, 4)
         with pytest.warns(ValidityRegimeWarning):
             seed_size(200, NoiseParams(4, 0.05), SeedConfig())
+
+    @pytest.mark.parametrize("n,k,name", [(1, 3, "n"), (0, 3, "n"), (-5, 3, "n"),
+                                          (10.0, 3, "n"), (10, 1, "k"), (10, 2.5, "k")])
+    def test_validity_threshold_rejects_bad_sizes_by_name(self, n, k, name):
+        bad = n if name == "n" else k
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be an integer >= 2, got {bad!r}")):
+            validity_threshold(n, k)
 
     def test_silent_above_validity_boundary(self):
         assert 0.6 > validity_threshold(200, 4)
@@ -338,6 +347,41 @@ class TestAlignSeed:
         t = _noiseless_transcript([0, 1, 2, 0], 3, 2)
         with pytest.raises(ValueError, match="seed_count must lie in"):
             recover_from_transcript(t, 4)
+
+    @pytest.mark.parametrize("seed_count", [2.5, "2", None])
+    def test_non_integer_seed_count_rejected_by_name(self, seed_count):
+        t = _noiseless_transcript([0, 1, 2, 0], 3, 2)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"seed_count must be integers, got {seed_count!r}")):
+            recover_from_transcript(t, seed_count)
+
+    def test_integral_seed_count_reads_as_int(self):
+        t = _noiseless_transcript([0, 1, 2, 0, 1], 3, 3)
+        want = recover_from_transcript(t, 3)
+        for seed_count in (3.0, np.int64(3)):
+            got = recover_from_transcript(t, seed_count)
+            assert got.labeling == want.labeling and got.seed == want.seed == (0, 1, 2)
+            assert got.query_count == want.query_count == 6
+
+
+class TestSeedRestPlan:
+    @pytest.mark.parametrize("n,seed_count,name,got", [
+        (6, 2.5, "seed_count", "must be integers, got 2.5"),
+        (6, "2", "seed_count", "must be integers, got '2'"),
+        (6, None, "seed_count", "must be integers, got None"),
+        (6.5, 2, "n", "must be an integer >= 2, got 6.5"),
+        (6.0, 2, "n", "must be an integer >= 2, got 6.0"),
+        ("6", 2, "n", "must be an integer >= 2, got '6'"),
+    ])
+    def test_non_integer_sizes_rejected_by_name(self, n, seed_count, name, got):
+        with pytest.raises(ValueError, match=re.escape(f"{name} {got}")):
+            seed_rest_plan(n, seed_count)
+
+    def test_integral_sizes_read_as_int(self):
+        want = list(seed_rest_plan(6, 2))
+        for n, seed_count in [(np.int64(6), 2), (6, 2.0), (6, np.int8(2))]:
+            plan = seed_rest_plan(n, seed_count)
+            assert list(plan) == want and len(plan) == 8
 
 
 class TestExtendLabels:
