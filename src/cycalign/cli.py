@@ -31,6 +31,7 @@ from .harness import (
     SweepConfig,
     check_lemma_grid,
     check_mle_comparison,
+    check_sweep,
     derive_trial_seed,
     lemma_report_to_csv,
     lemma_report_to_json,
@@ -204,6 +205,9 @@ def _sweep_config_from_args(args) -> dict:
 
 
 def _run_sweeps(args, configs: list[SweepConfig]) -> Run:
+    for config in configs:
+        check_sweep(config)
+
     def run() -> int:
         records = []
         for config in configs:

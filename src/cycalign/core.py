@@ -23,8 +23,8 @@ orientation. Single pairs are read with lookup_oriented, in either
 orientation.
 
 The plan alone holds the form of its pair set, and answers every
-question about its pairs: size, membership, position, where each
-seed row's run of rest pairs starts and the tiles an oracle answers.
+question about its pairs: size, membership, position, where the
+seed x rest block lies among them and the tiles an oracle answers.
 The form is either
 
 * the seed x rest block, the pairs (i, j) with i < s <= j for a seed
@@ -35,9 +35,9 @@ The form is either
   text format, the full triangle of the small-instance MLE check and
   plans built from explicit pairs.
 
-oriented_matrix returns a read-only view of the answers exactly when
-the seed rows' runs are consecutive, as in a seed x rest plan of the
-same seed or any plan of exactly those pairs, and one gather otherwise.
+The block is the plan's pairs with i < s <= j, in row-major order;
+oriented_matrix reads it as a read-only view of the answers where they
+are consecutive, as in a seed x rest plan of seed s, else by one gather.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ def _sorted_entries(n: int, lo: np.ndarray, hi: np.ndarray,
         i, j = divmod(int(srt[same.argmax()]), n)
         raise repeat(f"{message}: ({i}, {j}) appears more than once")
     lo, hi = lo[order], hi[order]
-    lo.flags.writeable = hi.flags.writeable = False
+    lo.flags.writeable = False
+    hi.flags.writeable = False
     return lo, hi, None if ans is None else ans[order]
 
 
@@ -411,46 +412,32 @@ class QueryPlan:
         pos = start + int(self._hi[start:stop].searchsorted(b))
         return pos if pos < stop and self._hi[pos] == b else -1
 
-    def _rest_starts(self, s: int) -> np.ndarray:
-        """For each seed row r < s, the position of the pair (r, s) if
-        the plan holds all of r's rest pairs (r, s) .. (r, n - 1), which
-        then sit at n - s consecutive positions, and -1 if it does not;
-        needs 1 <= s < n.
-
-        A seed x rest plan of seed size t holds them exactly when
-        r < t <= s. Otherwise they are the last n - s pairs of row r,
-        since every hi is below n: one search of lo finds where row r
-        ends, and the pair n - s before that end must be (r, s).
-        """
-        rows = np.arange(s, dtype=np.int64)
-        t = self._s
-        if t is not None:
-            return np.where((rows < t) & (t <= s), rows * (self.n - t) + s - t, -1)
-        starts = self._lo.searchsorted(rows, "right") - (self.n - s)
-        held = starts >= 0
-        i = starts[held]  # never indexes an empty plan
-        held[held] = (self._lo[i] == rows[held]) & (self._hi[i] == s)
-        return np.where(held, starts, -1)
-
     def _block(self, answers: np.ndarray, s: int) -> np.ndarray:
         """The (..., s, n - s) seed x rest block of answers, which hold
         one value per pair in the plan's order on their last axis;
-        needs 1 <= s < n.
-
-        When the seed rows' runs of rest pairs are consecutive (see
-        _rest_starts), the block is a view of answers; otherwise one
-        gather copies it. Raises MissingPairError naming the first
+        needs 1 <= s < n. Raises MissingPairError naming the first
         absent pair in row-major order.
+
+        A seed x rest plan of seed s is the block; one of seed t lacks
+        (0, s) if s < t and (t, s) if s > t. Otherwise the sorted pairs
+        with lo < s <= hi are the block in row-major order, so the first
+        absent pair is where lo * (n - s) + hi - s departs from 0, 1, ...
+        The read is a view where they are consecutive, else one gather.
         """
-        starts = self._rest_starts(s)
-        if (starts < 0).any():
-            x = int((starts < 0).argmax())
-            gap = next(y for y in range(s, self.n) if self._position(x, y) < 0)
-            raise MissingPairError(f"pair ({x}, {gap}) was never queried")
         w = self.n - s
-        if (np.diff(starts) == w).all():
-            return answers[..., starts[0]:starts[0] + s * w].reshape(*answers.shape[:-1], s, w)
-        return answers[..., starts[:, None] + np.arange(w)]
+        shape = (*answers.shape[:-1], s, w)
+        t = self._s
+        if t == s:
+            return answers.reshape(shape)
+        if t is not None:
+            raise MissingPairError(f"pair ({0 if s < t else t}, {s}) was never queried")
+        pos = np.flatnonzero(self._hi[:self._lo.searchsorted(s)] >= s)
+        if pos.size < s * w:
+            off = self._lo[pos] * w + self._hi[pos] - s != np.arange(pos.size)
+            x, y = divmod(int(off.argmax()) if off.any() else pos.size, w)
+            raise MissingPairError(f"pair ({x}, {s + y}) was never queried")
+        cols = slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] == pos.size - 1 else pos
+        return answers[..., cols].reshape(shape)
 
     def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Pair arrays (lo, hi) that broadcast together to about size
@@ -568,11 +555,10 @@ class QueryTranscript:
 
         rows must be the seed 0, 1, ..., s - 1 and cols the rest
         s, s + 1, ..., n - 1 for one 1 <= s < n, so each pair is read in
-        its stored orientation. When the seed rows' runs of rest pairs
-        are consecutive in the plan, as in a seed x rest transcript of
-        seed s or any transcript of exactly those pairs, the read is a
-        read-only view of the stored answers; otherwise one gather
-        copies them.
+        its stored orientation. The read is a read-only view of the
+        stored answers where the block's pairs are consecutive in the
+        plan, as in any transcript of exactly those pairs, and one
+        gathered copy otherwise.
 
         Raises ValueError naming a node that is not an integer, or if
         rows and cols are not such a split, and MissingPairError naming

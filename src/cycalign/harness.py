@@ -49,6 +49,7 @@ from .recovery import (
     SeedConfig,
     _recover_blocks,
     _recover_seeded,
+    _seed_size,
     seed_size,
 )
 
@@ -155,13 +156,10 @@ def run_trial_detailed(
     """One end-to-end trial, returning the hidden truth and the full
     recovery result alongside the scored outcome.
 
-    trial_seed is an integer of any size, used as given: its streams
-    hash its decimal text, so it is not read mod 2^64. Anything else
-    goes through _as_int, so an integral float is read as its integer
-    and 2.7, text or None raises ValueError naming trial_seed.
+    trial_seed is read mod 2^64 like every other seed (see
+    core._as_seed): 2.7, text or None raises ValueError naming it.
     """
-    if not isinstance(trial_seed, (int, np.integer)):
-        trial_seed = _as_int(trial_seed, "trial_seed")
+    trial_seed = _as_seed(trial_seed, "trial_seed")
     return _seeded_trial(n, params, seed_size(n, params, cfg), trial_seed, noiseless)
 
 
@@ -180,6 +178,20 @@ def _seeded_trial(n: int, params: NoiseParams, s: int, trial_seed: int,
     hamming = hamming_after_best_shift(result.labeling, truth)
     return truth, result, TrialOutcome(success=hamming == 0, hamming=hamming,
                                        query_count=result.query_count)
+
+
+def check_sweep(config: SweepConfig) -> None:
+    """Raise ConfigError naming the first cell and its error if every cell is invalid."""
+    errors = []
+    for n, k, delta, c in itertools.product(config.n_values, config.k_values,
+                                            config.delta_values, config.constant_c_values):
+        try:
+            _seed_size(n, NoiseParams(k, delta),
+                       SeedConfig(constant_c=c, budget_scale=config.budget_scale))
+            return
+        except ValueError as exc:
+            errors.append(f"(n={n}, k={k}, delta={delta}, c={c}): {exc}")
+    raise ConfigError(f"no cell of the grid is valid; the first, {errors[0]}")
 
 
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:

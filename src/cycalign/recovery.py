@@ -21,19 +21,15 @@ deterministic function of the transcript.
 
 _recover_blocks is the one place that runs steps 1-3, on a stack of
 seed x rest answer blocks. recover_from_transcript reads a transcript's
-block once, with QueryTranscript.oriented_matrix, runs it as a stack of
-one (through views, with no copy of the block) and returns every node's
-label and vote margin, so each step's outcome can be read off its
-RecoveryResult; the small-instance MLE check runs a batch of trials'
-blocks through it at once. run_algorithm1 sizes the seed, queries
-the block from a fresh oracle and hands the transcript to it. On that
-path no pair array exists: seed_rest_plan records only (n, s), the
-oracle fills the s x (n - s) answer block directly, and the read is a
-view of that block, as it is for any transcript of exactly those pairs.
-Any other transcript that holds the block, such as the full triangle
-of the small-instance MLE check, is read by one gather where its runs
-are not consecutive: its plan says where each seed row's run of rest
-answers starts.
+block once, by the plan's one block read behind oriented_matrix (see
+core), runs it as a stack of one (through views, with no copy of the
+block) and returns every node's label and vote margin, so each step's
+outcome can be read off its RecoveryResult; the small-instance MLE
+check runs a batch of trials' blocks through it at once.
+run_algorithm1 sizes the seed, queries the block from a fresh oracle
+and hands the transcript to it. On that path no pair array exists:
+seed_rest_plan records only (n, s), the oracle fills the s x (n - s)
+answer block directly, and the read is a view of that block.
 
 Every vote goes through one kernel, _vote_rows, which counts each row's
 values (a - ref) mod k without computing a modulus: with a and ref in
@@ -233,10 +229,15 @@ def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:
     an integer >= 2 and seed_count one in [1, n) (see core._as_int).
     """
     _check_size("n", n)
+    return QueryPlan._seed_rest(n, _seed_count(seed_count, n))
+
+
+def _seed_count(seed_count, n: int) -> int:
+    """seed_count as an int in [1, n), else ValueError (see core._as_int)."""
     seed_count = _as_int(seed_count, "seed_count")
     if not 1 <= seed_count < n:
         raise ValueError(f"seed_count must lie in [1, n), got {seed_count}")
-    return QueryPlan._seed_rest(n, seed_count)
+    return seed_count
 
 
 def recover_from_transcript(transcript: QueryTranscript,
@@ -250,16 +251,12 @@ def recover_from_transcript(transcript: QueryTranscript,
     (see core._as_int).
     """
     n, k = transcript.n, transcript.k
-    seed_count = _as_int(seed_count, "seed_count")
-    if not 1 <= seed_count < n:
-        raise ValueError(f"seed_count must lie in [1, n), got {seed_count}")
-    seed = np.arange(seed_count, dtype=np.int64)
-    rest = np.arange(seed_count, n, dtype=np.int64)
-    labels, margins = _recover_blocks(transcript.oriented_matrix(seed, rest)[None], k)
+    s = _seed_count(seed_count, n)
+    labels, margins = _recover_blocks(transcript._plan._block(transcript._ans, s)[None], k)
     return RecoveryResult(
         labeling=Labeling(labels[0], k),
-        seed=tuple(range(seed_count)),
-        query_count=seed_count * (n - seed_count),
+        seed=tuple(range(s)),
+        query_count=s * (n - s),
         per_node_margin=margins[0],
     )
 

@@ -235,6 +235,23 @@ def test_config_file_constant_c_negative_exits_2(tmp_path, no_run, capsys):
     assert "constant_c must be positive, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "phase"])
+@pytest.mark.parametrize("grid,first", [
+    (["--n", "3", "--k", "2", "--delta", "0.3"],
+     "(n=3, k=2, delta=0.3, c=40.0): need n >= 4 for a seeded split, got n=3"),
+    (["--n", "30", "--k", "1", "--delta", "0.3"],
+     "(n=30, k=1, delta=0.3, c=40.0): k must be an integer >= 2, got 1"),
+    (["--n", "30", "--k", "2", "--delta", "0.9"],
+     "(n=30, k=2, delta=0.9, c=40.0): delta must lie in (0, (k-1)/k] = (0, 0.5], got 0.9"),
+], ids=["n_below_4", "k_below_2", "delta_above_max"])
+def test_grid_with_no_valid_cell_exits_2(command, grid, first, no_run, capsys):
+    # run_sweep would skip every cell and print only the header
+    assert main([command, *grid, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no cell of the grid is valid; the first, {first}\n"
+
+
 _INTS = st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=8)
 _FLOATS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                    max_size=8)

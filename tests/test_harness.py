@@ -135,15 +135,15 @@ class TestRunTrial:
             run_trial_detailed(20, NoiseParams(2, 0.4), SeedConfig(), trial_seed)
 
     def test_integer_trial_seed_is_used_unmasked(self):
-        # the trial's streams hash the seed's decimal text, so -1 and
-        # 2^64 - 1 are different trials; an integral float reads as its int
+        # the trial seed is read mod 2^64, like every other seed, so -1
+        # and 2^64 - 1 are the same trial; an integral float reads as its int
         def run(seed):
             truth, result, outcome = run_trial_detailed(40, NoiseParams(3, 0.45),
                                                         SeedConfig(), seed)
             return truth.labels.tolist(), result.labeling.labels.tolist(), outcome
 
         assert run(7.0) == run(np.int64(7)) == run(7)
-        assert run(-1)[0] != run(2**64 - 1)[0]
+        assert run(-1)[0] == run(2**64 - 1)[0]
 
     def test_large_trial_memory_stays_near_the_answer_block(self):
         # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.
@@ -193,6 +193,36 @@ class TestRunSweep:
                        "delta must lie in (0, (k-1)/k] = (0, 0.5], got 0.9",
                        "need n >= 4 for a seeded split, got n=3"]:
             assert reason in text
+
+    @pytest.mark.parametrize("grid,first", [
+        (dict(n_values=(3,), k_values=(2,), delta_values=(0.3,)),
+         "(n=3, k=2, delta=0.3, c=40.0): need n >= 4 for a seeded split, got n=3"),
+        (dict(n_values=(30, 40), k_values=(1,), delta_values=(0.3,)),
+         "(n=30, k=1, delta=0.3, c=40.0): k must be an integer >= 2, got 1"),
+        (dict(n_values=(30,), k_values=(2,), delta_values=(0.9, 0.7)),
+         "(n=30, k=2, delta=0.9, c=40.0): delta must lie in (0, (k-1)/k] = (0, 0.5], "
+         "got 0.9"),
+    ], ids=["n_below_4", "k_below_2", "delta_above_max"])
+    def test_check_sweep_names_the_first_cell_of_an_all_invalid_grid(self, grid, first):
+        cfg = SweepConfig(trials=1, **grid)
+        assert run_sweep(cfg) == []
+        with pytest.raises(ConfigError, match=re.escape(
+                f"no cell of the grid is valid; the first, {first}")):
+            harness.check_sweep(cfg)
+
+    def test_check_sweep_stops_at_the_first_valid_cell(self, monkeypatch, caplog):
+        # a mixed grid passes, sizing up to its first valid cell without
+        # a warning or a log line, and run_sweep still skips the rest
+        calls = []
+        real = recovery._seed_size
+        monkeypatch.setattr(harness, "_seed_size", lambda *a: calls.append(a) or real(*a))
+        cfg = SweepConfig(n_values=(3, 200, 400), k_values=(2,), delta_values=(0.05,),
+                          trials=1)
+        with warnings.catch_warnings(), caplog.at_level("WARNING", logger="cycalign.harness"):
+            warnings.simplefilter("error")
+            harness.check_sweep(cfg)
+        assert [a[0] for a in calls] == [3, 200] and not caplog.records
+        assert [r.n for r in run_sweep(cfg)] == [200, 400]
 
     def test_non_integer_n_cell_skipped_with_the_seed_size_message(self, caplog):
         cfg = SweepConfig(n_values=(20.0, 20), k_values=(2,), delta_values=(0.4,),

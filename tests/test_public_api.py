@@ -9,8 +9,8 @@ import sys
 from pathlib import Path
 
 import cycalign
-from cycalign import (FaultyOracle, QueryPlan, QueryTranscript, analysis, core, harness,
-                      oracle, recovery)
+from cycalign import (FaultyOracle, QueryPlan, QueryTranscript, analysis, cli, core,
+                      harness, oracle, recovery)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +48,7 @@ def test_deleted_names_are_gone():
     # reader, no strided view, and no seed-size floor knob
     assert not hasattr(core, "as_strided")
     assert not hasattr(QueryPlan, "_row_starts")
+    assert not hasattr(QueryPlan, "_rest_starts")
     assert "min_seed" not in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
     # one exact tail engine: no grid pass per noise law beside it
     for name in ("tail_probabilities_exact", "_law_tails"):
@@ -66,7 +67,7 @@ def test_seed_config_holds_the_whole_seed_rule():
 
 
 def test_only_the_plan_reads_its_form():
-    for module in (oracle, recovery, analysis):
+    for module in (oracle, recovery, analysis, harness, cli):
         source = Path(module.__file__).read_text()
         assert not re.search(r"\._s\b", source), module.__name__
 

@@ -313,6 +313,15 @@ class TestEstimatePairwiseDiff:
         with pytest.raises(MissingPairError, match=r"pair \(1, 2\)"):
             recover_from_transcript(t, 2)
 
+    @pytest.mark.parametrize("seed_count,pair", [(99, (0, 99)), (101, (100, 101))])
+    def test_other_seed_of_a_seed_rest_transcript_names_its_first_gap(
+            self, seed_count, pair):
+        # a seed x rest plan names the gap from (n, s) alone: no pair array
+        t = _noiseless_transcript(np.zeros(2000, dtype=int), 3, 100)
+        with pytest.raises(MissingPairError, match=re.escape(f"pair {pair} ")):
+            recover_from_transcript(t, seed_count)
+        assert t._plan._lo is None
+
 
 class TestAlignSeed:
     """Seed reconciliation, the first vote of recover_from_transcript."""
