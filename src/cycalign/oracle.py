@@ -215,6 +215,7 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     z = tmp = np.empty(0, dtype=np.uint64)
     d = np.empty(0, dtype=wide)
     at = 0
+    hi_seen = g_at_hi = None
     for lo, hi in plan._tiles(max(1, _BLOCK // rows)):
         shape = np.broadcast(lo, hi).shape
         m = math.prod(shape)
@@ -223,8 +224,11 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
             d = np.empty(rows * m, wide)
         dt = d[:rows * m].reshape(rows, *shape)
         # np.take gathers along the node axis as fast as a 1-d index;
-        # g[:, hi] goes through numpy's slower mixed-index path
-        np.subtract(np.take(g_lo, lo, axis=1), np.take(g_hi, hi, axis=1), out=dt)
+        # g[:, hi] goes through numpy's slower mixed-index path. Every
+        # tile of a seed x rest plan shares one rest row, gathered once.
+        if hi is not hi_seen:
+            hi_seen, g_at_hi = hi, np.take(g_hi, hi, axis=1)
+        np.subtract(np.take(g_lo, lo, axis=1), g_at_hi, out=dt)
         if law is not None:
             zt, tt = z[:rows * m].reshape(dt.shape), tmp[:rows * m].reshape(dt.shape)
             # the pair's part of the hash, once for all rows: a single

@@ -32,13 +32,17 @@ seed_rest_plan records only (n, s), the oracle fills the s x (n - s)
 answer block directly, and the read is a view of that block.
 
 Every vote goes through one kernel, _vote_rows, which counts each row's
-values (a - ref) mod k without computing a modulus: with a and ref in
-[0, k), a - ref + k lies in (0, 2k), so one bincount over
-row * 2k + (a - ref + k) counts every residue v in two bins, v (from
-a < ref) and v + k (from a >= ref), which are then added. Step 2 reads
-a = the seed rows of the seed x rest answer block against ref = the
-anchor row, step 3 a = the seed labels against ref = the block's
-columns, so neither builds a vote array of its own.
+votes (a - ref) mod k. Step 2 reads a = the seed rows of the seed x rest
+answer block against ref = the anchor row, step 3 a = the seed labels
+against ref = the block's columns, so neither builds a vote array of
+its own. Up to k = _PLANES_MAX_K = 16 the counts are equality planes:
+a vote equals c exactly when the block equals a target taken from the
+small operand, (anchor + c) mod k in step 2 and (label - c) mod k in
+step 3. So the int8 block is only compared with k - 1 targets, never
+subtracted, indexed or widened, and each plane is summed in the
+block's memory order: along its rows in step 2, down them in step 3.
+Above k = 16, where k - 1 planes cost more than one pass, a bincount
+over row * 2k + (a - ref + k) counts every residue without a modulus.
 """
 
 from __future__ import annotations
@@ -61,9 +65,18 @@ from .core import (
 )
 from .oracle import FaultyOracle
 
-# Vote cells counted per bincount; a block's int index array stays in
-# cache instead of streaming the whole vote matrix through memory.
-_VOTE_BLOCK = 1 << 16
+# Bytes of temporaries per vote tile (bool plane cells, or intp cell
+# indices for the bincount): a tile stays in cache instead of streaming
+# the whole vote matrix through memory.
+_VOTE_BLOCK = 1 << 19
+
+# Largest k counted by equality planes. Their cost grows with k, one
+# bincount's does not: on n = 10^4 blocks the planes took ~0.5-0.75x
+# the bincount's time at k = 16 and up to ~1.5x at k = 32.
+_PLANES_MAX_K = 16
+
+# The most 0/1 cells one uint8, or one byte lane of a uint64, can count.
+_U8_MAX = 255
 
 
 @dataclass(frozen=True)
@@ -183,40 +196,108 @@ def _vote_rows(a: np.ndarray, k: int,
 
     a and ref hold labels in [0, k) of any integer type and memory
     layout and broadcast together to a (..., rows, width) stack of vote
-    matrices; winners and margins are (..., rows). This is the
-    package's one vote kernel. a - ref + k lies in (0, 2k), so one
-    bincount over row * 2k + (a - ref + k) needs no modulus; the count
-    of residue v is then raw[v] + raw[v + k]. The cell indices are
-    built a tile of whole rows at a time, the same rows of every
-    matrix, about _VOTE_BLOCK cells and at least one row per matrix, as
-    the oracle tiles a plan, so the cost per vote does not depend on k.
+    matrices; winners and margins are (..., rows), and ties go to the
+    smallest label. This is the package's one vote kernel. Up to
+    k = _PLANES_MAX_K it counts equality planes (_plane_counts), above
+    it one bincount (_bincount_counts), whose cost does not grow with
+    k; both work a tile of about _VOTE_BLOCK bytes at a time.
     """
+    a, ref = np.asarray(a), np.asarray(ref)
     shape = np.broadcast(a, ref).shape
-    if math.prod(shape) <= _VOTE_BLOCK:  # one tile: the loop's views would add ~20%
-        raw = _raw_vote_counts(a, ref, k)
-    else:
-        a, ref = np.broadcast_to(a, shape), np.broadcast_to(ref, shape)
-        step = max(1, _VOTE_BLOCK // math.prod((*shape[:-2], shape[-1])))
-        raw = np.empty((*shape[:-1], 2 * k), dtype=np.intp)
-        for i in range(0, shape[-2], step):
-            raw[..., i:i + step, :] = _raw_vote_counts(
-                a[..., i:i + step, :], ref[..., i:i + step, :], k)
-    counts = raw[..., :k] + raw[..., k:]
+    count = _plane_counts if k <= _PLANES_MAX_K else _bincount_counts
+    counts = count(a, ref, k, shape)
     winners = counts.argmax(axis=-1)
     top2 = np.partition(counts, k - 2, axis=-1)[..., k - 2:]
-    margins = top2[..., 1] - top2[..., 0]
-    return winners, margins
+    return winners, top2[..., 1] - top2[..., 0]
 
 
-def _raw_vote_counts(a, ref, k: int) -> np.ndarray:
-    """(..., rows, 2k) counts of a - ref + k per row of the broadcast (a, ref)."""
-    cells = np.subtract(a, ref, dtype=np.intp)
-    rows = cells.shape[:-1]
-    cells += np.arange(k, 2 * k * math.prod(rows), 2 * k).reshape(*rows, 1)
-    # order="K" reads the cells in memory order, so a transposed ref is
-    # not copied; the counts do not depend on the order
-    return np.bincount(cells.ravel(order="K"),
-                       minlength=2 * k * math.prod(rows)).reshape(*rows, 2 * k)
+def _plane_counts(a, ref, k: int, shape) -> np.ndarray:
+    """(..., rows, k) counts of the votes (a - ref) mod k, one equality
+    plane per residue, as a view of (k, ..., rows) counts.
+
+    For a and ref in [0, k), (a - ref) mod k == c exactly when
+    a == (ref + c) mod k, and exactly when ref == (a - c) mod k. So the
+    targets of c = 1 .. k-1 are computed on the smaller operand (the
+    anchor row in step 2, the seed labels in step 3) and the larger
+    one, the answer block, is only compared with them: it is never
+    subtracted, indexed or widened. The count of c = 0 is width minus
+    the others. Each plane is summed in the block's memory order.
+    """
+    *lead, rows, width = shape
+    c = np.arange(1, k).reshape(k - 1, *(1,) * max(2, a.ndim, ref.ndim))
+    if a.size >= ref.size:
+        block, targets = a, (ref + c) % k
+    else:
+        block, targets = ref, (a - c) % k
+    targets = targets.astype(block.dtype)  # labels < k fit the block's type
+    stack = math.prod(lead)
+    counts = np.zeros((k, *lead, rows), dtype=np.intp)  # each plane's counts contiguous
+    if block.ndim > 1 and abs(block.strides[-2]) < abs(block.strides[-1]):
+        # The votes of a row run down the block's memory rows (step 3):
+        # sum up to _U8_MAX whole memory rows at a time in uint8, which
+        # cannot overflow, and add those sums into the counts.
+        block, targets = block.swapaxes(-1, -2), targets.swapaxes(-1, -2)
+        chunk = min(_U8_MAX, width, max(1, _VOTE_BLOCK // (stack * rows)))
+        step = min(rows, max(1, _VOTE_BLOCK // (stack * chunk)))
+        eq = np.empty((*lead, chunk, step), dtype=bool)
+        for i in range(0, rows, step):
+            for j in range(0, width, chunk):
+                tile = _part(_part(block, -1, i, step), -2, j, chunk)
+                goal = _part(_part(targets, -1, i, step), -2, j, chunk)
+                e = eq[..., :min(chunk, width - j), :min(step, rows - i)]
+                for v in range(1, k):
+                    np.equal(tile, goal[v - 1], out=e)
+                    counts[v, ..., i:i + step] += e.view(np.uint8).sum(axis=-2, dtype=np.uint8)
+    else:
+        # The votes of a row run along its memory row (step 2): read the
+        # plane's bytes as uint64 words, which add byte lane by byte lane
+        # without a carry for up to _U8_MAX words, then add each sum's
+        # 8 lanes.
+        step = min(rows, max(1, _VOTE_BLOCK // (stack * width)))
+        chunks = -(-width // (8 * _U8_MAX))
+        words = -(-width // (8 * chunks))  # per chunk, at most _U8_MAX
+        eq = np.zeros((*lead, step, 8 * words * chunks), dtype=bool)  # the pad stays 0
+        lanes = eq.view(np.uint64).reshape(*lead, step, chunks, words)
+        for i in range(0, rows, step):
+            r = min(step, rows - i)
+            tile, goal = _part(block, -2, i, step), _part(targets, -2, i, step)
+            for v in range(1, k):
+                np.equal(tile, goal[v - 1], out=eq[..., :r, :width])
+                counts[v, ..., i:i + r] = (lanes[..., :r, :, :].sum(axis=-1)
+                                           .view(np.uint8).sum(axis=-1, dtype=np.intp))
+    counts[0] = width - counts[1:].sum(axis=0)
+    return counts.transpose(*range(1, counts.ndim), 0)
+
+
+def _bincount_counts(a, ref, k: int, shape) -> np.ndarray:
+    """(..., rows, k) counts of the votes (a - ref) mod k by bincount.
+
+    a - ref + k lies in (0, 2k), so one bincount over
+    row * 2k + (a - ref + k) needs no modulus; the count of residue v
+    is then raw[v] + raw[v + k]. The intp cell indices are built a tile
+    of whole rows at a time, the same rows of every matrix.
+    """
+    *lead, rows, width = shape
+    step = min(rows, max(1, _VOTE_BLOCK // (8 * math.prod(lead) * width)))
+    counts = np.empty((*lead, rows, k), dtype=np.intp)
+    for i in range(0, rows, step):
+        cells = np.subtract(_part(a, -2, i, step), _part(ref, -2, i, step), dtype=np.intp)
+        tile = cells.shape[:-1]
+        cells += np.arange(k, 2 * k * math.prod(tile), 2 * k).reshape(*tile, 1)
+        # order="K" reads the cells in memory order, so a transposed ref
+        # is not copied; the counts do not depend on the order
+        raw = np.bincount(cells.ravel(order="K"),
+                          minlength=2 * k * math.prod(tile)).reshape(*tile, 2 * k)
+        counts[..., i:i + step, :] = raw[..., :k] + raw[..., k:]
+    return counts
+
+
+def _part(x: np.ndarray, axis: int, i: int, step: int) -> np.ndarray:
+    """x[i:i + step] along axis -1 or -2, or x whole where it
+    broadcasts along that axis (it is missing or of size 1)."""
+    if x.ndim < -axis or x.shape[axis] == 1:
+        return x
+    return x[..., i:i + step, :] if axis == -2 else x[..., i:i + step]
 
 
 def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:

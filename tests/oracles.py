@@ -255,6 +255,17 @@ def plurality_margin_by_count(values, k: int) -> int:
     return counts[0] - counts[1]
 
 
+def plurality_by_one_hot(a, ref, k: int):
+    """Winners and margins of the votes (a - ref) mod k per row of the
+    broadcast (..., rows, width): each vote as a one-hot row of k, the
+    rows summed, the first largest count wins, and the margin is the
+    top count minus the next after a full sort."""
+    votes = (np.asarray(a, dtype=np.int64) - np.asarray(ref, dtype=np.int64)) % k
+    counts = (votes[..., None] == np.arange(k)).sum(axis=-2)
+    ranked = np.sort(counts, axis=-1)
+    return counts.argmax(axis=-1), ranked[..., -1] - ranked[..., -2]
+
+
 def pairwise_diffs_by_scan(labels, k: int) -> dict:
     """Exact (label(i) - label(j)) mod k for every canonical pair."""
     n = len(labels)

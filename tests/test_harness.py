@@ -134,7 +134,7 @@ class TestRunTrial:
                            match=re.escape(f"trial_seed must be integers, got {trial_seed!r}")):
             run_trial_detailed(20, NoiseParams(2, 0.4), SeedConfig(), trial_seed)
 
-    def test_integer_trial_seed_is_used_unmasked(self):
+    def test_trial_seed_read_mod_2_64(self):
         # the trial seed is read mod 2^64, like every other seed, so -1
         # and 2^64 - 1 are the same trial; an integral float reads as its int
         def run(seed):
@@ -148,8 +148,8 @@ class TestRunTrial:
     def test_large_trial_memory_stays_near_the_answer_block(self):
         # n = 10^4, k = 4, delta = 0.5, c = 40: |S| = 737, 6.83 M queries.
         # The one-byte answer block is the only trial-sized allocation;
-        # the oracle and the votes work in tiles of _BLOCK / _VOTE_BLOCK
-        # cells, for which a fixed 4 MiB is allowed (8 int64 arrays).
+        # the oracle works in tiles of _BLOCK pairs and the votes in
+        # tiles of _VOTE_BLOCK bytes, for which a fixed 4 MiB is allowed.
         n, params, cfg = 10_000, NoiseParams(4, 0.5), SeedConfig(constant_c=40.0)
         s = seed_size(n, params, cfg)
         tracemalloc.start()

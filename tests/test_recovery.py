@@ -37,7 +37,12 @@ from cycalign import (
 )
 from cycalign import recovery
 from cycalign.recovery import _vote_rows
-from oracles import pairwise_diffs_by_scan, plurality_by_count, plurality_margin_by_count
+from oracles import (
+    pairwise_diffs_by_scan,
+    plurality_by_count,
+    plurality_by_one_hot,
+    plurality_margin_by_count,
+)
 
 # large-bias parameter points keep these unit tests inside the regime
 # where seed reconciliation is dependable; regime-boundary behavior is
@@ -238,14 +243,73 @@ class TestVoteRows:
 
     @pytest.mark.parametrize("block", range(1, 8))
     def test_rows_straddling_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(recovery, "_VOTE_BLOCK", block)
+        # tiles of 8 * block bytes: a few rows (or a few memory rows by a
+        # few columns) of a plane, and block rows of intp bincount cells,
+        # so tile edges fall inside these matrices on every count path
+        monkeypatch.setattr(recovery, "_VOTE_BLOCK", 8 * block)
         rng = np.random.default_rng(block)
-        for k, rows, width in [(2, 5, 9), (3, 7, 3), (5, 1, 20), (4, 13, 1), (300, 4, 11)]:
+        for k, rows, width in [(2, 5, 9), (3, 7, 3), (5, 1, 20), (4, 13, 1),
+                               (16, 6, 5), (17, 6, 5), (300, 4, 11)]:
             a = rng.integers(0, k, (rows, width))
             self._check_against_ref(a, rng.integers(0, k, width), k)
             self._check_against_ref(a[0], rng.integers(0, k, (width, rows)).T, k)
             self._check_against_ref(a, 0, k)
         self._check(rng.integers(0, 4, (9, 30)).T, 4)
+
+
+# every count path: planes up to _PLANES_MAX_K = 16, one bincount above
+_VOTE_KS = [2, 3, 4, 8, 15, 16, 17, 32, 127, 128, 300]
+
+
+def _vote_layout(layout, k, rows, width, rng):
+    """(a, ref) of one of the layouts the kernel reads: two full
+    matrices, rows against one row (step 2), labels against a block's
+    columns (step 3), and strided views of larger arrays."""
+    dtype = np.int8 if k <= 127 else np.int16
+    if layout == "full":
+        return (rng.integers(0, k, (rows, width)).astype(dtype),
+                rng.integers(0, k, (rows, width)).astype(dtype))
+    if layout == "row_ref":
+        block = rng.integers(0, k, (rows + 1, width)).astype(dtype)
+        return block[1:], block[:1]
+    if layout == "transposed":
+        return (rng.integers(0, k, (1, width)),
+                rng.integers(0, k, (width, rows)).astype(dtype).T)
+    return (rng.integers(0, k, (2 * rows, 3 * width)).astype(dtype)[::2, ::3],
+            rng.integers(0, k, (rows, 2 * width)).astype(dtype)[:, 1::2])
+
+
+class TestVoteCounts:
+    """_vote_rows against the one-hot count of tests/oracles.py on
+    every count path and layout."""
+
+    @pytest.mark.parametrize("layout", ["full", "row_ref", "transposed", "strided"])
+    @pytest.mark.parametrize("k", _VOTE_KS)
+    def test_equals_one_hot_count(self, k, layout):
+        rng = np.random.default_rng(k)
+        # a width over 8 * 255 bytes puts the row of a plane in two word chunks
+        for rows, width in [(1, 1), (7, 5), (40, 60), (3, 2100)]:
+            a, ref = _vote_layout(layout, k, rows, width, rng)
+            winners, margins = _vote_rows(a, k, ref)
+            want = plurality_by_one_hot(a, ref, k)
+            assert winners.tolist() == want[0].tolist()
+            assert margins.tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 17])
+    def test_identical_rows_past_a_uint8_lane(self, k):
+        # 300 identical seed rows: every rest node gets 300 equal votes,
+        # past the 255 a uint8 lane holds, so its margin is all of them
+        s, w = 300, 50
+        rng = np.random.default_rng(k)
+        block = np.repeat(rng.integers(0, k, (1, w)), s, axis=0).astype(np.int8)
+        winners, margins = _vote_rows(np.zeros((1, s), dtype=np.int64), k, block.T)
+        assert winners.tolist() == (-block[0] % k).tolist()
+        assert margins.tolist() == [s] * w
+        # the same along a row: over 2 * 8 * 255 equal votes, three word chunks
+        row = np.tile(block[:1], (2, 2 * 8 * 255 // w + 1))
+        winners, margins = _vote_rows(row, k, row[:1])
+        assert winners.tolist() == [0, 0]
+        assert margins.tolist() == [row.shape[1]] * 2
 
 
 class TestVoteStacks:
@@ -254,12 +318,19 @@ class TestVoteStacks:
 
     @pytest.mark.parametrize("block", [1, 5, 1 << 16])
     def test_stack_equals_each_matrix_alone(self, block, monkeypatch):
+        # tiles of block bytes: a part of one matrix's row, a few rows of
+        # every matrix, or the whole stack at once
         monkeypatch.setattr(recovery, "_VOTE_BLOCK", block)
         rng = np.random.default_rng(block)
-        for k, t, rows, width in [(2, 3, 5, 9), (3, 4, 7, 3), (5, 2, 1, 6)]:
-            a = rng.integers(0, k, (t, rows, width)).astype(np.int8)
+        for k, t, rows, width in [(2, 3, 5, 9), (3, 4, 7, 3), (5, 2, 1, 6),
+                                  (16, 3, 4, 7), (17, 3, 4, 7), (130, 2, 3, 5)]:
+            dtype = np.int8 if k <= 127 else np.int16
+            a = rng.integers(0, k, (t, rows, width)).astype(dtype)
             for ref in (a[:, :1], rng.integers(0, k, (t, width, rows)).transpose(0, 2, 1)):
                 winners, margins = _vote_rows(a, k, ref)
+                want = plurality_by_one_hot(a, ref, k)
+                assert winners.tolist() == want[0].tolist()
+                assert margins.tolist() == want[1].tolist()
                 for i in range(t):
                     alone = _vote_rows(a[i], k, ref[i])
                     assert winners[i].tolist() == alone[0].tolist()
