@@ -10,11 +10,12 @@ value with probability 1/k - delta/(k-1).
 
 Noise is derived statelessly from (rng_seed, i, j) with the SplitMix64
 finalizer mix: the seed's base is mix(rng_seed + golden), the pair's
-hash mix(base + mix(((i << 32) ^ j) + golden)) mod 2^64, and its top
-53 bits are a uniform u in [0, 1) that the inverse CDF of the law
-turns into the noise. So a transcript depends only on the seed and
-the set of pairs, never on query order. This keeps any split of a plan
-into chunks, and any parallel schedule, byte-for-byte reproducible.
+hash z = mix(base + mix(((i << 32) ^ j) + golden)) mod 2^64, and its
+top 53 bits x = z >> 11 give a uniform u = x * 2^-53 in [0, 1) that the
+inverse CDF of the law turns into the noise (_noise_minus_one, the
+definition). So a transcript depends only on the seed and the set of
+pairs, never on query order. This keeps any split of a plan into
+chunks, and any parallel schedule, byte-for-byte reproducible.
 
 An oracle answers one plan. Algorithm 1 is non-adaptive: its whole
 query set is fixed before any answer is seen, so it is one plan, and a
@@ -36,21 +37,35 @@ answered with the same seed.
 
 A tile holds about _BLOCK / T pairs, and it runs one fused pass over
 buffers sized to the largest tile's T rows and reused by the rest. The
-pair's part of the hash, mix(((i << 32) ^ j) + golden), is computed
-once per tile for all rows, and each row adds its own seed's base. The
-hash is mixed in place in one uint64 buffer, its uniform goes to a
-float buffer (the hash's scratch), the inverse CDF works in place
-there, and the noise, cast to a small signed type, is added to
-g[lo] - g[hi] + k. A lookup of the residue of that sum writes the
-tile's answers straight into the answer rows.
+pair's part of the hash is computed once per tile for all rows, and
+each row adds its own seed's base. Its key is built as
+((i << 32) + golden) + j, which equals ((i << 32) ^ j) + golden because
+j < 2^32 (true of any n whose labels fit in memory), so the constant
+rides on the tile's small operand. The hash is mixed in place in one
+uint64 buffer, with a second one as scratch, and the noise is added to
+g[lo] - g[hi] + k in a small signed type: int8 while 3k <= 127.
 
-Answers are written straight into the transcript's compact answer type
-(int8 up to k = 127) and handed over, so the transcript is the plan
-plus that array, kept without a copy.
+Up to k = _THRESHOLD_MAX_K the noise is counted, not computed. Every
+step from x to the noise is monotone in x: the product by 2^-53 is
+exact, and subtracting p_zero, dividing by step > 0, the floor and the
+clip never reverse an order. So the noise is a step function of x with
+k - 1 least step points t_c (noise >= c exactly when x >= t_c), and
+x >= t_c exactly when z >= t_c << 11. _noise_thresholds finds the t_c
+once per law by bisection on _noise_minus_one itself, and the kernel
+adds each compare of z with t_c << 11 to the tile's sum, as the int8
+view of its bool plane. Above that k the k - 1 compares cost more than
+the float path, which the kernel then runs on x as the definition does.
+
+The sum lies in [0, 3k). Two conditional subtractions of k, each the
+minimum of d and d - k read as unsigned (d - k wraps above d when
+d < k), leave its residue, written straight into the answer rows in
+the transcript's compact answer type (int8 up to k = 127); the
+transcript keeps that array without a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -72,6 +87,9 @@ _SHIFT = {b: np.uint64(b) for b in (11, 27, 30, 31, 32)}  # shift counts
 # Answers per tile, over all of its rows: the tile's buffers stay in
 # cache, where plan-sized temporaries would stream through memory.
 _BLOCK = 1 << 16
+# Largest k counted by threshold compares, ~0.4 ns an answer each
+# against ~3.4 ns for the float path (per-k table in CHANGES.md)
+_THRESHOLD_MAX_K = 8
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -107,25 +125,43 @@ def _noise_minus_one(u: np.ndarray, k: int, p_zero: float, step: float) -> None:
     np.clip(u, -1, k - 2, out=u)
 
 
-def noise_from_uniform(u: np.ndarray, k: int, delta: float) -> np.ndarray:
-    """Map uniform [0, 1) variates to noise values by inverse CDF.
+@functools.lru_cache(maxsize=64)
+def _noise_thresholds(k: int, delta: float) -> np.ndarray:
+    """The hashes t_c << 11 at which the noise of a law reaches c, for
+    c = 1 .. k - 1 up to the last value any 53-bit x reaches, read-only:
+    the noise of hash z is the number of them at or below z.
 
-    Value 0 owns the mass 1/k + delta; the remaining mass is split
-    evenly over 1 .. k-1. delta = 0 is permitted here (uniform noise);
-    parameter validation happens in NoiseParams.
+    t_c is the least x in [0, 2^53) whose _noise_minus_one(x * 2^-53)
+    is at least c - 1, found for every c at once by bisection; the map
+    is monotone in x (see the module docstring). Called only for a law
+    that has noise (_noise_law is not None).
     """
-    u = np.array(u, dtype=np.float64)  # a copy: the law works in place
-    law = _noise_law(k, delta)
-    if law is None:
-        return np.zeros(u.shape, dtype=np.int64)
-    _noise_minus_one(u, k, *law)
-    return u.astype(np.int64) + 1
+    p_zero, step = _noise_law(k, delta)
+    want = np.arange(k - 1, dtype=np.float64)  # noise - 1 >= c - 1
+    lo = np.zeros(k - 1, dtype=np.int64)
+    hi = np.full(k - 1, 1 << 53, dtype=np.int64)  # 2^53: never reached
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        u = mid * 2.0**-53
+        _noise_minus_one(u, k, p_zero, step)
+        reached = u >= want
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid + 1)
+    thresholds = lo[lo < 1 << 53].astype(np.uint64) << _SHIFT[11]
+    thresholds.flags.writeable = False
+    return thresholds
 
 
 def sample_noise(params: NoiseParams, rng: np.random.Generator,
                  size: int | tuple[int, ...] | None = None) -> int | np.ndarray:
     """Draw noise values from the zero-biased law using a numpy Generator."""
-    vals = noise_from_uniform(rng.random(size), params.k, params.delta)
+    u = np.array(rng.random(size), dtype=np.float64)
+    law = _noise_law(params.k, params.delta)
+    if law is None:
+        u.fill(-1.0)  # value 0 owns all the mass
+    else:
+        _noise_minus_one(u, params.k, *law)
+    vals = u.astype(np.int64) + 1
     return int(vals) if size is None else vals
 
 
@@ -199,19 +235,18 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     """
     k, rows = params.k, len(labels)
     law = None if noiseless else _noise_law(k, params.delta)
-    # g_lo[:, i] - g_hi[:, j] + (noise - 1), or + 0 without noise, lies
-    # in [0, 3k) (the +1 of the noise is folded into g_lo) and indexes
-    # its residue in the table: a lookup is ~4x cheaper than the integer
-    # division of %
-    wide = np.int16 if 3 * k <= np.iinfo(np.int16).max else np.int64
+    floats = law is not None and k > _THRESHOLD_MAX_K
+    # g_lo[:, i] - g_hi[:, j] + noise lies in [0, 3k); the float path
+    # adds noise - 1, so its +1 is folded into g_lo
+    wide = np.int8 if 3 * k <= 127 else np.int16 if 3 * k <= 32767 else np.int64
     g_hi = labels.astype(wide)
-    g_lo = g_hi + (k if law is None else k + 1)
-    residues = (np.arange(-k, 2 * k) % k).astype(_answer_dtype(k))
+    g_lo = g_hi + (k + 1 if floats else k)
     if law is not None:  # each row's seed base, mix(seed + golden)
         bases = np.array([_as_seed(seed, "seeds") for seed in seeds], dtype=np.uint64)
         bases += _GOLDEN
         _mix64(bases, np.empty_like(bases))
-    out = np.empty((rows, len(plan)), dtype=residues.dtype)
+        thresholds = None if floats else _noise_thresholds(k, params.delta)
+    out = np.empty((rows, len(plan)), dtype=_answer_dtype(k))
     z = tmp = np.empty(0, dtype=np.uint64)
     d = np.empty(0, dtype=wide)
     at = 0
@@ -220,7 +255,11 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
         shape = np.broadcast(lo, hi).shape
         m = math.prod(shape)
         if rows * m > d.size:  # buffers for the largest tile, reused by the rest
-            z, tmp = np.empty(rows * m, np.uint64), np.empty(rows * m, np.uint64)
+            # the hash and its scratch share one block, which malloc keeps
+            # for the next call; two blocks went back to the system at
+            # return and every call faulted their pages in again
+            both = np.empty(2 * rows * m, np.uint64)
+            z, tmp = both[:rows * m], both[rows * m:]
             d = np.empty(rows * m, wide)
         dt = d[:rows * m].reshape(rows, *shape)
         # np.take gathers along the node axis as fast as a 1-d index;
@@ -236,21 +275,33 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
             # keys array that only overlaps zt would be copied first)
             keys, scratch = ((zt, tt) if rows == 1 else
                              (tmp[:m].reshape(shape), z[:m].reshape(shape)))
-            np.bitwise_xor(lo.view(np.uint64) << _SHIFT[32], hi.view(np.uint64), out=keys)
-            keys += _GOLDEN
+            np.add((lo.view(np.uint64) << _SHIFT[32]) + _GOLDEN, hi.view(np.uint64), out=keys)
             _mix64(keys, scratch)
             np.add(keys, bases.reshape(rows, *(1,) * len(shape)), out=zt)
             _mix64(zt, tt)
-            zt >>= _SHIFT[11]
-            u = np.multiply(zt, 2.0**-53, out=tt.view(np.float64))  # top 53 bits
-            _noise_minus_one(u, k, *law)
-            # noise - 1 over z, which is free from here; a local view, so
-            # z is freed after tmp: freeing it first makes malloc hand the
-            # pages back to the system on every call, and the next call
-            # faults them in again
-            noise = z.view(wide)[:rows * m].reshape(dt.shape)
-            np.copyto(noise, u, casting="unsafe")  # whole numbers in [-1, k-2]
-            dt += noise
-        np.take(residues, dt, out=out[:, at:at + m].reshape(dt.shape))
+            if thresholds is not None:
+                # noise >= c exactly when z >= t_c << 11: each compare
+                # adds its bool plane, over tmp, which is free from here
+                plane = tmp.view(np.bool_)[:rows * m].reshape(dt.shape)
+                for threshold in thresholds:
+                    np.greater_equal(zt, threshold, out=plane)
+                    dt += plane.view(np.int8)
+            else:
+                zt >>= _SHIFT[11]
+                u = np.multiply(zt, 2.0**-53, out=tt.view(np.float64))  # top 53 bits
+                _noise_minus_one(u, k, *law)
+                # noise - 1 over z, which is free from here
+                noise = z.view(wide)[:rows * m].reshape(dt.shape)
+                np.copyto(noise, u, casting="unsafe")  # whole numbers in [-1, k-2]
+                dt += noise
+        # residue: d - k read as unsigned wraps above d when d < k, so
+        # each minimum subtracts k from d >= k only; z is free as scratch
+        d_u = dt.view(f"u{dt.itemsize}")
+        less = z.view(d_u.dtype)[:rows * m].reshape(dt.shape)
+        np.subtract(d_u, k, out=less)
+        np.minimum(d_u, less, out=d_u)
+        np.subtract(d_u, k, out=less)
+        rows_out = out[:, at:at + m].reshape(dt.shape)
+        np.minimum(d_u, less, out=rows_out.view(f"u{out.itemsize}"), casting="unsafe")
         at += m
     return out

@@ -1,7 +1,11 @@
 """Oracle contracts: noise law, one plan per oracle, determinism."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from cycalign import (
     Labeling,
     NoiseParams,
     QueryPlan,
-    noise_from_uniform,
     sample_noise,
     seed_rest_plan,
 )
@@ -23,7 +26,27 @@ from cycalign.harness import full_pairwise_plan
 from oracles import oracle_answers_by_definition
 
 
+def noise_from_uniform(u, k, delta):
+    """The kernel's noise for uniforms u, by its threshold compares: the
+    hash of u's 53-bit grid point x = floor(u * 2^53) is z = x << 11, and
+    the noise counts the thresholds at or below z."""
+    z = np.floor(np.asarray(u, dtype=np.float64) * 2.0**53).astype(np.uint64) << np.uint64(11)
+    if oracle_module._noise_law(k, delta) is None:
+        return np.zeros(z.shape, dtype=np.int64)
+    thresholds = oracle_module._noise_thresholds(k, delta)
+    return (z[..., None] >= thresholds).sum(axis=-1, dtype=np.int64)
+
+
+def _float_noise(x, k, delta):
+    """The definition: the inverse CDF of the law at u = x * 2^-53."""
+    u = np.asarray(x, dtype=np.float64) * 2.0**-53
+    oracle_module._noise_minus_one(u, k, *oracle_module._noise_law(k, delta))
+    return u.astype(np.int64) + 1
+
+
 class TestNoiseFromUniform:
+    """The law's cells as the threshold compares see them."""
+
     def test_k2_thresholds(self):
         # mass 0.75 on value 0, 0.25 on value 1
         u = np.array([0.0, 0.7499, 0.75, 0.999])
@@ -61,22 +84,68 @@ def _noise_by_where(u, k, delta):
 @pytest.mark.parametrize("delta_of_k", [lambda k: 1e-12, lambda k: 1 / (2 * k),
                                         lambda k: 0.9 * (k - 1) / k])
 def test_noise_from_uniform_at_every_boundary_matches_the_select_form(k, delta_of_k):
-    # each cell edge p_zero + j * step and its float neighbours on both sides
+    # each cell edge p_zero + j * step, on the kernel's 53-bit grid, and
+    # its grid neighbours on both sides
     delta = delta_of_k(k)
     p_zero = 1.0 / k + delta
     edges = p_zero + np.arange(k) * ((1.0 - p_zero) / (k - 1))
-    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-                        [0.0, np.nextafter(1.0, 0.0)]])
+    x = np.floor(edges * 2.0**53)
+    u = np.concatenate([x - 1, x, x + 1, [0, 2.0**53 - 1]]) * 2.0**-53
     u = u[u < 1.0]
     got = noise_from_uniform(u, k, delta)
     assert got.dtype == np.int64
     assert got.tolist() == _noise_by_where(u, k, delta).tolist()
 
 
-def test_noise_from_uniform_does_not_modify_its_input():
-    u = np.array([0.1, 0.5, 0.9])
-    noise_from_uniform(u, 3, 0.2)
-    assert u.tolist() == [0.1, 0.5, 0.9]
+class TestNoiseThresholds:
+    """The k - 1 compares of the hash count the float path's noise."""
+
+    @pytest.mark.parametrize("k", range(2, oracle_module._THRESHOLD_MAX_K + 2))
+    def test_compare_count_equals_the_float_path_at_each_step(self, k):
+        # on both sides of each step point t_c, with the 11 low bits of
+        # the hash all 0 and all 1; k = 2, delta = 0.25 puts p_zero on
+        # the grid, and p_zero = 1 - 2^-52 leaves two grid points above
+        # it, so the noise jumps and its top values are never reached
+        deltas = [1e-12, 1 / (2 * k), (k - 1) / k - 1e-12, (k - 1) / k,
+                  (k - 1) / k - 2.0**-52]
+        for delta in deltas + ([0.25] if k == 2 else []):
+            if oracle_module._noise_law(k, delta) is None:
+                continue  # value 0 owns all the mass: no noise to count
+            t = oracle_module._noise_thresholds(k, delta) >> np.uint64(11)
+            assert 1 <= len(t) <= k - 1 and (np.diff(t.astype(np.int64)) >= 0).all()
+            x = np.concatenate([t - np.uint64(1), t, np.array([0, 2**53 - 1], np.uint64)])
+            want = _float_noise(x, k, delta)
+            for low in (0, 2047):
+                z = (x << np.uint64(11)) | np.uint64(low)
+                got = (z[:, None] >= (t << np.uint64(11))).sum(axis=1)
+                assert got.tolist() == want.tolist(), (delta, low)
+            # the last step point is the largest noise any hash reaches
+            assert want[-1] == len(t)
+
+    def test_computed_once_per_law(self):
+        plan = seed_rest_plan(40, 5)
+        oracle_module._noise_thresholds.cache_clear()
+        for seed in (1, 2):
+            for delta in (0.2, 0.3):
+                _oracle([0] * 40, 4, delta=delta, seed=seed).execute_plan(plan)
+        k = oracle_module._THRESHOLD_MAX_K + 1  # the float path needs none
+        _oracle([0] * 40, k, delta=0.3).execute_plan(plan)
+        info = oracle_module._noise_thresholds.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_not_computed_at_import(self):
+        code = ("import cycalign.oracle as o; "
+                "print(o._noise_thresholds.cache_info().currsize)")
+        src = str(Path(oracle_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "0"
+
+    def test_thresholds_are_read_only(self):
+        with pytest.raises(ValueError):
+            oracle_module._noise_thresholds(4, 0.3)[0] = 0
 
 
 class TestSampleNoise:
@@ -92,6 +161,14 @@ class TestSampleNoise:
     def test_scalar_draw(self):
         v = sample_noise(NoiseParams(4, 0.1), np.random.default_rng(0))
         assert isinstance(v, int) and 0 <= v < 4
+
+    @pytest.mark.parametrize("k,delta", [(2, 0.25), (3, 0.2), (8, 0.5), (40, 0.01)])
+    def test_same_law_as_the_oracle(self, k, delta):
+        # the generator's uniforms lie on the 53-bit grid, so the draws
+        # are the oracle's noise of the same uniforms
+        u = np.random.default_rng(11).random(50_000)
+        vals = sample_noise(NoiseParams(k, delta), np.random.default_rng(11), 50_000)
+        assert vals.tolist() == noise_from_uniform(u, k, delta).tolist()
 
 
 def _oracle(labels, k, delta=0.2, seed=1, noiseless=False):
@@ -252,7 +329,11 @@ class TestAnswersByDefinition:
 
     @pytest.mark.parametrize("block", [1 << 16, 50, 7])
     @pytest.mark.parametrize("form", sorted(PLANS))
-    @pytest.mark.parametrize("k", [2, 3, 4, 7, 127, 128, 300])
+    # k on both sides of the threshold crossover and of the int8/int16
+    # working type (3k <= 127)
+    @pytest.mark.parametrize("k", sorted({2, 3, 4, 7, 127, 128, 300, 42, 43,
+                                          oracle_module._THRESHOLD_MAX_K,
+                                          oracle_module._THRESHOLD_MAX_K + 1}))
     def test_matches_reference(self, monkeypatch, block, form, k):
         monkeypatch.setattr(oracle_module, "_BLOCK", block)
         plan = self.PLANS[form]()
@@ -314,8 +395,8 @@ class TestAnswerRows:
 
     def test_memory_stays_near_the_answer_rows(self):
         # T = 4 rows of 810 000 one-byte answers; besides them only the
-        # tile's buffers (18 bytes a cell) and np.take's intp copy of the
-        # tile's indices, over about _BLOCK cells of all rows together
+        # tile's buffers (17 bytes a cell: the hash, its scratch and the
+        # int8 sum), over about _BLOCK cells of all rows together
         plan = seed_rest_plan(3000, 300)
         labels = np.random.default_rng(5).integers(0, 4, (4, plan.n))
         for noiseless in (False, True):

@@ -16,9 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # step functions and readers that copied the seed x rest pipeline;
 # recover_from_transcript and QueryTranscript.lookup_oriented replace them;
-# run_trial only took the outcome out of run_trial_detailed
+# run_trial only took the outcome out of run_trial_detailed;
+# noise_from_uniform only wrapped the oracle's inverse CDF for tests
 DELETED = ["plurality", "estimate_pairwise_diff", "align_seed", "extend_labels",
-           "lookup_oriented", "run_trial"]
+           "lookup_oriented", "run_trial", "noise_from_uniform"]
 
 
 def test_all_names_are_unique_and_resolve():
@@ -30,7 +31,7 @@ def test_all_names_are_unique_and_resolve():
 def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in cycalign.__all__
-        for module in (cycalign, core, recovery, harness):
+        for module in (cycalign, core, oracle, recovery, harness):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "cfg" not in inspect.signature(harness.run_mle_comparison).parameters
     assert not hasattr(QueryTranscript, "answers")
