@@ -74,60 +74,51 @@ def _check_same_shape(estimate: Labeling, truth: Labeling) -> None:
 
 def recover_success(estimate: Labeling, truth: Labeling) -> bool:
     """True iff estimate equals truth plus some global shift mod k."""
-    _check_same_shape(estimate, truth)
-    offset = (estimate.labels - truth.labels) % truth.k
-    return bool(np.all(offset == offset[0]))
+    return hamming_after_best_shift(estimate, truth) == 0
 
 
 def hamming_after_best_shift(estimate: Labeling, truth: Labeling) -> int:
     """Minimum number of mismatched nodes over all global shifts."""
     _check_same_shape(estimate, truth)
-    offset = (estimate.labels - truth.labels) % truth.k
-    counts = np.bincount(offset, minlength=truth.k)
-    return int(truth.n - counts.max())
+    return int(_hamming_rows(estimate.labels[None], truth.labels[None], truth.k)[0])
 
 
-@dataclass(frozen=True)
-class LikelihoodSplit:
-    """Edge counts splitting a transcript against a candidate labeling:
-    agree edges have zero residual noise, disagree edges do not."""
-
-    agree: int
-    disagree: int
-
-
-def likelihood_split(transcript: QueryTranscript, g: Labeling) -> LikelihoodSplit:
-    """Count transcript pairs whose answer matches the labeling's difference."""
-    if g.n != transcript.n or g.k != transcript.k:
-        raise DimensionMismatchError(
-            f"labeling (n={g.n}, k={g.k}) does not fit transcript "
-            f"(n={transcript.n}, k={transcript.k})"
-        )
-    if len(transcript) == 0:
-        return LikelihoodSplit(0, 0)
-    plan = transcript._plan
-    residual = (g.labels[plan.lo] - g.labels[plan.hi] - transcript._ans) % g.k
-    agree = int(np.count_nonzero(residual == 0))
-    return LikelihoodSplit(agree, len(transcript) - agree)
+def _hamming_rows(labels: np.ndarray, truths: np.ndarray, k: int) -> np.ndarray:
+    """hamming_after_best_shift of each row of the (T, n) labels against
+    that row of truths, unchecked: one bincount, with row t's offsets
+    (labels - truths) mod k in bins t*k .. t*k + k - 1."""
+    rows, n = labels.shape
+    offset = (labels - truths) % k + np.arange(0, rows * k, k)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=rows * k).reshape(rows, k)
+    return n - counts.max(axis=1)
 
 
 def log_likelihood(transcript: QueryTranscript, g: Labeling,
                    params: NoiseParams) -> float:
     """Log-probability of the transcript's answers given the labeling.
 
-    Equals agree * ln(1/k + delta) + disagree * ln(1/k - delta/(k-1)).
+    Equals agree * ln(1/k + delta) + disagree * ln(1/k - delta/(k-1)),
+    where a pair agrees when its answer is the labeling's difference.
     At the extreme delta = (k-1)/k a disagreeing edge has probability
     zero; that case raises instead of silently returning -inf.
     """
-    split = likelihood_split(transcript, g)
-    if split.disagree and params.p_nonzero <= 0.0:
+    if g.n != transcript.n or g.k != transcript.k:
+        raise DimensionMismatchError(
+            f"labeling (n={g.n}, k={g.k}) does not fit transcript "
+            f"(n={transcript.n}, k={transcript.k})"
+        )
+    plan = transcript._plan
+    residual = (g.labels[plan.lo] - g.labels[plan.hi] - transcript._ans) % g.k
+    agree = int(np.count_nonzero(residual == 0))
+    disagree = len(transcript) - agree
+    if disagree and params.p_nonzero <= 0.0:
         raise DegenerateLikelihoodError(
-            f"{split.disagree} edges disagree but delta={params.delta:g} "
+            f"{disagree} edges disagree but delta={params.delta:g} "
             "makes disagreement impossible"
         )
-    out = split.agree * math.log(params.p_zero)
-    if split.disagree:
-        out += split.disagree * math.log(params.p_nonzero)
+    out = agree * math.log(params.p_zero)
+    if disagree:
+        out += disagree * math.log(params.p_nonzero)
     return out
 
 

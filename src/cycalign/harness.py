@@ -5,8 +5,13 @@ stable hash, so any run is reproducible from its configuration alone:
 trial seeds are base_seed XOR blake2b(cell, trial index), independent
 of sweep ordering or parallel scheduling.
 
+Trials run in batches of _batch_size, each answered, recovered and
+scored as one stack (_run_trials) with every trial on its own seeds, so
+each result equals that of the trial run alone.
+
 Failed recovery is data (a zero in the success column); an exception
-inside a trial is a bug and aborts the sweep with cell context.
+inside a batch is a bug and aborts the sweep with the cell and the
+batch's trial range.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .analysis import (
     TailFit,
     TailSpec,
     _check_tail_votes,
+    _hamming_rows,
     _MleTable,
     fit_tail_exponent,
-    hamming_after_best_shift,
     tail_predictor,
     tail_probability_exact,
     tail_probability_mc,
@@ -43,19 +48,20 @@ from .core import (
     _as_real,
     _as_seed,
 )
-from .oracle import FaultyOracle, _answer_rows
+from .oracle import _answer_rows
 from .recovery import (
     RecoveryResult,
     SeedConfig,
     _recover_blocks,
-    _recover_seeded,
     _seed_size,
+    seed_rest_plan,
     seed_size,
 )
 
 logger = logging.getLogger(__name__)
 
-_MLE_BATCH = 32  # trials answered, recovered and scored as one stack
+_BATCH_TRIALS = 32  # most trials answered, recovered and scored as one stack
+_BATCH_BYTES = 1 << 20  # most answer bytes a batch holds at once
 
 CSV_HEADER = ("n,k,delta,constant_c,seed_size,query_count,"
               "trials,successes,mean_hamming,wall_time_seconds")
@@ -160,7 +166,12 @@ def run_trial_detailed(
     core._as_seed): 2.7, text or None raises ValueError naming it.
     """
     trial_seed = _as_seed(trial_seed, "trial_seed")
-    return _seeded_trial(n, params, seed_size(n, params, cfg), trial_seed, noiseless)
+    s, k = seed_size(n, params, cfg), params.k
+    truths, _, labels, margins, hamming = _run_trials(
+        seed_rest_plan(n, s), s, params, [trial_seed], noiseless)
+    result = RecoveryResult(Labeling(labels[0], k), tuple(range(s)), s * (n - s), margins[0])
+    outcome = TrialOutcome(bool(hamming[0] == 0), int(hamming[0]), s * (n - s))
+    return Labeling(truths[0], k), result, outcome
 
 
 def _trial_truth(n: int, k: int, trial_seed: int) -> np.ndarray:
@@ -168,16 +179,25 @@ def _trial_truth(n: int, k: int, trial_seed: int) -> np.ndarray:
     return _truth_labels(n, k, np.random.default_rng(_substream(trial_seed, "truth")))
 
 
-def _seeded_trial(n: int, params: NoiseParams, s: int, trial_seed: int,
-                  noiseless: bool) -> tuple[Labeling, RecoveryResult, TrialOutcome]:
-    """run_trial_detailed with the seed already sized to s."""
-    truth = Labeling(_trial_truth(n, params.k, trial_seed), params.k)
-    oracle = FaultyOracle(truth, params, _substream(trial_seed, "oracle"),
-                          noiseless=noiseless)
-    result = _recover_seeded(oracle, s)
-    hamming = hamming_after_best_shift(result.labeling, truth)
-    return truth, result, TrialOutcome(success=hamming == 0, hamming=hamming,
-                                       query_count=result.query_count)
+def _batch_size(plan: QueryPlan) -> int:
+    """Trials per batch on plan: at most _BATCH_TRIALS, and at most
+    _BATCH_BYTES of one-byte answers, but at least one."""
+    return max(1, min(_BATCH_TRIALS, _BATCH_BYTES // len(plan)))
+
+
+def _run_trials(plan: QueryPlan, s: int, params: NoiseParams, trial_seeds,
+                noiseless: bool):
+    """The truths, answers (in the plan's order), labels, vote margins
+    and Hamming distances after the best shift of the trials of
+    trial_seeds on plan with seed size s, row t for trial t: what
+    FaultyOracle, recover_from_transcript and hamming_after_best_shift
+    give for it alone, from one call of each stacked kernel."""
+    k = params.k
+    truths = np.stack([_trial_truth(plan.n, k, seed) for seed in trial_seeds])
+    answers = _answer_rows(truths, [_substream(seed, "oracle") for seed in trial_seeds],
+                           params, plan, noiseless)
+    labels, margins = _recover_blocks(plan._block(answers, s), k)
+    return truths, answers, labels, margins, _hamming_rows(labels, truths, k)
 
 
 def check_sweep(config: SweepConfig) -> None:
@@ -197,11 +217,12 @@ def check_sweep(config: SweepConfig) -> None:
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:
     """One ExperimentRecord per valid (n, k, delta, constant_c) cell.
 
-    Each cell sizes its seed once with seed_size, so it warns at most
-    once, and runs every trial with that seed. A cell that NoiseParams
-    or seed_size rejects is skipped with their message logged; trial
-    errors abort with the offending cell in the exception chain.
-    Deterministic for a fixed config (timing column aside).
+    Each cell sizes its seed and builds its plan once, so it warns at
+    most once, and runs its trials in batches (_run_trials). A cell that
+    NoiseParams or seed_size rejects is skipped with their message
+    logged; an error in a batch raises RuntimeError("trials 0..9 of cell
+    (n=200, k=4, delta=0.3, c=40.0) failed") chained to it. Deterministic
+    for a fixed config (timing column aside), whatever the batch size.
     """
     records = []
     grid = itertools.product(config.n_values, config.k_values,
@@ -219,17 +240,20 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
         start = time.perf_counter()
         successes = 0
         hamming_total = 0
-        for t in range(config.trials):
-            trial_seed = derive_trial_seed(config.base_seed, cell, t)
+        plan = seed_rest_plan(n, s)
+        batch = _batch_size(plan)
+        for first in range(0, config.trials, batch):
+            batch_trials = range(first, min(first + batch, config.trials))
+            trial_seeds = [derive_trial_seed(config.base_seed, cell, t) for t in batch_trials]
             try:
-                outcome = _seeded_trial(n, params, s, trial_seed, noiseless)[2]
+                hamming = _run_trials(plan, s, params, trial_seeds, noiseless)[4]
             except Exception as exc:
                 raise RuntimeError(
-                    f"trial {t} of cell (n={n}, k={k}, delta={delta}, "
-                    f"c={constant_c}) failed"
+                    f"trials {first}..{batch_trials[-1]} of cell (n={n}, k={k}, "
+                    f"delta={delta}, c={constant_c}) failed"
                 ) from exc
-            successes += outcome.success
-            hamming_total += outcome.hamming
+            successes += int(np.count_nonzero(hamming == 0))
+            hamming_total += int(hamming.sum())
         records.append(ExperimentRecord(
             n=n, k=k, delta=float(delta), constant_c=float(constant_c),
             seed_size=s, query_count=s * (n - s),
@@ -423,13 +447,10 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     Restricted to n <= 8, k <= 3 to keep enumeration exhaustive.
 
     Every trial shares the full-triangle plan, so the candidate table
-    of brute_force_mle is built once here. Trials then run in batches
-    of _MLE_BATCH: each trial keeps its own seed, truth and oracle seed,
-    and the batch is answered (oracle._answer_rows), recovered
-    (recovery._recover_blocks) and scored against the table
-    (_MleTable.score) as one stack. The counts are those of running
-    each trial through FaultyOracle, recover_from_transcript and
-    brute_force_mle alone.
+    of brute_force_mle is built once here, and each batch of trials
+    (_run_trials; at most 28 answers a trial, so _BATCH_TRIALS a batch)
+    is scored against it as one stack (_MleTable.score), with the counts
+    of FaultyOracle, recover_from_transcript and brute_force_mle alone.
     """
     check_mle_comparison(n, params, trials)
     trials = _as_int(trials, "trials")
@@ -441,14 +462,11 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     cell = ("mle", n, k, params.delta)
     agreements = 0
     nonunique = 0
-    for start in range(0, trials, _MLE_BATCH):
-        truths, oracle_seeds = [], []
-        for t in range(start, min(start + _MLE_BATCH, trials)):
-            trial_seed = derive_trial_seed(base_seed, cell, t)
-            truths.append(_trial_truth(n, k, trial_seed))
-            oracle_seeds.append(_substream(trial_seed, "oracle"))
-        answers = _answer_rows(np.stack(truths), oracle_seeds, params, plan, noiseless)
-        labels = _recover_blocks(plan._block(answers, s), k)[0]
+    batch = _batch_size(plan)
+    for first in range(0, trials, batch):
+        trial_seeds = [derive_trial_seed(base_seed, cell, t)
+                       for t in range(first, min(first + batch, trials))]
+        _, answers, labels, _, _ = _run_trials(plan, s, params, trial_seeds, noiseless)
         agree, ties = table.score(answers, labels)
         agreements += agree
         nonunique += ties

@@ -379,10 +379,5 @@ def run_algorithm1(n: int, params: NoiseParams, cfg: SeedConfig,
         raise ValueError(f"oracle is for n={oracle.n}, requested n={n}")
     if params.k != oracle.k:
         raise ValueError(f"params.k={params.k} does not match oracle k={oracle.k}")
-    return _recover_seeded(oracle, seed_size(n, params, cfg))
-
-
-def _recover_seeded(oracle: FaultyOracle, seed_count: int) -> RecoveryResult:
-    """Query a fresh oracle's seed_count x rest block and recover."""
-    transcript = oracle.execute_plan(seed_rest_plan(oracle.n, seed_count))
-    return recover_from_transcript(transcript, seed_count)
+    s = seed_size(n, params, cfg)
+    return recover_from_transcript(oracle.execute_plan(seed_rest_plan(n, s)), s)

@@ -7,12 +7,26 @@ implementations separate from the package is the point; do not import
 package internals beyond public constructors.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 import numpy as np
+
+from cycalign import (
+    ExperimentRecord,
+    FaultyOracle,
+    Labeling,
+    NoiseParams,
+    SeedConfig,
+    derive_trial_seed,
+    hamming_after_best_shift,
+    recover_from_transcript,
+    seed_rest_plan,
+    seed_size,
+)
 
 
 def vote_probs_fraction(k: int, delta: float):
@@ -284,3 +298,44 @@ def linear_fit_by_formula(x, y):
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - ybar) ** 2).sum())
     return slope, intercept, 1.0 - ss_res / ss_tot
+
+
+def substream_by_definition(seed: int, tag: str) -> int:
+    """A trial's derived seed: the first 8 bytes of blake2b("seed:tag"), big-endian."""
+    digest = hashlib.blake2b(f"{seed}:{tag}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def sweep_by_trial(config, noiseless: bool = False) -> list:
+    """run_sweep's records, timing 0.0, one trial at a time: for each
+    derive_trial_seed, the truth from its "truth" stream (node 0 pinned
+    to 0), FaultyOracle on its "oracle" stream, recover_from_transcript
+    on the seed x rest plan and hamming_after_best_shift."""
+    records = []
+    for n, k, delta, c in product(config.n_values, config.k_values,
+                                  config.delta_values, config.constant_c_values):
+        try:
+            params = NoiseParams(k, delta)
+            s = seed_size(n, params, SeedConfig(constant_c=c,
+                                                budget_scale=config.budget_scale))
+        except ValueError:
+            continue
+        cell = (n, k, delta, c, config.budget_scale)
+        successes = hamming_total = 0
+        for t in range(config.trials):
+            trial_seed = derive_trial_seed(config.base_seed, cell, t)
+            rng = np.random.default_rng(substream_by_definition(trial_seed, "truth"))
+            labels = rng.integers(0, k, size=n)
+            labels[0] = 0
+            truth = Labeling(labels, k)
+            oracle = FaultyOracle(truth, params, substream_by_definition(trial_seed, "oracle"),
+                                  noiseless=noiseless)
+            result = recover_from_transcript(oracle.execute_plan(seed_rest_plan(n, s)), s)
+            hamming = hamming_after_best_shift(result.labeling, truth)
+            successes += hamming == 0
+            hamming_total += hamming
+        records.append(ExperimentRecord(
+            n=n, k=k, delta=float(delta), constant_c=float(c), seed_size=s,
+            query_count=s * (n - s), trials=config.trials, successes=successes,
+            mean_hamming=hamming_total / config.trials, wall_time_seconds=0.0))
+    return records

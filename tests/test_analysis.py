@@ -27,7 +27,6 @@ from cycalign import (
     fit_tail_exponent,
     full_pairwise_plan,
     hamming_after_best_shift,
-    likelihood_split,
     log_likelihood,
     recover_success,
     run_lemma_check,
@@ -96,6 +95,19 @@ class TestHamming:
         assert recover_success(ga, gb) == success_by_scan(a, b, k)
         assert recover_success(ga, gb) == (hamming_after_best_shift(ga, gb) == 0)
 
+    @given(st.data())
+    def test_rows_equal_a_bincount_per_row(self, data):
+        k = data.draw(st.integers(2, 300), label="k")
+        rows, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 12))
+        stacks = [np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows * n,
+                                              max_size=rows * n)),
+                           dtype=np.int64).reshape(rows, n) for _ in range(2)]
+        labels, truths = stacks
+        got = analysis._hamming_rows(labels, truths, k)
+        want = [n - np.bincount((a - b) % k, minlength=k).max()
+                for a, b in zip(labels, truths)]
+        assert got.shape == (rows,) and got.tolist() == want
+
 
 def _transcript(n, k, entries):
     if not entries:
@@ -125,8 +137,9 @@ class TestLogLikelihood:
 
     def test_split_counts(self):
         t = _transcript(3, 2, [(0, 1, 0), (1, 2, 1), (0, 2, 1)])
-        split = likelihood_split(t, Labeling([0, 0, 0], 2))
-        assert split.agree == 1 and split.disagree == 2
+        # edge (0,1) agrees, edges (1,2) and (0,2) disagree
+        ll = log_likelihood(t, Labeling([0, 0, 0], 2), NoiseParams(2, 0.25))
+        assert ll == pytest.approx(math.log(0.75) + 2 * math.log(0.25))
 
     def test_invariant_under_global_shift(self):
         rng = np.random.default_rng(4)

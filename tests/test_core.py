@@ -1,5 +1,6 @@
 """Domain-type contracts: labelings, shifts, plans, transcripts."""
 
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,6 @@ from cycalign import (
     FaultyOracle,
     IdentityPairError,
     Labeling,
-    LikelihoodSplit,
     MissingPairError,
     NoiseParams,
     QueryPlan,
@@ -19,7 +19,7 @@ from cycalign import (
     brute_force_mle,
     canonical_pair,
     full_pairwise_plan,
-    likelihood_split,
+    log_likelihood,
     recover_from_transcript,
     recover_success,
     seed_rest_plan,
@@ -520,12 +520,13 @@ class TestBlockTranscript:
             assert _same_outcome(_outcome(block.oriented_matrix, rows, cols),
                                  _outcome(sparse.oriented_matrix, rows, cols)), (rows, cols)
 
-        assert likelihood_split(block, truth) == likelihood_split(sparse, truth)
+        params = NoiseParams(k, delta)
+        assert (_outcome(log_likelihood, block, truth, params)
+                == _outcome(log_likelihood, sparse, truth, params))
         a, b = recover_from_transcript(block, s), recover_from_transcript(sparse, s)
         assert a.labeling == b.labeling
         assert a.per_node_margin.tolist() == b.per_node_margin.tolist()
         if n <= 8:  # both forms raise alike where k^(n-1) is past the guard
-            params = NoiseParams(k, delta)
             assert (_outcome(brute_force_mle, block, n, params)
                     == _outcome(brute_force_mle, sparse, n, params))
 
@@ -587,7 +588,8 @@ class TestAnswerTypeBoundary:
         t = FaultyOracle(truth, params, 1, noiseless=True).execute_plan(full_pairwise_plan(3))
         assert [t.lookup_oriented(2, 0), t.lookup_oriented(1, 0)] == [1, k - 1]
         assert t.oriented_matrix([0], [1, 2]).tolist() == [[1, k - 1]]
-        assert likelihood_split(t, truth) == LikelihoodSplit(3, 0)
+        # all three pairs agree, so no disagreeing pair meets p_nonzero = 0 at k = 2
+        assert log_likelihood(t, truth, params) == 3 * math.log(params.p_zero)
         assert brute_force_mle(t, 3, params) == [truth]
 
     def test_text_round_trip(self, k):

@@ -4,6 +4,7 @@ import itertools
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +37,12 @@ from cycalign import (
     run_sweep,
     run_trial_detailed,
     sample_truth,
+    seed_rest_plan,
     seed_size,
     validity_threshold,
 )
 from cycalign import analysis, harness, recovery
+from oracles import sweep_by_trial
 from cycalign.harness import (CSV_HEADER, lemma_report_to_csv, lemma_report_to_json,
                               lemma_report_to_text)
 
@@ -275,6 +278,74 @@ class TestRunSweep:
                       "query_count", "trials", "successes", "mean_hamming"):
             assert getattr(rec_a, field) == getattr(rec_b, field)
 
+    # k = 9 takes the oracle's float noise and k = 17 the bincount votes
+    @pytest.mark.parametrize("budget_scale", [None, 0.5, 2.0])
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("batch,sizes", [(1, [1] * 11), (3, [3, 3, 3, 2]),
+                                             (7, [7, 4])])
+    def test_batches_equal_a_per_trial_reference(self, monkeypatch, batch, sizes,
+                                                 noiseless, budget_scale):
+        monkeypatch.setattr(harness, "_BATCH_TRIALS", batch)
+        rows = []
+        answer_rows = harness._answer_rows
+        def counted(labels, *args):
+            rows.append(len(labels))
+            return answer_rows(labels, *args)
+        monkeypatch.setattr(harness, "_answer_rows", counted)
+        cfg = SweepConfig(n_values=(12, 41), k_values=(2, 4, 9, 17),
+                          delta_values=(0.2, 0.45), trials=11, base_seed=5,
+                          budget_scale=budget_scale)
+        got = run_sweep(cfg, noiseless=noiseless)
+        want = sweep_by_trial(cfg, noiseless)
+        assert rows == sizes * len(want) == sizes * 16
+        assert [replace(r, wall_time_seconds=0.0) for r in got] == want
+        assert (records_to_csv(got, include_timing=False)
+                == records_to_csv(want, include_timing=False))
+        assert (records_to_json(got, include_timing=False)
+                == records_to_json(want, include_timing=False))
+
+    # n = 362: 181 x 181 answers a trial, 32 trials a batch, 6 batches;
+    # n = 10^4: 737 x 9263 answers (6.8 MB) a trial, 1 trial a batch
+    @pytest.mark.parametrize("n,trials,batch", [(362, 192, 32), (10_000, 2, 1)])
+    def test_memory_stays_near_one_batch(self, n, trials, batch):
+        # the batch's one-byte answers plus the oracle's and the votes'
+        # tiles, for which a fixed 4 MiB is allowed; all trials at once
+        # would exceed that bound
+        cfg = SweepConfig(n_values=(n,), k_values=(4,), delta_values=(0.5,),
+                          trials=trials)
+        s = seed_size(n, NoiseParams(4, 0.5))
+        assert harness._batch_size(seed_rest_plan(n, s)) == batch
+        allowance = 8 * 8 * (1 << 16)
+        assert trials * s * (n - s) > batch * s * (n - s) + allowance
+        run_sweep(replace(cfg, trials=1))  # imports, caches
+        tracemalloc.start()
+        try:
+            record, = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.trials == trials
+        assert peak <= batch * s * (n - s) + allowance, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("batch,failing,message", [
+        (32, 0, "trials 0..9"), (3, 1, "trials 3..5"), (3, 3, "trials 9..9")])
+    def test_batch_error_names_its_trials_and_cell(self, monkeypatch, batch, failing,
+                                                   message):
+        monkeypatch.setattr(harness, "_BATCH_TRIALS", batch)
+        calls = []
+        answer_rows = harness._answer_rows
+        def failing_call(*args):
+            calls.append(len(calls))
+            if calls[-1] == failing:
+                raise ArithmeticError("synthetic")
+            return answer_rows(*args)
+        monkeypatch.setattr(harness, "_answer_rows", failing_call)
+        cfg = SweepConfig(n_values=(20,), k_values=(2,), delta_values=(0.4,), trials=10)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"{message} of cell (n=20, k=2, delta=0.4, c=40.0) failed")) as info:
+            run_sweep(cfg)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(n_values=(), k_values=(2,), delta_values=(0.3,))
@@ -470,7 +541,7 @@ class TestMleComparison:
     @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3), (8, 2), (8, 3)])
     def test_reports_equal_a_per_trial_reference(self, n, k, noiseless):
         params = NoiseParams(k, 0.45)
-        # trial counts on both sides of the batch edges of _MLE_BATCH = 32
+        # trial counts on both sides of the batch edges of _BATCH_TRIALS = 32
         for base_seed, trials in itertools.product((3, 41), (30, 1, 31, 32, 33, 70)):
             got = run_mle_comparison(n, params, trials=trials, base_seed=base_seed,
                                      noiseless=noiseless)
@@ -486,8 +557,8 @@ class TestMleComparison:
             return answer_rows(labels, *args)
         monkeypatch.setattr(harness, "_answer_rows", counted)
         run_mle_comparison(8, NoiseParams(3, 0.45), trials=trials)
-        assert len(sizes) == -(-trials // harness._MLE_BATCH)
-        assert sum(sizes) == trials and max(sizes) <= harness._MLE_BATCH
+        assert len(sizes) == -(-trials // harness._BATCH_TRIALS)
+        assert sum(sizes) == trials and max(sizes) <= harness._BATCH_TRIALS
 
     def test_memory_stays_near_one_batch(self):
         # one batch's answers, votes and agree counts; a batch of all 200

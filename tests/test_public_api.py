@@ -17,9 +17,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # step functions and readers that copied the seed x rest pipeline;
 # recover_from_transcript and QueryTranscript.lookup_oriented replace them;
 # run_trial only took the outcome out of run_trial_detailed;
-# noise_from_uniform only wrapped the oracle's inverse CDF for tests
+# noise_from_uniform only wrapped the oracle's inverse CDF for tests;
+# log_likelihood counts its agreeing pairs without likelihood_split
 DELETED = ["plurality", "estimate_pairwise_diff", "align_seed", "extend_labels",
-           "lookup_oriented", "run_trial", "noise_from_uniform"]
+           "lookup_oriented", "run_trial", "noise_from_uniform",
+           "likelihood_split", "LikelihoodSplit"]
 
 
 def test_all_names_are_unique_and_resolve():
@@ -31,13 +33,16 @@ def test_all_names_are_unique_and_resolve():
 def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in cycalign.__all__
-        for module in (cycalign, core, oracle, recovery, harness):
+        for module in (cycalign, core, oracle, recovery, harness, analysis):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "cfg" not in inspect.signature(harness.run_mle_comparison).parameters
     assert not hasattr(QueryTranscript, "answers")
     assert not hasattr(FaultyOracle, "issued")
     assert not hasattr(FaultyOracle, "query")
     assert not hasattr(harness, "_cell_is_valid")
+    # one batched trial path: no single-trial path beside _run_trials
+    assert not hasattr(harness, "_seeded_trial")
+    assert not hasattr(recovery, "_recover_seeded")
     # the plan alone holds the block-or-pairs form: one oracle answer
     # loop, one transcript constructor for oracle output, one position
     for owner, name in [(QueryTranscript, "_from_block"), (FaultyOracle, "_block_answers"),
