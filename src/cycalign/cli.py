@@ -138,6 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_path: str | None) -> None:
+    """Raise OSError now if out_path cannot be opened for writing, so a
+    bad --out exits 2 before anything is computed. It is opened for
+    appending: a missing file is created empty, and an existing one is
+    left as it is until _emit writes it."""
+    if out_path is not None:
+        open(out_path, "a", encoding="utf-8").close()
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -207,6 +216,7 @@ def _sweep_config_from_args(args) -> dict:
 def _run_sweeps(args, configs: list[SweepConfig]) -> Run:
     for config in configs:
         check_sweep(config)
+    _check_out(args.out)
 
     def run() -> int:
         records = []
@@ -237,6 +247,7 @@ def _cmd_lemma_check(args) -> Run:
     params = NoiseParams(args.k, args.delta)
     specs = [TailSpec(v, params) for v in args.n]
     check_lemma_grid(specs, args.trials)
+    _check_out(args.out)
 
     def run() -> int:
         report = run_lemma_check(specs, args.trials, base_seed=args.seed)

@@ -42,7 +42,6 @@ are consecutive, as in a seed x rest plan of seed s, else by one gather.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -161,7 +160,10 @@ class Labeling:
 
 
 def shift_labeling(g: Labeling, alpha: int) -> Labeling:
-    """Add the cyclic shift alpha to every label, mod k."""
+    """Add the cyclic shift alpha to every label, mod k; alpha is read
+    by core._as_int, so a value that is not an integer raises ValueError
+    naming the shift."""
+    alpha = _as_int(alpha, "shift")
     if not 0 <= alpha < g.k:
         raise ValueError(f"shift must lie in [0, {g.k}), got {alpha}")
     return Labeling((g.labels + alpha) % g.k, g.k)
@@ -183,9 +185,14 @@ def _int64_array(values, name: str) -> np.ndarray:
     known, for an integer beyond that range. Integral floats such as
     2.0 are accepted; text such as "3" or b"4" is not, although numpy
     would parse it. None or another object that is not a number raises
-    ValueError naming name and the object.
+    ValueError naming name and the object, and so do nested sequences
+    of unequal lengths, naming name.
     """
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths have no shape
+        raise ValueError(f"{name} must form an array, got nested sequences "
+                         "of unequal lengths") from None
     if a.dtype.kind in "US":  # name the first text value, not one numpy made text
         text = next((v for v in np.array(values, dtype=object).flat
                      if isinstance(v, (str, bytes))), a)
@@ -292,20 +299,19 @@ def _sorted_entries(n: int, lo: np.ndarray, hi: np.ndarray,
                     repeat: type[ValueError] = ValueError,
                     message: str = "plan contains duplicate pairs"):
     """The int64 entries (lo[t], hi[t]) and answers ans[t], checked by
-    _check_entries and sorted by the pair keys lo * n + hi; lo and hi
-    come back read-only. If two pairs are equal, repeat is raised with
-    message and the lowest pair that repeats.
+    _check_entries and sorted by (lo, hi); lo and hi come back
+    read-only. If two pairs are equal, repeat is raised with message
+    and the lowest pair that repeats.
     """
     _check_size("n", n)
     _check_entries(lo, hi, n, ans, k)
-    keys = lo * np.int64(n) + hi
-    order = np.argsort(keys, kind="stable")  # O(m) on sorted input
-    srt = keys[order]
-    same = srt[1:] == srt[:-1]
-    if same.any():
-        i, j = divmod(int(srt[same.argmax()]), n)
-        raise repeat(f"{message}: ({i}, {j}) appears more than once")
+    # by (lo, hi) itself: a key lo * n + hi would wrap once n^2 > 2^63
+    order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
+    same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if same.any():
+        t = int(same.argmax())
+        raise repeat(f"{message}: ({lo[t]}, {hi[t]}) appears more than once")
     lo.flags.writeable = False
     hi.flags.writeable = False
     return lo, hi, None if ans is None else ans[order]
@@ -338,22 +344,25 @@ class QueryPlan:
 
     __slots__ = ("n", "_s", "_lo", "_hi")
 
-    def __init__(self, pairs: Iterable[tuple[int, int]], n: int):
-        """Plan of the pairs (x, y), each in either orientation."""
-        ends = _int64_array(list(pairs), "pair endpoints").reshape(-1, 2)
+    def __init__(self, pairs: Iterable[tuple[int, int]] | np.ndarray, n: int):
+        """Plan of the pairs (x, y), each in either orientation, given as
+        an iterable of (x, y) or as an (m, 2) integer array, which is
+        copied and never read a pair at a time. Raises ValueError naming
+        pairs for input of any other shape.
+        """
+        ends = _int64_array(pairs if isinstance(pairs, np.ndarray) else list(pairs),
+                            "pair endpoints")
+        if ends.shape == (0,):
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"pairs must be (x, y) pairs or an (m, 2) array, "
+                             f"got shape {ends.shape}")
         lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         if (lo == hi).any():
             x = lo[(lo == hi).argmax()]
             raise IdentityPairError(f"pair ({x}, {x}) has identical endpoints")
         self._lo, self._hi, _ = _sorted_entries(n, lo, hi)
         self.n, self._s = int(n), None
-
-    @classmethod
-    def from_arrays(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "QueryPlan":
-        """Plan of the canonical pairs (lo[t], hi[t]), in any order."""
-        lo, hi, _ = _sorted_entries(n, _int64_array(lo, "pair endpoints"),
-                                    _int64_array(hi, "pair endpoints"))
-        return cls._of(n, None, lo, hi)
 
     @classmethod
     def _seed_rest(cls, n: int, s: int) -> "QueryPlan":
@@ -382,11 +391,6 @@ class QueryPlan:
         if self._s is None:
             return self._lo.size
         return self._s * (self.n - self._s)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        if self._s is None:
-            return zip(self._lo.tolist(), self._hi.tolist())
-        return itertools.product(range(self._s), range(self._s, self.n))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return self._position(*pair) >= 0
@@ -584,9 +588,10 @@ class QueryTranscript:
 
         Raises ValueError naming the header, or the line number and text
         of the first line that is not three integers i,j,answer; else
-        the line number and text of the first triple whose pair is not
-        i < j in [0, n) (IdentityPairError when only the order is wrong)
-        or whose answer is not in [0, k). A pair given on two lines
+        the line number and text of the first line with a field beyond
+        the int64 range, or of the first triple whose pair is not i < j
+        in [0, n) (IdentityPairError when only the order is wrong) or
+        whose answer is not in [0, k). A pair given on two lines
         raises RepeatQueryError naming the pair.
         """
         lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
@@ -608,6 +613,9 @@ class QueryTranscript:
             if value < 2:
                 raise ValueError(f"transcript header {header!r}: {name} must be an "
                                  f"integer >= 2, got {value}")
+            if value >= 2**63:
+                raise ValueError(f"transcript header {header!r}: "
+                                 f"{_int64_range_error(name, value)}")
         triples = []
         for no, ln in lines[1:]:
             fields = ln.split(",")
@@ -619,7 +627,14 @@ class QueryTranscript:
                 raise ValueError(
                     f"malformed transcript line {no}: {ln!r} (expected i,j,answer)"
                 ) from None
-        arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        try:
+            arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            t, v = next((t, v) for t, triple in enumerate(triples) for v in triple
+                        if not -2**63 <= v < 2**63)
+            no, ln = lines[1 + t]
+            raise ValueError(f"transcript line {no}: {ln!r}: "
+                             f"{_int64_range_error('fields', v)}") from None
         try:
             return cls(n, k, arr[:, 0], arr[:, 1], arr[:, 2])
         except ValueError as err:

@@ -90,8 +90,7 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
         try:  # valid or not whatever the cell
-            for delta in self.delta_values:
-                _as_real(delta, "delta")
+            deltas = tuple(_as_real(delta, "delta") for delta in self.delta_values)
             for constant_c in self.constant_c_values:
                 SeedConfig(constant_c=constant_c, budget_scale=self.budget_scale)
             trials = _as_int(self.trials, "trials")
@@ -100,6 +99,14 @@ class SweepConfig:
             raise ConfigError(str(exc)) from None
         if trials < 1:
             raise ConfigError(f"trials must be >= 1, got {trials}")
+        # a trial seed hashes the repr of its cell, so each value is stored
+        # as the plain int or float that its CSV row prints
+        for name in ("n_values", "k_values"):
+            object.__setattr__(self, name, tuple(map(_plain_int, getattr(self, name))))
+        object.__setattr__(self, "delta_values", deltas)
+        object.__setattr__(self, "constant_c_values", tuple(map(float, self.constant_c_values)))
+        if self.budget_scale is not None:
+            object.__setattr__(self, "budget_scale", float(self.budget_scale))
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "base_seed", base_seed)
 
@@ -124,6 +131,12 @@ class TrialOutcome(NamedTuple):
     success: bool
     hamming: int
     query_count: int
+
+
+def _plain_int(value):
+    """value, with a numpy integer read as the int it holds; anything
+    else, such as 20.0, as given, for the seed rule to accept or reject."""
+    return int(value) if isinstance(value, np.integer) else value
 
 
 def _hash64(payload: str) -> int:
@@ -165,7 +178,7 @@ def run_trial_detailed(
     trial_seed is read mod 2^64 like every other seed (see
     core._as_seed): 2.7, text or None raises ValueError naming it.
     """
-    trial_seed = _as_seed(trial_seed, "trial_seed")
+    n, trial_seed = _plain_int(n), _as_seed(trial_seed, "trial_seed")
     s, k = seed_size(n, params, cfg), params.k
     truths, _, labels, margins, hamming = _run_trials(
         seed_rest_plan(n, s), s, params, [trial_seed], noiseless)
@@ -422,8 +435,7 @@ class MleComparisonReport:
 
 
 def full_pairwise_plan(n: int) -> QueryPlan:
-    lo, hi = np.triu_indices(n, k=1)
-    return QueryPlan.from_arrays(lo, hi, n)
+    return QueryPlan(np.column_stack(np.triu_indices(n, k=1)), n)
 
 
 def check_mle_comparison(n: int, params: NoiseParams, trials: int) -> None:
@@ -453,7 +465,7 @@ def run_mle_comparison(n: int, params: NoiseParams, trials: int,
     of FaultyOracle, recover_from_transcript and brute_force_mle alone.
     """
     check_mle_comparison(n, params, trials)
-    trials = _as_int(trials, "trials")
+    n, trials = _plain_int(n), _as_int(trials, "trials")
     base_seed = _as_seed(base_seed, "base_seed")
     k = params.k
     plan = full_pairwise_plan(n)

@@ -152,19 +152,6 @@ def _noise_thresholds(k: int, delta: float) -> np.ndarray:
     return thresholds
 
 
-def sample_noise(params: NoiseParams, rng: np.random.Generator,
-                 size: int | tuple[int, ...] | None = None) -> int | np.ndarray:
-    """Draw noise values from the zero-biased law using a numpy Generator."""
-    u = np.array(rng.random(size), dtype=np.float64)
-    law = _noise_law(params.k, params.delta)
-    if law is None:
-        u.fill(-1.0)  # value 0 owns all the mass
-    else:
-        _noise_minus_one(u, params.k, *law)
-    vals = u.astype(np.int64) + 1
-    return int(vals) if size is None else vals
-
-
 class FaultyOracle:
     """Answers one plan of pairwise-difference queries about a hidden labeling.
 

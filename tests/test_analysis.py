@@ -234,7 +234,7 @@ class TestBruteForceMle:
         plan = QueryPlan(pairs, n=n)
         table = analysis._MleTable(plan, k)
         for row in rows:
-            answers = dict(zip(plan, row))
+            answers = dict(zip(zip(plan.lo.tolist(), plan.hi.tolist()), row))
             t = _transcript(n, k, [(i, j, a) for (i, j), a in answers.items()])
             got = [tuple(c) for c in table.winners(t._ans).T.tolist()]
             alone = [tuple(g.labels.tolist()) for g in brute_force_mle(

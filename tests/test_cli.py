@@ -219,6 +219,32 @@ def test_invalid_configuration_exits_2_before_running(argv, message, no_run, cap
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "20", "--k", "2", "--delta", "0.45", "--trials", "2"],
+    ["phase", "--n", "20", "--k", "2", "--delta", "0.45", "--trials", "2"],
+    ["lemma-check", "--n", "20", "--k", "2", "--delta", "0.3", "--trials", "10"],
+], ids=["sweep", "phase", "lemma-check"])
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_unwritable_out_exits_2_before_running(argv, where, tmp_path, no_run, capsys):
+    out = tmp_path / "no" / "such" / "x.csv" if where == "missing_dir" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+
+
+def test_out_is_written_only_after_the_run(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n")
+    argv = ["sweep", "--n", "20", "--k", "2", "--delta", "0.45", "--trials", "2",
+            "--no-timing", "--out", str(out)]
+    assert main([*argv[:-2], "--n", "3"]) == 2  # invalid: the file is left as it is
+    assert out.read_text() == "old\n"
+    assert main(argv) == 0
+    assert out.read_text().startswith(CSV_HEADER)
+
+
 def test_config_file_budget_scale_inf_exits_2(tmp_path, no_run, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("n_values = 30\nk_values = 2\ndelta_values = 0.45\n"

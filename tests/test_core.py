@@ -86,10 +86,14 @@ class TestLabeling:
         assert Labeling([0, 1], 2) != Labeling([1, 0], 2)
 
 
+def _pairs(plan):
+    return list(zip(plan.lo.tolist(), plan.hi.tolist()))
+
+
 _CONVERTED = [
     ("labels", lambda v: Labeling([0, v], 3)),
     ("pair endpoints", lambda v: QueryPlan([(0, v)], n=3)),
-    ("pair endpoints", lambda v: QueryPlan.from_arrays([0], [v], 3)),
+    ("pair endpoints", lambda v: QueryPlan(iter([(0, v)]), n=3)),
     ("pair endpoints", lambda v: QueryTranscript(3, 2, [0], [v], [1])),
     ("answers", lambda v: QueryTranscript(3, 2, [0], [1], [v])),
 ]
@@ -122,7 +126,7 @@ def test_the_first_non_integer_value_is_named_and_integral_floats_kept():
     with pytest.raises(ValueError, match=re.escape("labels must be integers, got 0.5")):
         Labeling([0.5, 1.7], 3)
     assert Labeling(np.array([0.0, 2.0]), 3) == Labeling([0, 2], 3)
-    assert list(QueryPlan([(2.0, 0)], n=3)) == [(0, 2)]
+    assert _pairs(QueryPlan([(2.0, 0)], n=3)) == [(0, 2)]
     assert list(QueryTranscript(3, 2, [0.0], [1.0], [1.0]).items()) == [(0, 1, 1)]
 
 
@@ -141,6 +145,15 @@ class TestShiftLabeling:
             shift_labeling(g, 3)
         with pytest.raises(ValueError):
             shift_labeling(g, -1)
+
+    @pytest.mark.parametrize("alpha", [1.5, "1", None])
+    def test_non_integer_shift_is_named(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"shift must be integers, got {alpha!r}")):
+            shift_labeling(Labeling([0, 1], 3), alpha)
+
+    def test_integral_shift_read_as_int(self):
+        g = Labeling([0, 1], 3)
+        assert shift_labeling(g, 1.0) == shift_labeling(g, np.int8(1)) == Labeling([1, 2], 3)
 
     @given(st.integers(2, 7).flatmap(
         lambda k: st.tuples(
@@ -202,7 +215,7 @@ class TestLookupOriented:
     def test_non_integer_nodes_read_alike(self, form):
         plan = seed_rest_plan(6, 2)
         if form == "pairs":
-            plan = QueryPlan.from_arrays(plan.lo, plan.hi, 6)
+            plan = QueryPlan(np.column_stack((plan.lo, plan.hi)), 6)
         truth = Labeling([0, 1, 2, 0, 1, 2], 3)
         t = FaultyOracle(truth, NoiseParams(3, 0.3), 5).execute_plan(plan)
         assert t.lookup_oriented(1.0, 3) == t.lookup_oriented(1, 3)
@@ -491,13 +504,13 @@ class TestBlockTranscript:
         assert lo.tolist() == np.repeat(np.arange(s), n - s).tolist()
         assert hi.tolist() == np.tile(np.arange(s, n), s).tolist()
         assert not (lo.flags.writeable or hi.flags.writeable)
-        assert plan.lo is lo and list(plan) == list(zip(lo.tolist(), hi.tolist()))
+        assert plan.lo is lo and plan.hi is hi
         assert len(plan) == s * (n - s)
 
         def oracle():
             return FaultyOracle(truth, NoiseParams(k, delta), seed, noiseless=noiseless)
         block = oracle().execute_plan(seed_rest_plan(n, s))
-        sparse = oracle().execute_plan(QueryPlan.from_arrays(lo, hi, n))
+        sparse = oracle().execute_plan(QueryPlan(np.column_stack((lo, hi)), n))
 
         assert len(block) == len(sparse) == s * (n - s)
         assert block._ans.dtype == sparse._ans.dtype
@@ -631,6 +644,16 @@ class TestSerialization:
         ("k=2,n=4\n0,1\n", "line 2: '0,1'"),
         ("k=2,n=4\n0,1,1\n1,2,0,1\n", "line 3: '1,2,0,1'"),
         ("k=2,n=4\n0,1,1\n\n1,x,0\n", "line 4: '1,x,0'"),
+        # beyond int64, where the array conversion would overflow
+        ("k=2,n=4\n0,1,1\n0,1,99999999999999999999\n",
+         "transcript line 3: '0,1,99999999999999999999': fields must be integers in "
+         "the int64 range, got 99999999999999999999"),
+        ("k=2,n=4\n-99999999999999999999,1,1\n",
+         "transcript line 2: '-99999999999999999999,1,1': fields must be integers"),
+        ("k=2,n=99999999999999999999\n0,1,1\n",
+         "transcript header 'k=2,n=99999999999999999999': n must be integers in the "
+         "int64 range, got 99999999999999999999"),
+        ("k=99999999999999999999,n=4\n", "transcript header 'k=99999999999999999999,n=4': k"),
     ])
     def test_malformed_message_names_header_or_line(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -729,7 +752,7 @@ class TestQueryPlan:
         # either orientation, is an error since it may be queried once
         plan = QueryPlan([(3, 4), (1, 0), (2, 0)], n=5)
         assert len(plan) == 3
-        assert list(plan) == [(0, 1), (0, 2), (3, 4)]
+        assert _pairs(plan) == [(0, 1), (0, 2), (3, 4)]
         for pairs, repeated in [([(0, 1), (1, 0), (2, 3)], (0, 1)),
                                 ([(2, 3), (0, 1), (2, 3)], (2, 3))]:
             with pytest.raises(ValueError, match=re.escape(f"{repeated} appears")):
@@ -737,32 +760,77 @@ class TestQueryPlan:
 
     def test_canonicalizes_orientation(self):
         plan = QueryPlan([(4, 1)], n=5)
-        assert list(plan) == [(1, 4)]
+        assert _pairs(plan) == [(1, 4)]
         assert (1, 4) in plan and (4, 1) in plan
 
     def test_identity_pair_rejected(self):
         with pytest.raises(IdentityPairError):
             QueryPlan([(2, 2)], n=5)
 
-    def test_from_arrays_sorts_unsorted_input(self):
-        plan = QueryPlan.from_arrays(np.array([2, 0, 1, 0]), np.array([3, 4, 2, 1]), 5)
-        assert list(plan) == [(0, 1), (0, 4), (1, 2), (2, 3)]
+    def test_array_input_sorted(self):
+        # an (m, 2) array, each row in either orientation, as the pairs
+        # it lists; np.uint8 and integral floats read as integers
+        ends = np.array([[2, 3], [4, 0], [1, 2], [0, 1]])
+        want = [(0, 1), (0, 4), (1, 2), (2, 3)]
+        for pairs in (ends, ends.astype(np.uint8), ends.astype(np.float64), ends.tolist()):
+            assert _pairs(QueryPlan(pairs, 5)) == want
+        assert _pairs(QueryPlan(np.empty((0, 2), dtype=np.int64), 5)) == []
 
     @pytest.mark.parametrize("lo,hi", [
         ([0, 0, 1], [1, 1, 2]),        # adjacent
         ([0, 1, 0], [1, 2, 1]),        # non-adjacent
         ([2, 0, 1, 0], [3, 1, 2, 1]),  # unsorted
+        ([2, 0, 1, 1], [3, 1, 2, 0]),  # reversed orientation
     ])
-    def test_from_arrays_rejects_duplicates(self, lo, hi):
+    def test_array_input_duplicates_rejected(self, lo, hi):
         with pytest.raises(ValueError, match=re.escape("duplicate pairs: (0, 1) appears")):
-            QueryPlan.from_arrays(np.array(lo), np.array(hi), 5)
+            QueryPlan(np.column_stack((lo, hi)), 5)
 
-    def test_from_arrays_copies_writeable_input(self):
-        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
-        plan = QueryPlan.from_arrays(lo, hi, 3)
-        lo[0] = 1
-        assert lo.flags.writeable
-        assert list(plan) == [(0, 1), (0, 2), (1, 2)]
+    def test_array_input_copied(self):
+        ends = np.array([[0, 1], [0, 2], [1, 2]])
+        plan = QueryPlan(ends, 3)
+        ends[0, 1] = 2
+        assert ends.flags.writeable and not plan.lo.flags.writeable
+        assert _pairs(plan) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_array_input_non_integer_named(self):
+        with pytest.raises(ValueError, match=re.escape("pair endpoints must be integers, got 1.5")):
+            QueryPlan(np.array([[0, 1.0], [0, 1.5]]), 3)
+        with pytest.raises(IdentityPairError, match=re.escape("pair (1, 1) has identical")):
+            QueryPlan(np.array([[0, 2], [1, 1]]), 3)
+
+    @pytest.mark.parametrize("pairs,shape", [
+        ([0, 1, 2, 3], (4,)),          # a flat list is not two pairs
+        ([(0, 1, 2)], (1, 3)),
+        ([[[0, 1]]], (1, 1, 2)),
+        (np.arange(6).reshape(3, 2, 1), (3, 2, 1)),
+        (np.array(3), ()),
+    ])
+    def test_other_shapes_rejected_by_name(self, pairs, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"pairs must be (x, y) pairs or an (m, 2) array, got shape {shape}")):
+            QueryPlan(pairs, 5)
+
+    def test_ragged_pairs_rejected_by_name(self):
+        with pytest.raises(ValueError, match="pair endpoints must form an array"):
+            QueryPlan([(0, 1), (2,)], 5)
+
+    @pytest.mark.parametrize("pairs", [
+        [(1, 2**25), (1 + 2**24, 2**25)],  # lo * n + hi equal mod 2^64
+        [(0, 1), (2**23, 2**23 + 1)],      # lo * n + hi wraps negative
+    ])
+    def test_sorted_without_wrapping_at_large_n(self, pairs):
+        n = 2**40
+        plan = QueryPlan(pairs[::-1], n)
+        assert _pairs(plan) == pairs
+        assert all(pair in plan and pair[::-1] in plan for pair in pairs)
+        with pytest.raises(ValueError, match=re.escape(f"{pairs[0]} appears more than once")):
+            QueryPlan(pairs + pairs[:1], n)
+        # a transcript sorts its entries by the same rule
+        (a, b), (c, d) = pairs
+        t = QueryTranscript(n, 3, [c, a], [d, b], [2, 1])
+        assert list(t.items()) == [(a, b, 1), (c, d, 2)]
+        assert t.lookup_oriented(a, b) == 1 and t.lookup_oriented(c, d) == 2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -128,8 +128,9 @@ class TestRunTrial:
         params = NoiseParams(2, 0.4)
         with pytest.raises(ValueError, match="n must be an integer >= 4, got 20.0"):
             run_trial_detailed(20.0, params, SeedConfig(), 5)
-        assert run_trial_detailed(np.int64(20), params, SeedConfig(), 5)[2] == \
-            run_trial_detailed(20, params, SeedConfig(), 5)[2]
+        outcome = run_trial_detailed(np.int64(20), params, SeedConfig(), 5)[2]
+        assert outcome == run_trial_detailed(20, params, SeedConfig(), 5)[2]
+        assert type(outcome.query_count) is int
 
     @pytest.mark.parametrize("trial_seed", [2.7, "x", "5", None])
     def test_bad_trial_seed_rejected_by_name(self, trial_seed):
@@ -420,6 +421,24 @@ class TestRunSweep:
         record, = run_sweep(cfg)
         assert (record.delta, record.constant_c) == (0.25, 40.0)
 
+    def test_numpy_grid_runs_the_trials_of_the_plain_grid(self):
+        # a trial seed hashes the repr of its cell, so np.int64(20) or an
+        # integer c = 40 would seed other trials than 20 and 40.0
+        plain = SweepConfig(n_values=(20, 24), k_values=(2,), delta_values=(0.4,),
+                            constant_c_values=(40.0,), trials=20, budget_scale=0.5)
+        typed = SweepConfig(n_values=(np.int64(20), np.int32(24)), k_values=(np.uint8(2),),
+                            delta_values=(np.float64(0.4),), constant_c_values=(40,),
+                            trials=20, budget_scale=np.float64(0.5))
+        assert typed == plain
+        assert [type(v) for v in typed.n_values + typed.k_values] == [int] * 3
+        assert [type(v) for v in typed.delta_values + typed.constant_c_values] == [float] * 2
+        assert type(typed.budget_scale) is float
+        want, got = run_sweep(plain), run_sweep(typed)
+        assert records_to_csv(got, include_timing=False) == \
+            records_to_csv(want, include_timing=False)
+        assert records_to_json(got, include_timing=False) == \
+            records_to_json(want, include_timing=False)
+
 
 class TestRecordSerialization:
     def test_csv_header(self):
@@ -600,6 +619,11 @@ class TestMleComparison:
         with pytest.raises(ValueError,
                            match=re.escape(f"base_seed must be integers, got {base_seed!r}")):
             run_mle_comparison(5, NoiseParams(2, 0.4), trials=3, base_seed=base_seed)
+
+    def test_numpy_n_gives_the_same_report(self):
+        params = NoiseParams(2, 0.45)
+        want = run_mle_comparison(6, params, trials=200)
+        assert run_mle_comparison(np.int64(6), params, trials=200) == want
 
     def test_base_seed_forms_give_the_same_report(self):
         params = NoiseParams(3, 0.45)

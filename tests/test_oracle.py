@@ -17,7 +17,6 @@ from cycalign import (
     Labeling,
     NoiseParams,
     QueryPlan,
-    sample_noise,
     seed_rest_plan,
 )
 from cycalign import oracle as oracle_module
@@ -148,29 +147,6 @@ class TestNoiseThresholds:
             oracle_module._noise_thresholds(4, 0.3)[0] = 0
 
 
-class TestSampleNoise:
-    def test_monte_carlo_frequency_of_zero(self):
-        # frequency of outcome 0 within 4 sigma of 1/3 + 0.2
-        params = NoiseParams(3, 0.2)
-        draws = 100_000
-        vals = sample_noise(params, np.random.default_rng(7), draws)
-        p = params.p_zero
-        sigma = np.sqrt(p * (1 - p) / draws)
-        assert abs(np.mean(vals == 0) - p) < 4 * sigma
-
-    def test_scalar_draw(self):
-        v = sample_noise(NoiseParams(4, 0.1), np.random.default_rng(0))
-        assert isinstance(v, int) and 0 <= v < 4
-
-    @pytest.mark.parametrize("k,delta", [(2, 0.25), (3, 0.2), (8, 0.5), (40, 0.01)])
-    def test_same_law_as_the_oracle(self, k, delta):
-        # the generator's uniforms lie on the 53-bit grid, so the draws
-        # are the oracle's noise of the same uniforms
-        u = np.random.default_rng(11).random(50_000)
-        vals = sample_noise(NoiseParams(k, delta), np.random.default_rng(11), 50_000)
-        assert vals.tolist() == noise_from_uniform(u, k, delta).tolist()
-
-
 def _oracle(labels, k, delta=0.2, seed=1, noiseless=False):
     return FaultyOracle(Labeling(labels, k), NoiseParams(k, delta), seed,
                         noiseless=noiseless)
@@ -179,7 +155,7 @@ def _oracle(labels, k, delta=0.2, seed=1, noiseless=False):
 def _chunked_answers(labels, k, plan, chunks):
     """The plan's pairs split into shuffled explicit-pair plans, each
     answered by a fresh oracle with the same seed: {(i, j): answer}."""
-    pairs = list(plan)
+    pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
     np.random.default_rng(0).shuffle(pairs)
     answers = {}
     for chunk in np.array_split(np.arange(len(pairs)), chunks):
@@ -313,7 +289,7 @@ def _explicit_plan(n, count, rng):
     lo = rng.integers(0, n - 1, count)
     hi = lo + 1 + rng.integers(0, n, count) % (n - 1 - lo)
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return QueryPlan.from_arrays(pairs[:, 0], pairs[:, 1], n)
+    return QueryPlan(pairs, n)
 
 
 class TestAnswersByDefinition:
@@ -444,6 +420,18 @@ class TestNoiseDistribution:
         expected = np.array([params.p_zero] + [params.p_nonzero] * (k - 1))
         result = stats.chisquare(counts, expected * len(t))
         assert result.pvalue >= 1e-3
+
+    # (40, 0.01) is above _THRESHOLD_MAX_K, on the float noise path
+    @pytest.mark.parametrize("k,delta", [(2, 0.25), (3, 0.2), (8, 0.5), (40, 0.01)])
+    def test_answers_follow_the_law(self, k, delta):
+        # chi-square at significance 1e-3 over the 90 000 answers of an
+        # all-zero truth, each its own noise draw
+        n, s = 1000, 100
+        t = _oracle([0] * n, k, delta=delta, seed=7).execute_plan(seed_rest_plan(n, s))
+        counts = np.bincount(t.oriented_matrix(range(s), range(s, n)).ravel(), minlength=k)
+        params = NoiseParams(k, delta)
+        expected = np.array([params.p_zero] + [params.p_nonzero] * (k - 1)) * len(t)
+        assert stats.chisquare(counts, expected).pvalue >= 1e-3
 
     def test_distinct_seeds_give_distinct_noise(self):
         plan = seed_rest_plan(30, 5)

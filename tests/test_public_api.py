@@ -18,10 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # recover_from_transcript and QueryTranscript.lookup_oriented replace them;
 # run_trial only took the outcome out of run_trial_detailed;
 # noise_from_uniform only wrapped the oracle's inverse CDF for tests;
-# log_likelihood counts its agreeing pairs without likelihood_split
+# log_likelihood counts its agreeing pairs without likelihood_split;
+# sample_noise was a second noise source beside the oracle's hash
 DELETED = ["plurality", "estimate_pairwise_diff", "align_seed", "extend_labels",
            "lookup_oriented", "run_trial", "noise_from_uniform",
-           "likelihood_split", "LikelihoodSplit"]
+           "likelihood_split", "LikelihoodSplit", "sample_noise"]
 
 
 def test_all_names_are_unique_and_resolve():
@@ -56,11 +57,24 @@ def test_deleted_names_are_gone():
     assert not hasattr(QueryPlan, "_row_starts")
     assert not hasattr(QueryPlan, "_rest_starts")
     assert "min_seed" not in {f.name for f in dataclasses.fields(recovery.SeedConfig)}
+    # one constructor for plans of explicit pairs, and a plan's pairs
+    # are listed only by its lo and hi arrays
+    assert not hasattr(QueryPlan, "from_arrays")
+    assert "__iter__" not in vars(QueryPlan)
     # one exact tail engine: no grid pass per noise law beside it
     for name in ("tail_probabilities_exact", "_law_tails"):
         assert name not in cycalign.__all__
         for module in (cycalign, analysis, harness):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_deleted_names_are_not_mentioned():
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
+               ROOT / "README.md"]
+    for path in sources:
+        text = path.read_text()
+        for name in ("sample_noise", "from_arrays"):
+            assert name not in text, f"{name} in {path.relative_to(ROOT)}"
 
 
 def test_seed_config_holds_the_whole_seed_rule():

@@ -28,7 +28,6 @@ from cycalign import (
     recover_success,
     run_algorithm1,
     run_trial_detailed,
-    sample_noise,
     sample_truth,
     seed_rest_plan,
     seed_size,
@@ -346,12 +345,17 @@ class TestEffectiveBias:
         assert effective_bias(NoiseParams(3, 1e-9)) < 1e-15
 
     def test_matches_collision_probability(self):
-        # P[two independent noise draws coincide] = 1/k + effective bias
+        # P[two independent noise draws coincide] = 1/k + effective bias:
+        # on an all-zero truth each answer is its noise, and two oracles
+        # with different seeds draw independently
         params = NoiseParams(2, 0.25)
-        rng = np.random.default_rng(5)
-        draws = 200_000
-        a = sample_noise(params, rng, draws)
-        b = sample_noise(params, rng, draws)
+        n, s = 1000, 300
+        plan = seed_rest_plan(n, s)
+        zeros = Labeling(np.zeros(n, dtype=np.int64), params.k)
+        a, b = (FaultyOracle(zeros, params, seed).execute_plan(plan)
+                .oriented_matrix(range(s), range(s, n)).astype(np.int64) for seed in (5, 6))
+        draws = a.size
+        assert draws == 210_000
         p = 1 / params.k + effective_bias(params)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(np.mean((a - b) % params.k == 0) - p) < 4 * sigma
@@ -458,10 +462,11 @@ class TestSeedRestPlan:
             seed_rest_plan(n, seed_count)
 
     def test_integral_sizes_read_as_int(self):
-        want = list(seed_rest_plan(6, 2))
+        want = seed_rest_plan(6, 2)
         for n, seed_count in [(np.int64(6), 2), (6, 2.0), (6, np.int8(2))]:
             plan = seed_rest_plan(n, seed_count)
-            assert list(plan) == want and len(plan) == 8
+            assert plan.lo.tolist() == want.lo.tolist() and len(plan) == 8
+            assert plan.hi.tolist() == want.hi.tolist()
 
 
 class TestExtendLabels:
@@ -531,9 +536,9 @@ class TestRunAlgorithm:
         # the query set is a function of (n, params, cfg) alone
         params = NoiseParams(3, 0.45)
         s = seed_size(60, params, SeedConfig())
-        expected = set(seed_rest_plan(60, s))
-        again = set(seed_rest_plan(60, s))
-        assert expected == again
+        plan, again = seed_rest_plan(60, s), seed_rest_plan(60, s)
+        expected = set(zip(plan.lo.tolist(), plan.hi.tolist()))
+        assert expected == set(zip(again.lo.tolist(), again.hi.tolist()))
         truth = sample_truth(60, 3, np.random.default_rng(2))
         oracle = FaultyOracle(truth, params, 3)
         result = run_algorithm1(60, params, SeedConfig(), oracle)
