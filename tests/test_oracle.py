@@ -433,6 +433,18 @@ class TestNoiseDistribution:
         expected = np.array([params.p_zero] + [params.p_nonzero] * (k - 1)) * len(t)
         assert stats.chisquare(counts, expected).pvalue >= 1e-3
 
+    def test_frequency_of_zero(self):
+        # frequency of noise 0 within 4 sigma of 1/3 + 0.2 over the
+        # 109 375 answers of an all-zero truth
+        n, s = 1000, 125
+        params = NoiseParams(3, 0.2)
+        t = _oracle([0] * n, 3, delta=0.2, seed=11).execute_plan(seed_rest_plan(n, s))
+        answers = t.oriented_matrix(range(s), range(s, n))
+        p = params.p_zero
+        sigma = np.sqrt(p * (1 - p) / answers.size)
+        assert answers.size >= 100_000
+        assert abs(np.mean(answers == 0) - p) < 4 * sigma
+
     def test_distinct_seeds_give_distinct_noise(self):
         plan = seed_rest_plan(30, 5)
         t1 = _oracle([0] * 30, 4, seed=1).execute_plan(plan)
