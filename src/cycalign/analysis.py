@@ -28,10 +28,13 @@ scores a stack of trials' answers against it at a time
 _log_tail is the one exact tail engine: it sums the trinomial terms
 of the tail in log space, visiting only those within _BAND_NATS of the
 largest, so it stays finite at vote counts where the tail underflows a
-float. Each line of terms is walked as arrays a chunk at a time, with
-the products and sums of a walk one term at a time in the same order,
-so the result does not depend on the chunk size. tail_probability_exact
-is its exponential.
+float. A group of lines of terms is walked as one (lines x terms)
+array a chunk of terms at a time, with the products and sums of a walk
+one line and one term at a time in the same order, so the result does
+not depend on the group or chunk size. tail_probability_exact is its
+exponential. tail_probability_mc draws each trial's vote counts as two
+binomials, all trials' first counts before any second one, so it holds
+a histogram and a chunk of trials, never an array over all trials.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ _MLE_ENUMERATION_LIMIT = 10**7
 _MLE_CHUNK_CELLS = 1 << 22
 _TAIL_VOTE_LIMIT = 10**5
 _BAND_NATS = 40.0  # terms further below the largest are dropped
-_WALK_CHUNK = 256  # terms per array step of a line's walk
+_WALK_LINES = 64  # lines per group of a tail's walk
+_WALK_CHUNK = 16  # terms per array step of a group's walk
+_MC_CHUNK = 1 << 14  # trials per array step of the Monte Carlo draws
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -286,12 +291,19 @@ def _log_tail(spec: TailSpec) -> float:
     from j = 0 outward. Each line's largest term is found by bisection
     on the ratio of neighbouring terms and taken in log space from
     math.lgamma; the rest of the line is walked outward from it by
-    that exact ratio (_walk_side), up to the last term within
-    _BAND_NATS of the largest term seen so far. The law's mode has
-    u > d, so line peaks fall as j grows, and the walk stops at the
-    first line whose peak is below that band. Lines are added with a
-    running log-sum-exp, so no term underflows, and only the band's
-    terms are visited: no O(m) array is built.
+    that exact ratio, up to the last term within _BAND_NATS of the
+    largest term seen so far. The law's mode has u > d, so line peaks
+    fall as j grows, and the walk stops at the first line whose peak is
+    below that band. Lines are added with a running log-sum-exp, so no
+    term underflows, and only the band's terms are visited: no O(m)
+    array is built.
+
+    The lines are taken _WALK_LINES at a time: their peaks by one
+    bisection over the group (_line_peaks), their peak terms, the
+    stopping rule and the band floors line by line in Python floats,
+    and their walks as one (lines x terms) array (_walk_lines). So
+    every float operation is the one a walk one line and one term at a
+    time makes, in the same order.
 
     k = 2 has no zero votes, so each line is the one term u + d = m;
     the maximal bias has no down votes, so the tail is empty and the
@@ -307,83 +319,115 @@ def _log_tail(spec: TailSpec) -> float:
     rise = up * down / (zero * zero) if zero else 0.0
     head = math.lgamma(m + 1)
     top, total = -math.inf, 0.0  # largest log term so far; the sum / exp(top)
-    for j in range(m + 1):
-        last = (m - j) // 2  # largest u on the line: z = m - 2u - j >= 0
-        if zero:
-            # the first u whose next term, ratio z(z-1) rise / ((u+1)(d+1)), is no larger
-            peak, hi = 0, last
-            while peak < hi:
-                mid = (peak + hi) // 2
-                z = m - 2 * mid - j
-                if z * (z - 1) * rise > (mid + 1) * (mid + j + 1):
-                    peak = mid + 1
-                else:
-                    hi = mid
-        elif (m - j) % 2:
-            continue
-        else:
-            peak = last
-        d, z = peak + j, m - 2 * peak - j
-        t = (head - math.lgamma(peak + 1) - math.lgamma(d + 1) - math.lgamma(z + 1)
-             + peak * log_up + d * log_down + z * log_zero)
-        if t < top - _BAND_NATS:
+    # k = 2: a line holds a term only where m - j is even
+    lines = range(0, m + 1) if zero else range(m % 2, m + 1, 2)
+    for g in range(0, len(lines), _WALK_LINES):
+        group = lines[g:g + _WALK_LINES]
+        j = np.arange(group.start, group.stop, group.step)
+        peak = _line_peaks(m, j, rise) if zero else (m - j) // 2
+        seen, terms, floors = top, [], []  # seen: the top replayed below
+        for jj, pk in zip(j.tolist(), peak.tolist()):
+            d, z = pk + jj, m - 2 * pk - jj
+            t = (head - math.lgamma(pk + 1) - math.lgamma(d + 1) - math.lgamma(z + 1)
+                 + pk * log_up + d * log_down + z * log_zero)
+            if t < top - _BAND_NATS:
+                break
+            top = max(top, t)
+            terms.append(t)
+            floors.append(math.exp(top - _BAND_NATS - t))
+        count = len(terms)
+        sums = np.ones(count)  # each line's sum / exp(its peak term)
+        if zero and count:
+            j, peak = j[:count], peak[:count]
+            sums = _walk_lines(sums, floors, m - j, j, rise, peak, 1)
+            sums = _walk_lines(sums, floors, m - j, j, rise, peak, -1)
+        for t, line in zip(terms, sums.tolist()):
+            if t > seen:
+                total, seen = total * math.exp(seen - t), t
+            total += line * math.exp(t - seen)
+        if count < len(group):
             break
-        if t > top:
-            total, top = total * math.exp(top - t), t
-        line = 1.0  # the line's sum / exp(t)
-        if zero:
-            floor = math.exp(top - _BAND_NATS - t)
-            line = _walk_side(line, floor, m - j, j, rise, peak, 1)
-            line = _walk_side(line, floor, m - j, j, rise, peak, -1)
-        total += line * math.exp(t - top)
     return top + math.log(total)
 
 
-def _walk_side(line: float, floor: float, width: int, j: int, rise: float,
-               peak: int, step: int) -> float:
-    """line plus the terms of line d - u = j (width = m - j, so
-    z = width - 2u) next to its peak on one side, as ratios to the peak
-    term, up to the first ratio below floor.
+def _line_peaks(m: int, j: np.ndarray, rise: float) -> np.ndarray:
+    """The peak u of each line d - u = j (int64 j): the first u whose
+    next term, ratio z(z-1) rise / ((u+1)(d+1)), is no larger, or the
+    line's last u = (m - j) // 2.
 
-    u runs from peak by step (+1 up the line, -1 down it) at most to
-    the line's end, u = width // 2 or u = 0, where the ratio is 0. The
-    ratios of neighbouring terms are computed _WALK_CHUNK at a time as
-    arrays, their running product by one sequential accumulate and the
-    kept terms added to line by another, so every product and partial
-    sum is the same float operation, in the same order, as a walk one
-    term at a time.
+    One bisection runs on all the lines at once, each line's bounds
+    moving only while they differ, so each line takes the steps of its
+    own bisection. Its products are integers below 2^53, exact in
+    int64 and as floats, so each comparison is the scalar one.
     """
-    count = width // 2 - peak + 1 if step > 0 else peak + 1
-    r = 1.0  # the running product, carried from chunk to chunk
-    for a in range(0, count, _WALK_CHUNK):
-        c = min(_WALK_CHUNK, count - a)
-        # u, z and their products are whole numbers below 2^53: exact in
-        # floats, as they are in the Python ints of a scalar walk
-        u = np.arange(peak + step * a, peak + step * (a + c), step, dtype=np.float64)
+    peak, hi = np.zeros_like(j), (m - j) // 2
+    while True:
+        live = peak < hi
+        if not live.any():
+            return peak
+        mid = (peak + hi) // 2
+        z = m - 2 * mid - j
+        rising = (z * (z - 1)) * rise > (mid + 1) * (mid + j + 1)
+        rising &= live
+        peak = np.where(rising, mid + 1, peak)
+        hi = np.where(rising, hi, mid)
+
+
+def _walk_lines(sums: np.ndarray, floors: list[float], width: np.ndarray,
+                j: np.ndarray, rise: float, peak: np.ndarray,
+                step: int) -> np.ndarray:
+    """sums plus the terms of each line d - u = j (width = m - j, so
+    z = width - 2u) next to its peak on one side, as ratios to the peak
+    term, up to the first ratio below that line's floor.
+
+    u runs from peak by step (+1 up the line, -1 down it) to the
+    line's end, u = width // 2 or u = 0, where the ratio is 0; later
+    columns repeat the end, so they hold 0 too. The lines are the rows
+    of a (lines x _WALK_CHUNK) array of ratios, computed in the scalar
+    operation order; a row's running product is one sequential
+    accumulate along it, and its kept terms are added to its sum by
+    another, so every product and partial sum is the same float
+    operation, in the same order, as a walk one term at a time. A row
+    that has stopped carries a product of 0, which stops it at once in
+    every later step.
+    """
+    rows = np.arange(len(sums))
+    floor = np.array(floors)[:, None]
+    end = width // 2 if step > 0 else np.zeros_like(width)
+    # u, z and their products are whole numbers below 2^53: exact in
+    # floats, as they are in the Python ints of a scalar walk
+    first = (peak[:, None] + step * np.arange(_WALK_CHUNK)).astype(np.float64)
+    width, j = width[:, None].astype(np.float64), j[:, None].astype(np.float64)
+    clip = np.minimum if step > 0 else np.maximum
+    r = np.ones(len(sums))  # each row's running product, carried from step to step
+    for a in range(0, int(abs(end - peak).max()) + 1, _WALK_CHUNK):
+        u = first + step * a
+        clip(u, end[:, None], out=u)
         z = width - 2 * u
         if step > 0:  # term u + 1 over term u
             p = z * (z - 1)
             p *= rise
             u += 1
-            p /= u * (u + j)
+            u *= u + j
+            p /= u
         else:  # term u - 1 over term u
             z += 1
-            q = z * (z + 1)
-            q *= rise
+            z *= z + 1
+            z *= rise
             p = u * (u + j)
-            p /= q
-        p[0] *= r
-        np.multiply.accumulate(p, out=p)
-        cut = int((p < floor).argmax())
-        if p[cut] >= floor:  # no ratio below floor in this chunk
-            cut = c
-        if cut:
-            r = float(p[cut - 1])
-            p[0] += line
-            line = float(np.add.accumulate(p[:cut], out=p[:cut])[-1])
-        if cut < c:
+            p /= z
+        p[:, 0] *= r
+        np.multiply.accumulate(p, axis=1, out=p)
+        below = p < floor
+        cut = below.argmax(axis=1)
+        cut[~below[rows, cut]] = _WALK_CHUNK  # no ratio below the floor yet
+        r = np.where(cut < _WALK_CHUNK, 0.0, p[:, -1])
+        p[:, 0] += sums
+        np.add.accumulate(p, axis=1, out=p)
+        sums = np.where(cut > 0, p[rows, cut - 1], sums)
+        if (cut < _WALK_CHUNK).all():
             break
-    return line
+    return sums
 
 
 def tail_probability_exact(spec: TailSpec) -> float:
@@ -411,18 +455,46 @@ def tail_probability_mc(spec: TailSpec, trials: int,
                         rng: np.random.Generator) -> TailEstimate:
     """Monte Carlo estimate of P(sum of signed votes <= 0).
 
-    Samples the sufficient statistic (#up, #down) per trial from the
-    trinomial law rather than individual votes; the event {sum <= 0}
-    has identical distribution either way.
+    Each trial draws the sufficient statistic, the counts (U, D, Z) ~
+    Multinomial(m; up, down, zero) of +1, -1 and 0 votes, rather than
+    the votes, as U ~ Bin(m, up) and then D | U ~ Bin(m - U, q) with
+    q = down / (down + zero), which is the same law; it is a hit when
+    U <= D. Every trial's U is drawn first, _MC_CHUNK at a time, and
+    kept only as a histogram; the D are then drawn in ascending order
+    of U, from the histogram expanded a chunk at a time. Trials are
+    i.i.d., so the order in which their D are drawn does not change the
+    law of the hit count; and in that order numpy's binomial sampler
+    keeps its setup from one draw to the next while m - U repeats.
+    Memory is O(m + _MC_CHUNK) for any trial count, and the draws, so
+    the value, do not depend on _MC_CHUNK. At k = 2 there are no zero
+    votes, so D = m - U and each trial makes one draw; with no down
+    votes (the maximal bias) no trial can hit, and none draws.
     """
     trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    pv = np.asarray(vote_probabilities(spec.params))
-    pv = pv / pv.sum()  # renormalize away float round-off for multinomial
-    counts = rng.multinomial(spec.vote_count, pv, size=trials)
-    hits = counts[:, 0] <= counts[:, 1]
-    value = float(np.mean(hits))
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    m = spec.vote_count
+    up, down, zero = vote_probabilities(spec.params)
+    if not down:  # U = m > 0 = D in every trial
+        return TailEstimate(0.0, 0.0)
+    counts = np.zeros(m + 1, dtype=np.int64)  # trials with U = u
+    for a in range(0, trials, _MC_CHUNK):
+        u = rng.binomial(m, up / (up + down + zero), size=min(_MC_CHUNK, trials - a))
+        counts += np.bincount(u, minlength=m + 1)
+    if not zero:  # k = 2: D = m - U
+        hits = int(counts[:m // 2 + 1].sum())
+    else:
+        hits, ends = 0, np.cumsum(counts)  # ends[u]: trials with U <= u
+        for a in range(0, trials, _MC_CHUNK):
+            # the sorted trials a .. b-1 hold the U values lo .. hi
+            b = min(a + _MC_CHUNK, trials)
+            lo, hi = np.searchsorted(ends, [a, b - 1], side="right")
+            sizes = np.diff(np.clip(ends[lo:hi + 1], a, b), prepend=a)
+            u = np.repeat(np.arange(lo, hi + 1), sizes)
+            hits += int(np.count_nonzero(u <= rng.binomial(m - u, down / (down + zero))))
+    value = hits / trials
     half_width = _Z_99 * math.sqrt(value * (1.0 - value) / trials)
     return TailEstimate(value, half_width)
 

@@ -190,6 +190,9 @@ def _int64_array(values, name: str) -> np.ndarray:
     """
     try:
         a = np.asarray(values)
+        if a.dtype == object:  # numpy would int() each element: check them as numbers
+            values = a.tolist()
+            a = np.asarray(values)
     except ValueError:  # nested sequences of unequal lengths have no shape
         raise ValueError(f"{name} must form an array, got nested sequences "
                          "of unequal lengths") from None

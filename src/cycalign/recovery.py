@@ -206,14 +206,20 @@ def _vote_rows(a: np.ndarray, k: int,
     shape = np.broadcast(a, ref).shape
     count = _plane_counts if k <= _PLANES_MAX_K else _bincount_counts
     counts = count(a, ref, k, shape)
-    winners = counts.argmax(axis=-1)
-    top2 = np.partition(counts, k - 2, axis=-1)[..., k - 2:]
-    return winners, top2[..., 1] - top2[..., 0]
+    # the running top two over the contiguous count planes; a label
+    # takes the lead only with a strictly larger count
+    top, second = np.maximum(counts[0], counts[1]), np.minimum(counts[0], counts[1])
+    winners = (counts[1] > counts[0]).astype(np.intp)
+    for v in range(2, k):
+        np.maximum(second, np.minimum(counts[v], top), out=second)
+        np.copyto(winners, v, where=counts[v] > top)
+        np.maximum(top, counts[v], out=top)
+    return winners, top - second
 
 
 def _plane_counts(a, ref, k: int, shape) -> np.ndarray:
-    """(..., rows, k) counts of the votes (a - ref) mod k, one equality
-    plane per residue, as a view of (k, ..., rows) counts.
+    """(k, ..., rows) counts of the votes (a - ref) mod k, one equality
+    plane per residue.
 
     For a and ref in [0, k), (a - ref) mod k == c exactly when
     a == (ref + c) mod k, and exactly when ref == (a - c) mod k. So the
@@ -266,11 +272,11 @@ def _plane_counts(a, ref, k: int, shape) -> np.ndarray:
                 counts[v, ..., i:i + r] = (lanes[..., :r, :, :].sum(axis=-1)
                                            .view(np.uint8).sum(axis=-1, dtype=np.intp))
     counts[0] = width - counts[1:].sum(axis=0)
-    return counts.transpose(*range(1, counts.ndim), 0)
+    return counts
 
 
 def _bincount_counts(a, ref, k: int, shape) -> np.ndarray:
-    """(..., rows, k) counts of the votes (a - ref) mod k by bincount.
+    """(k, ..., rows) counts of the votes (a - ref) mod k by bincount.
 
     a - ref + k lies in (0, 2k), so one bincount over
     row * 2k + (a - ref + k) needs no modulus; the count of residue v
@@ -279,7 +285,7 @@ def _bincount_counts(a, ref, k: int, shape) -> np.ndarray:
     """
     *lead, rows, width = shape
     step = min(rows, max(1, _VOTE_BLOCK // (8 * math.prod(lead) * width)))
-    counts = np.empty((*lead, rows, k), dtype=np.intp)
+    counts = np.empty((k, *lead, rows), dtype=np.intp)
     for i in range(0, rows, step):
         cells = np.subtract(_part(a, -2, i, step), _part(ref, -2, i, step), dtype=np.intp)
         tile = cells.shape[:-1]
@@ -288,7 +294,7 @@ def _bincount_counts(a, ref, k: int, shape) -> np.ndarray:
         # is not copied; the counts do not depend on the order
         raw = np.bincount(cells.ravel(order="K"),
                           minlength=2 * k * math.prod(tile)).reshape(*tile, 2 * k)
-        counts[..., i:i + step, :] = raw[..., :k] + raw[..., k:]
+        counts[..., i:i + step] = np.moveaxis(raw[..., :k] + raw[..., k:], -1, 0)
     return counts
 
 

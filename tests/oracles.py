@@ -185,6 +185,16 @@ def log_tail_by_scalar_walk(vote_count: int, up: float, down: float,
     return top + math.log(total)
 
 
+def tail_mc_by_multinomial(vote_count: int, up: float, down: float, zero: float,
+                           trials: int, rng: np.random.Generator) -> int:
+    """Trials out of trials in which U <= D, for (U, D, Z) drawn per
+    trial from Multinomial(vote_count; up, down, zero) by
+    rng.multinomial: the package's former Monte Carlo estimator."""
+    pv = np.array([up, down, zero])
+    counts = rng.multinomial(vote_count, pv / pv.sum(), size=trials)
+    return int(np.count_nonzero(counts[:, 0] <= counts[:, 1]))
+
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 

@@ -46,6 +46,7 @@ from oracles import (
     tail_dp_full_array,
     tail_enum_multinomial,
     tail_enum_patterns,
+    tail_mc_by_multinomial,
 )
 
 
@@ -435,6 +436,17 @@ class TestLogTail:
         want = log_tail_binomial_exact(votes, up, down)
         assert analysis._log_tail(TailSpec(votes, params)) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("lines", [1, 2, 5])
+    def test_walk_crosses_line_groups(self, lines, monkeypatch):
+        # groups of a few lines: the band's top and the running sum carry
+        # over, and the stopping line falls anywhere in a group
+        monkeypatch.setattr(analysis, "_WALK_LINES", lines)
+        for k, votes, delta in [(2, 301, 0.05), (2, 300, 0.3), (3, 1, 0.2), (3, 57, 0.1),
+                                (4, 4000, 0.05), (5, 2000, 0.3)]:
+            spec = TailSpec(votes, NoiseParams(k, delta))
+            assert analysis._log_tail(spec) == log_tail_by_scalar_walk(
+                votes, *vote_probabilities(spec.params))
+
     def test_finite_where_the_float_underflows(self):
         spec = TailSpec(4000, NoiseParams(2, 0.3))
         assert analysis._log_tail(spec) == pytest.approx(-896.6596791654902, abs=1e-9)
@@ -546,6 +558,67 @@ class TestTailMonteCarlo:
         with pytest.raises(ValueError):
             tail_probability_mc(TailSpec(5, NoiseParams(2, 0.3)), 0,
                                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rng", [5, None, np.random.RandomState(0)])
+    def test_rng_must_be_a_generator(self, rng):
+        with pytest.raises(ValueError, match="^rng must be a numpy.random.Generator, got "):
+            tail_probability_mc(TailSpec(10, NoiseParams(2, 0.3)), 5, rng)
+
+    # (k, delta, votes): k = 2 with and without down votes, the maximal
+    # bias (k-1)/k at k = 2 and k = 4, and tails of ~1e-3 to ~0.4
+    @pytest.mark.parametrize("idx,k,delta,votes", [
+        (0, 2, 0.1, 50), (1, 2, 0.5, 10), (2, 3, 0.1, 60),
+        (3, 4, 0.05, 200), (4, 4, 0.75, 5), (5, 5, 0.3, 20), (6, 3, 0.02, 7),
+    ])
+    def test_hits_agree_with_the_multinomial_draws(self, idx, k, delta, votes):
+        # two independent estimates of one tail: the hit counts differ
+        # by at most the two-sample 99.9% normal band
+        trials = 100_000
+        spec = TailSpec(votes, NoiseParams(k, delta))
+        old = tail_mc_by_multinomial(votes, *vote_probabilities(spec.params), trials,
+                                     np.random.default_rng(1000 + idx))
+        new = round(tail_probability_mc(spec, trials, np.random.default_rng(2000 + idx)).value
+                    * trials)
+        pooled = (old + new) / (2 * trials)
+        band = 3.2905 * math.sqrt(2 * trials * pooled * (1 - pooled))
+        assert abs(old - new) <= band, (old, new, band)
+
+    @pytest.mark.parametrize("k,delta,votes", [(2, 0.1, 51), (4, 0.05, 300), (3, 0.3, 3)])
+    def test_value_does_not_depend_on_the_chunk(self, k, delta, votes, monkeypatch):
+        spec = TailSpec(votes, NoiseParams(k, delta))
+        want = tail_probability_mc(spec, 5000, np.random.default_rng(9))
+        for chunk in (1, 7, 4999, 5001):
+            monkeypatch.setattr(analysis, "_MC_CHUNK", chunk)
+            assert tail_probability_mc(spec, 5000, np.random.default_rng(9)) == want
+
+    @pytest.mark.parametrize("k,delta,draws", [(2, 0.1, 1), (2, 0.5, 0), (4, 0.05, 2),
+                                               (4, 0.75, 0)])
+    def test_draws_per_trial(self, k, delta, draws):
+        # k = 2 draws U alone (D = m - U); no down votes draws nothing
+        class Counting(np.random.Generator):
+            draws = 0
+
+            def binomial(self, n, p, size=None):
+                out = super().binomial(n, p, size)
+                self.draws += np.size(out)
+                return out
+
+        rng = Counting(np.random.PCG64(4))
+        est = tail_probability_mc(TailSpec(40, NoiseParams(k, delta)), 3000, rng)
+        assert rng.draws == draws * 3000
+        if not draws:
+            assert est == (0.0, 0.0)
+
+    def test_memory_does_not_grow_with_the_trials(self):
+        # the U of 200 000 trials alone would take 1.6 MB as int64
+        spec = TailSpec(20000, NoiseParams(4, 0.05))
+        tracemalloc.start()
+        try:
+            tail_probability_mc(spec, 200_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestMaximalBias:

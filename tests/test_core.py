@@ -115,6 +115,29 @@ def test_text_is_not_an_integer(name, build, value):
         build(value)
 
 
+_OBJECT_ARRAYS = [
+    ("labels", lambda v: Labeling(np.array([0, v], dtype=object), 3)),
+    ("pair endpoints", lambda v: QueryPlan(np.array([(0, v)], dtype=object), n=3)),
+    ("pair endpoints", lambda v: QueryTranscript(3, 2, np.array([0], dtype=object),
+                                                 np.array([v], dtype=object), [1])),
+    ("answers", lambda v: QueryTranscript(3, 2, [0], [1], np.array([v], dtype=object))),
+]
+
+
+@pytest.mark.parametrize("name,build", _OBJECT_ARRAYS)
+@pytest.mark.parametrize("value", [1.9, "1", b"1", None])
+def test_object_arrays_are_checked_like_lists(name, build, value):
+    # numpy would int() each element of an object array: 1.9 -> 1, "1" -> 1
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be integers, got {value!r}")):
+        build(value)
+
+
+@pytest.mark.parametrize("name,build", _OBJECT_ARRAYS)
+def test_object_arrays_of_integers_accepted(name, build):
+    build(1)
+    build(1.0)
+
+
 @pytest.mark.parametrize("value", ["3", b"4", "2.5", np.array(["3"])])
 def test_as_int_rejects_text_by_name(value):
     shown = value.item() if isinstance(value, np.ndarray) else value

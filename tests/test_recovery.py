@@ -336,6 +336,44 @@ class TestVoteStacks:
                     assert margins[i].tolist() == alone[1].tolist()
 
 
+class TestVoteTopTwo:
+    """_vote_rows' running top two over the count planes gives the
+    winners of argmax and the margins of np.partition on the counts,
+    ties for the lead included."""
+
+    @staticmethod
+    def _votes(k, t, rows, rng):
+        # half the rows hold two labels three times each and every other
+        # label once: a tie for the lead; the other half are random
+        width = 6 + k - 2
+        votes = rng.integers(0, k, (t, rows, width))
+        for row in votes.reshape(-1, width)[::2]:
+            x, y = rng.choice(k, 2, replace=False)
+            rest = np.setdiff1d(np.arange(k), [x, y])
+            row[:] = rng.permutation(np.concatenate([[x] * 3, [y] * 3, rest]))
+        return votes
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 16, 17, 32])
+    def test_equals_argmax_and_partition(self, k):
+        rng = np.random.default_rng(40 + k)
+        t, rows = 3, 30
+        votes = self._votes(k, t, rows, rng)
+        counts = (votes[..., None] == np.arange(k)).sum(axis=-2)
+        top2 = np.partition(counts, k - 2, axis=-1)[..., k - 2:]
+        want = counts.argmax(axis=-1), top2[..., 1] - top2[..., 0]
+        assert (want[1][:, ::2] == 0).all()
+        # step 2: rows against a reference row; step 3: labels against columns
+        ref = rng.integers(0, k, (t, 1, votes.shape[-1]))
+        labels = rng.integers(0, k, (t, 1, votes.shape[-1]))
+        for a, b in [(((votes + ref) % k).astype(np.int8), ref.astype(np.int8)),
+                     (labels, ((labels - votes) % k).astype(np.int8)
+                      .transpose(0, 2, 1).copy().transpose(0, 2, 1))]:
+            winners, margins = _vote_rows(a, k, b)
+            assert winners.dtype == margins.dtype == np.intp
+            assert winners.tolist() == want[0].tolist()
+            assert margins.tolist() == want[1].tolist()
+
+
 class TestEffectiveBias:
     def test_values(self):
         assert effective_bias(NoiseParams(2, 0.25)) == pytest.approx(0.125)
