@@ -447,14 +447,16 @@ class QueryPlan:
         return answers[..., cols].reshape(shape)
 
     def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Pair arrays (lo, hi) that broadcast together to about size
-        pairs each, at least one whole row of a seed x rest plan, and
-        cover the plan's pairs in its order, row-major within a tile.
+        """Pair arrays (lo, hi) that broadcast together to at most size
+        pairs each and cover the plan's pairs in its order, row-major
+        within a tile.
 
         A seed x rest tile is an (r, 1) column of rows against the
         (1, w) row of rest nodes, so no pair array is gathered or built
         and indexing a (T, n) stack of labels with either broadcasts
-        over the leading T.
+        over the leading T. It holds whole rows while a row fits in
+        size; a longer row is cut into column chunks of equal width,
+        one tile each and consecutive in plan order.
         """
         s = self._s
         if s is None:
@@ -462,7 +464,16 @@ class QueryPlan:
                 yield self._lo[a:a + size], self._hi[a:a + size]
             return
         rest = np.arange(s, self.n, dtype=np.int64)[None]
-        step = max(1, size // rest.size)  # whole rows per tile
+        if rest.size > size:
+            pieces = -(-rest.size // size)
+            width = -(-rest.size // pieces)
+            chunks = [rest[:, c:c + width] for c in range(0, rest.size, width)]
+            for r in range(s):
+                row = np.full((1, 1), r, dtype=np.int64)
+                for chunk in chunks:
+                    yield row, chunk
+            return
+        step = size // rest.size  # whole rows per tile
         for r in range(0, s, step):
             yield np.arange(r, min(r + step, s), dtype=np.int64)[:, None], rest
 

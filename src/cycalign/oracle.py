@@ -35,10 +35,29 @@ gathered or built. The noise of a pair depends only on its (i, j) and
 the seed, so a pair's answer is the same in any plan and in any row
 answered with the same seed.
 
-A tile holds about _BLOCK / T pairs, and it runs one fused pass over
-buffers sized to the largest tile's T rows and reused by the rest. The
-pair's part of the hash is computed once per tile for all rows, and
-each row adds its own seed's base. Its key is built as
+A tile holds at most _BLOCK / T pairs (a rest row longer than that is
+cut into column chunks), and it runs one fused pass over buffers sized
+to the largest tile's T rows and reused by the rest.
+
+The tiles of one call run on W = min(usable CPUs, tiles // 8) workers
+(_WORKER_TILES), the calling thread among them: usable CPUs is the size
+of the process's CPU affinity set, and a call of fewer than 16 tiles
+runs on the calling thread alone and never touches a pool. Every worker
+runs the same tile loop, _answer_tiles, over every W-th tile, with its
+own full-size buffers, and writes only its tiles' columns of the answer
+rows; a tile's answers do not depend on which worker answers it or
+when, so the output is the same bytes on any W. Numpy's loops release
+the GIL but its call dispatch does not, so tiles stay full size: on
+two threads, tiles of a quarter of _BLOCK ran twice as slow as one
+thread. The extra workers are the threads of one ThreadPoolExecutor,
+made on the first call with W > 1 (concurrent.futures is imported only
+then) and kept for the process; the caller waits for every worker
+before it returns or raises. A forked child has none of the parent's
+threads, so at a fork the child drops the pool and makes its own when
+it needs one. An idle pool does not hold up the interpreter's exit.
+
+Within a tile, the pair's part of the hash is computed once for all
+rows, and each row adds its own seed's base. Its key is built as
 ((i << 32) + golden) + j, which equals ((i << 32) ^ j) + golden because
 j < 2^32 (true of any n whose labels fit in memory), so the constant
 rides on the tile's small operand. The hash is mixed in place in one
@@ -67,6 +86,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -90,6 +111,50 @@ _BLOCK = 1 << 16
 # Largest k counted by threshold compares, ~0.4 ns an answer each
 # against ~3.4 ns for the float path (per-k table in CHANGES.md)
 _THRESHOLD_MAX_K = 8
+
+# Fewest tiles a worker takes. Sweeps, whose calls have 7-15 tiles, ran
+# 15-25% slower on two workers, though each call alone timed faster;
+# calls of 16 tiles or more (a large trial's ~100) gain.
+_WORKER_TILES = 8
+
+# The extra workers' threads, made on the first call with more than one
+# worker. A forked child has none of them, so it starts its own, with a
+# new lock: one held by another thread at the fork would stay held.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _drop_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(tiles: int) -> int:
+    """Workers, the calling thread among them, for a call of this many
+    tiles: one per usable CPU, but each with at least _WORKER_TILES."""
+    if tiles < 2 * _WORKER_TILES:
+        return 1
+    return min(_usable_cpus(), tiles // _WORKER_TILES)
+
+
+def _pool():
+    """The persistent pool of extra workers, made on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor  # not at import
+            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="cycalign-oracle")
+        return _POOL
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -218,7 +283,8 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     params, seeds[t], noiseless).execute_plan(plan), byte for byte:
     labels is (T, n), seeds holds T integers, each read mod 2^64, and
     the result is (T, len(plan)) in the transcript's answer type. No
-    temporary is larger than a tile's T rows.
+    temporary is larger than a tile's T rows, and each of the call's
+    _workers(tiles) workers holds one tile's buffers.
     """
     k, rows = params.k, len(labels)
     law = None if noiseless else _noise_law(k, params.delta)
@@ -228,17 +294,45 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     wide = np.int8 if 3 * k <= 127 else np.int16 if 3 * k <= 32767 else np.int64
     g_hi = labels.astype(wide)
     g_lo = g_hi + (k + 1 if floats else k)
+    bases = thresholds = None
     if law is not None:  # each row's seed base, mix(seed + golden)
         bases = np.array([_as_seed(seed, "seeds") for seed in seeds], dtype=np.uint64)
         bases += _GOLDEN
         _mix64(bases, np.empty_like(bases))
         thresholds = None if floats else _noise_thresholds(k, params.delta)
     out = np.empty((rows, len(plan)), dtype=_answer_dtype(k))
+    tiles, at = [], 0
+    for lo, hi in plan._tiles(max(1, _BLOCK // rows)):
+        tiles.append((lo, hi, at))
+        at += math.prod(np.broadcast(lo, hi).shape)
+    answer = functools.partial(_answer_tiles, out=out, g_lo=g_lo, g_hi=g_hi, k=k,
+                               law=law, bases=bases, thresholds=thresholds)
+    workers = _workers(len(tiles))
+    if workers == 1:
+        answer(tiles)
+        return out
+    shares = [tiles[w::workers] for w in range(workers)]
+    futures = [_pool().submit(answer, share) for share in shares[1:]]
+    try:
+        answer(shares[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for it; its error is raised below
+    for future in futures:
+        future.result()
+    return out
+
+
+def _answer_tiles(tiles, out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, k: int,
+                  law, bases, thresholds) -> None:
+    """Answer each tile (lo, hi, at) into its columns out[:, at:at + m]:
+    the tile loop that every worker of _answer_rows runs, with its own
+    buffers sized to its largest tile and reused by the rest."""
+    rows, wide = len(g_lo), g_lo.dtype
     z = tmp = np.empty(0, dtype=np.uint64)
     d = np.empty(0, dtype=wide)
-    at = 0
     hi_seen = g_at_hi = None
-    for lo, hi in plan._tiles(max(1, _BLOCK // rows)):
+    for lo, hi, at in tiles:
         shape = np.broadcast(lo, hi).shape
         m = math.prod(shape)
         if rows * m > d.size:  # buffers for the largest tile, reused by the rest
@@ -290,5 +384,3 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
         np.subtract(d_u, k, out=less)
         rows_out = out[:, at:at + m].reshape(dt.shape)
         np.minimum(d_u, less, out=rows_out.view(f"u{out.itemsize}"), casting="unsafe")
-        at += m
-    return out

@@ -75,6 +75,13 @@ _VOTE_BLOCK = 1 << 19
 # the bincount's time at k = 16 and up to ~1.5x at k = 32.
 _PLANES_MAX_K = 16
 
+# Up to _PLANES_MAX_K, a stack of at most (k - 1) times this many votes
+# is still counted by one bincount: there the planes' fixed cost per
+# plane and tile outweighs their speed per vote (about even at k = 2 on
+# 2 048 votes, 3-8x slower at k = 16 on up to 30 000; in-process timing
+# on a 2-vCPU Xeon guest).
+_BINCOUNT_VOTES_PER_PLANE = 1 << 11
+
 # The most 0/1 cells one uint8, or one byte lane of a uint64, can count.
 _U8_MAX = 255
 
@@ -199,12 +206,15 @@ def _vote_rows(a: np.ndarray, k: int,
     matrices; winners and margins are (..., rows), and ties go to the
     smallest label. This is the package's one vote kernel. Up to
     k = _PLANES_MAX_K it counts equality planes (_plane_counts), above
-    it one bincount (_bincount_counts), whose cost does not grow with
-    k; both work a tile of about _VOTE_BLOCK bytes at a time.
+    it, and on stacks of at most (k - 1) * _BINCOUNT_VOTES_PER_PLANE
+    votes, one bincount (_bincount_counts), whose cost does not grow
+    with k; both work a tile of about _VOTE_BLOCK bytes at a time.
     """
     a, ref = np.asarray(a), np.asarray(ref)
     shape = np.broadcast(a, ref).shape
-    count = _plane_counts if k <= _PLANES_MAX_K else _bincount_counts
+    planes = (k <= _PLANES_MAX_K
+              and math.prod(shape) > (k - 1) * _BINCOUNT_VOTES_PER_PLANE)
+    count = _plane_counts if planes else _bincount_counts
     counts = count(a, ref, k, shape)
     # the running top two over the contiguous count planes; a label
     # takes the lead only with a strictly larger count

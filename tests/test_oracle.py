@@ -1,9 +1,12 @@
 """Oracle contracts: noise law, one plan per oracle, determinism."""
 
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -135,12 +138,9 @@ class TestNoiseThresholds:
     def test_not_computed_at_import(self):
         code = ("import cycalign.oracle as o; "
                 "print(o._noise_thresholds.cache_info().currsize)")
-        src = str(Path(oracle_module.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
-        assert out.strip() == "0"
+        done = _python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
 
     def test_thresholds_are_read_only(self):
         with pytest.raises(ValueError):
@@ -370,21 +370,211 @@ class TestAnswerRows:
                 truth, pairs, k, params.delta, seed, noiseless)
 
     def test_memory_stays_near_the_answer_rows(self):
-        # T = 4 rows of 810 000 one-byte answers; besides them only the
-        # tile's buffers (17 bytes a cell: the hash, its scratch and the
-        # int8 sum), over about _BLOCK cells of all rows together
-        plan = seed_rest_plan(3000, 300)
-        labels = np.random.default_rng(5).integers(0, 4, (4, plan.n))
-        for noiseless in (False, True):
-            tracemalloc.start()
-            try:
-                rows = oracle_module._answer_rows(labels, [1, 2, 3, 4], NoiseParams(4, 0.3),
-                                                  plan, noiseless)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert rows.nbytes == 4 * len(plan)
-            assert peak <= rows.nbytes + 32 * (1 << 16), f"peak {peak / 1e6:.2f} MB"
+        # besides the answer rows, only each worker's tile buffers (17
+        # bytes a cell: the hash, its scratch and the int8 sum) over
+        # about _BLOCK cells of all rows together, 32 bytes a cell
+        # allowed, with the worker count the kernel takes for the call.
+        # Points: T = 4 rows of 810 000 answers in whole-row tiles, a
+        # one-tile call, and rest rows of 69 992-69 998 cells, longer
+        # than a tile, which the plan cuts into column chunks.
+        block = oracle_module._BLOCK
+        for (n, s), t in [((3000, 300), 4), ((3000, 20), 1), ((70_000, 2), 1),
+                          ((70_000, 8), 4)]:
+            plan = seed_rest_plan(n, s)
+            labels = np.random.default_rng(5).integers(0, 4, (t, n))
+            tiles = len(list(plan._tiles(max(1, block // t))))
+            workers = oracle_module._workers(tiles)
+            if (n, s) == (3000, 20):  # one tile: one worker, the one-tile bound
+                assert tiles == workers == 1
+            for noiseless in (False, True):
+                tracemalloc.start()
+                try:
+                    rows = oracle_module._answer_rows(labels, range(1, t + 1),
+                                                      NoiseParams(4, 0.3), plan, noiseless)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert rows.nbytes == t * len(plan)
+                assert peak <= rows.nbytes + workers * 32 * block, (
+                    f"n={n} s={s} T={t}: peak {peak / 1e6:.2f} MB, {workers} workers")
+
+
+def _python(code, timeout=120):
+    """Run code in a fresh interpreter that imports cycalign from this
+    checkout; returns the finished process."""
+    src = str(Path(oracle_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def _tile_plans(plan, rows):
+    """Each tile of a call on rows answer rows as an explicit plan of
+    its pairs, in tile order."""
+    tiles = plan._tiles(max(1, oracle_module._BLOCK // rows))
+    return [QueryPlan(np.stack(np.broadcast_arrays(lo, hi), axis=-1).reshape(-1, 2), plan.n)
+            for lo, hi in tiles]
+
+
+def _answer_in_child(conn, labels, seeds, params, plan):
+    conn.send(oracle_module._answer_rows(labels, seeds, params, plan).tobytes())
+    conn.close()
+
+
+class TestParallelTiles:
+    """The kernel's workers answer their own tiles into place: a call
+    on several workers equals its tiles answered serially, one plan
+    each, and the per-pair definition; a forked child and the end of
+    the interpreter find no pool threads in the way."""
+
+    PLANS = {
+        "whole rows": lambda: seed_rest_plan(60, 54),  # rows of 6: 2 a tile
+        "row chunks": lambda: seed_rest_plan(60, 8),   # rows of 52: 5 chunks each
+    }
+
+    @pytest.mark.parametrize("form", sorted(PLANS))
+    def test_equals_serial_tiles_and_definition(self, monkeypatch, form):
+        # 12 pairs a tile at T = 3, on 3 workers whatever the CPU count
+        monkeypatch.setattr(oracle_module, "_BLOCK", 3 * 12)
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
+        threads = set()
+        answer_tiles = oracle_module._answer_tiles
+
+        def spy(tiles, *args, **kwargs):
+            threads.add(threading.get_ident())
+            answer_tiles(tiles, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "_answer_tiles", spy)
+        plan = self.PLANS[form]()
+        rng = np.random.default_rng(len(form))
+        labels, seeds = rng.integers(0, 5, (3, plan.n)), [11, 2**64 - 1, -3]
+        subplans = _tile_plans(plan, len(labels))
+        assert oracle_module._workers(len(subplans)) == 3
+        assert all(len(p) <= 12 for p in subplans)
+        assert np.concatenate([p.lo for p in subplans]).tolist() == plan.lo.tolist()
+        assert np.concatenate([p.hi for p in subplans]).tolist() == plan.hi.tolist()
+        pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+        for delta in (0.3, 0.8):
+            params = NoiseParams(5, delta)
+            threads.clear()
+            got = oracle_module._answer_rows(labels, seeds, params, plan)
+            assert len(threads) >= 2  # the call did run on more than one thread
+            threads.clear()
+            serial = np.concatenate([oracle_module._answer_rows(labels, seeds, params, p)
+                                     for p in subplans], axis=1)
+            assert len(threads) == 1
+            assert got.dtype == serial.dtype and got.tobytes() == serial.tobytes()
+            for row, truth, seed in zip(got, labels, seeds):
+                assert row.tolist() == oracle_answers_by_definition(
+                    truth, pairs, 5, delta, seed), delta
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # 6 workers, the caller and a pool of 5 threads, switching as
+        # often as the interpreter allows: each call still writes every
+        # tile's answers once, into its own columns
+        monkeypatch.setattr(oracle_module, "_BLOCK", 2 * 10)
+        plan, params = seed_rest_plan(50, 12), NoiseParams(3, 0.2)  # 12 x 4 chunks
+        labels, seeds = np.random.default_rng(4).integers(0, 3, (2, 50)), [5, 6]
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
+        want = oracle_module._answer_rows(labels, seeds, params, plan).tobytes()
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 6)
+        assert oracle_module._workers(len(_tile_plans(plan, 2))) == 6
+        monkeypatch.setattr(oracle_module, "_POOL", None)  # a pool of 5 threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 5
+            for _ in range(50):
+                got = oracle_module._answer_rows(labels, seeds, params, plan)
+                assert got.tobytes() == want
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+            oracle_module._pool().shutdown()
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_an_error_is_raised_after_every_worker_ends(self, monkeypatch, failing):
+        monkeypatch.setattr(oracle_module, "_BLOCK", 16)
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+        ended = []
+        answer_tiles = oracle_module._answer_tiles
+
+        def answer_or_fail(tiles, *args, **kwargs):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller"):
+                raise RuntimeError(f"tile failed in the {failing}")
+            time.sleep(0.2)  # the other worker ends well after the failure
+            answer_tiles(tiles, *args, **kwargs)
+            ended.append(in_caller)
+
+        monkeypatch.setattr(oracle_module, "_answer_tiles", answer_or_fail)
+        plan, labels = seed_rest_plan(40, 10), np.zeros((1, 40), dtype=np.int64)
+        with pytest.raises(RuntimeError, match=f"tile failed in the {failing}"):
+            oracle_module._answer_rows(labels, [1], NoiseParams(4, 0.3), plan)
+        assert ended == [failing == "pool"]
+
+    def test_forked_child_answers_after_the_parent_used_the_pool(self, monkeypatch):
+        # rows of 30 pairs in chunks of 15: 20 tiles, on 2 workers
+        monkeypatch.setattr(oracle_module, "_BLOCK", 16)
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+        plan, params = seed_rest_plan(40, 10), NoiseParams(4, 0.3)
+        labels, seeds = np.random.default_rng(9).integers(0, 4, (1, 40)), [7]
+        assert oracle_module._workers(len(_tile_plans(plan, 1))) == 2
+        want = oracle_module._answer_rows(labels, seeds, params, plan)
+        assert oracle_module._POOL is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_answer_in_child, args=(send, labels, seeds, params, plan))
+        child.start()
+        try:
+            assert receive.poll(60), "the forked child gave no answers within 60 s"
+            got = receive.recv()
+            child.join(60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == want.tobytes()
+
+    def test_one_tile_calls_start_no_thread(self):
+        # nor import concurrent.futures, which would lengthen setup
+        code = """
+import sys
+import threading
+import numpy as np
+from cycalign import FaultyOracle, Labeling, NoiseParams, oracle, seed_rest_plan
+from cycalign.harness import full_pairwise_plan
+rng = np.random.default_rng(0)
+calls = [(rng.integers(0, 4, (1, n)), seed_rest_plan(n, s)) for n, s in [(50, 10), (300, 100)]]
+calls.append((rng.integers(0, 4, (32, 8)), full_pairwise_plan(8)))
+for labels, plan in calls:
+    assert len(list(plan._tiles(max(1, oracle._BLOCK // len(labels))))) == 1
+    oracle._answer_rows(labels, range(len(labels)), NoiseParams(4, 0.3), plan)
+FaultyOracle(Labeling(calls[1][0][0], 4), NoiseParams(4, 0.3), 1).execute_plan(calls[1][1])
+print(threading.active_count(), oracle._POOL is None, "concurrent.futures" in sys.modules)
+"""
+        done = _python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "True", "False"]
+
+    def test_pool_does_not_hold_up_interpreter_exit(self):
+        # a whole multi-tile trial, on two workers whatever the CPU
+        # count: the idle pool thread is still there when the script
+        # ends, and the interpreter must exit at once and cleanly
+        code = """
+import threading
+from cycalign import NoiseParams, SeedConfig, oracle
+from cycalign.harness import run_trial_detailed
+oracle._usable_cpus = lambda: 2
+run_trial_detailed(3000, NoiseParams(4, 0.5), SeedConfig(), 1)
+print(threading.active_count())
+"""
+        done = _python(code, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2"]
 
 
 class TestSeedValidation:

@@ -35,7 +35,6 @@ from cycalign import (
     validity_threshold,
 )
 from cycalign import recovery
-from cycalign.recovery import _vote_rows
 from oracles import (
     pairwise_diffs_by_scan,
     plurality_by_count,
@@ -47,6 +46,21 @@ from oracles import (
 # where seed reconciliation is dependable; regime-boundary behavior is
 # exercised separately below and in the acceptance suite
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
+
+
+def _vote_rows(a, k, ref=0):
+    """The vote kernel, checked against the same call with the count
+    planes forced wherever k allows them: small test stacks go to the
+    bincount, so without this they would never reach the planes."""
+    winners, margins = recovery._vote_rows(a, k, ref)
+    per_plane = recovery._BINCOUNT_VOTES_PER_PLANE
+    recovery._BINCOUNT_VOTES_PER_PLANE = 0
+    try:
+        forced = recovery._vote_rows(a, k, ref)
+    finally:
+        recovery._BINCOUNT_VOTES_PER_PLANE = per_plane
+    assert winners.tolist() == forced[0].tolist() and margins.tolist() == forced[1].tolist()
+    return winners, margins
 
 
 class TestSeedSize:
@@ -309,6 +323,42 @@ class TestVoteCounts:
         winners, margins = _vote_rows(row, k, row[:1])
         assert winners.tolist() == [0, 0]
         assert margins.tolist() == [row.shape[1]] * 2
+
+
+class TestCountKernels:
+    """The two count kernels agree, and _vote_rows picks the bincount
+    for a stack of few votes per plane and the planes above it."""
+
+    @pytest.mark.parametrize("k", range(2, recovery._PLANES_MAX_K + 1))
+    def test_agree_on_tiny_stacks(self, k):
+        rng = np.random.default_rng(100 + k)
+        for t, rows, width in [(1, 1, 1), (32, 3, 4), (32, 4, 4), (5, 2, 7), (2, 9, 3)]:
+            a = rng.integers(0, k, (t, rows, width)).astype(np.int8)
+            labels = rng.integers(0, k, (t, 1, width)).astype(np.int8)
+            for x, ref in [(a, a[:, :1]), (labels, a.transpose(0, 2, 1).copy()
+                                           .transpose(0, 2, 1)), (a, np.asarray(0))]:
+                shape = np.broadcast(x, ref).shape
+                planes = recovery._plane_counts(x, ref, k, shape)
+                assert planes.tolist() == recovery._bincount_counts(x, ref, k, shape).tolist()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 16])
+    def test_choice_by_votes_per_plane(self, k, monkeypatch):
+        used = []
+        for name in ("_plane_counts", "_bincount_counts"):
+            count = getattr(recovery, name)
+            monkeypatch.setattr(recovery, name,
+                                lambda *args, name=name, count=count:
+                                used.append(name) or count(*args))
+        limit = (k - 1) * recovery._BINCOUNT_VOTES_PER_PLANE
+        rng = np.random.default_rng(k)
+        for rows, want in [(1, "_bincount_counts"), (limit, "_bincount_counts"),
+                           (limit + 1, "_plane_counts")]:
+            used.clear()
+            recovery._vote_rows(rng.integers(0, k, (rows, 1)), k)
+            assert used == [want], rows
+        used.clear()
+        recovery._vote_rows(rng.integers(0, 17, (limit + 1, 1)), 17)
+        assert used == ["_bincount_counts"]
 
 
 class TestVoteStacks:
