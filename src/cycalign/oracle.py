@@ -42,19 +42,17 @@ to the largest tile's T rows and reused by the rest.
 The tiles of one call run on W = min(usable CPUs, tiles // 8) workers
 (_WORKER_TILES), the calling thread among them: usable CPUs is the size
 of the process's CPU affinity set, and a call of fewer than 16 tiles
-runs on the calling thread alone and never touches a pool. Every worker
+runs on the calling thread alone and starts no thread. Every worker
 runs the same tile loop, _answer_tiles, over every W-th tile, with its
 own full-size buffers, and writes only its tiles' columns of the answer
 rows; a tile's answers do not depend on which worker answers it or
 when, so the output is the same bytes on any W. Numpy's loops release
 the GIL but its call dispatch does not, so tiles stay full size: on
 two threads, tiles of a quarter of _BLOCK ran twice as slow as one
-thread. The extra workers are the threads of one ThreadPoolExecutor,
-made on the first call with W > 1 (concurrent.futures is imported only
-then) and kept for the process; the caller waits for every worker
-before it returns or raises. A forked child has none of the parent's
-threads, so at a fork the child drops the pool and makes its own when
-it needs one. An idle pool does not hold up the interpreter's exit.
+thread. The extra workers are the threads of a ThreadPoolExecutor made
+for the call (concurrent.futures is imported only then); the call
+waits for all of them to end before it returns or raises, so no thread
+outlives a call.
 
 Within a tile, the pair's part of the hash is computed once for all
 rows, and each row adds its own seed's base. Its key is built as
@@ -87,7 +85,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -117,21 +114,6 @@ _THRESHOLD_MAX_K = 8
 # calls of 16 tiles or more (a large trial's ~100) gain.
 _WORKER_TILES = 8
 
-# The extra workers' threads, made on the first call with more than one
-# worker. A forked child has none of them, so it starts its own, with a
-# new lock: one held by another thread at the fork would stay held.
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _drop_pool() -> None:
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -144,17 +126,6 @@ def _workers(tiles: int) -> int:
     if tiles < 2 * _WORKER_TILES:
         return 1
     return min(_usable_cpus(), tiles // _WORKER_TILES)
-
-
-def _pool():
-    """The persistent pool of extra workers, made on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor  # not at import
-            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="cycalign-oracle")
-        return _POOL
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -312,14 +283,13 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
         answer(tiles)
         return out
     shares = [tiles[w::workers] for w in range(workers)]
-    futures = [_pool().submit(answer, share) for share in shares[1:]]
-    try:
+    from concurrent.futures import ThreadPoolExecutor  # not at import
+    # leaving the block waits for every worker, also when one raised
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="cycalign-oracle") as pool:
+        futures = [pool.submit(answer, share) for share in shares[1:]]
         answer(shares[0])
-    finally:
         for future in futures:
-            future.exception()  # waits for it; its error is raised below
-    for future in futures:
-        future.result()
+            future.result()
     return out
 
 

@@ -425,8 +425,9 @@ def _answer_in_child(conn, labels, seeds, params, plan):
 class TestParallelTiles:
     """The kernel's workers answer their own tiles into place: a call
     on several workers equals its tiles answered serially, one plan
-    each, and the per-pair definition; a forked child and the end of
-    the interpreter find no pool threads in the way."""
+    each, and the per-pair definition. The workers are the call's own:
+    none outlives it, so concurrent callers, a forked child and the end
+    of the interpreter find no worker thread in the way."""
 
     PLANS = {
         "whole rows": lambda: seed_rest_plan(60, 54),  # rows of 6: 2 a tile
@@ -470,7 +471,7 @@ class TestParallelTiles:
                     truth, pairs, 5, delta, seed), delta
 
     def test_more_workers_than_cores_under_a_short_switch_interval(self, monkeypatch):
-        # 6 workers, the caller and a pool of 5 threads, switching as
+        # 6 workers, the caller and 5 threads of its own, switching as
         # often as the interpreter allows: each call still writes every
         # tile's answers once, into its own columns
         monkeypatch.setattr(oracle_module, "_BLOCK", 2 * 10)
@@ -480,7 +481,6 @@ class TestParallelTiles:
         want = oracle_module._answer_rows(labels, seeds, params, plan).tobytes()
         monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 6)
         assert oracle_module._workers(len(_tile_plans(plan, 2))) == 6
-        monkeypatch.setattr(oracle_module, "_POOL", None)  # a pool of 5 threads
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -492,7 +492,6 @@ class TestParallelTiles:
                     break
         finally:
             sys.setswitchinterval(interval)
-            oracle_module._pool().shutdown()
 
     @pytest.mark.parametrize("failing", ["caller", "pool"])
     def test_an_error_is_raised_after_every_worker_ends(self, monkeypatch, failing):
@@ -515,6 +514,41 @@ class TestParallelTiles:
             oracle_module._answer_rows(labels, [1], NoiseParams(4, 0.3), plan)
         assert ended == [failing == "pool"]
 
+    def test_concurrent_callers_get_their_own_answers(self, monkeypatch):
+        # two threads each make multi-tile calls on 2 workers at once,
+        # each call with workers of its own; neither sees the other's
+        monkeypatch.setattr(oracle_module, "_BLOCK", 16)
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
+        rng = np.random.default_rng(12)
+        calls = [(rng.integers(0, 4, (1, 40)), [21], NoiseParams(4, 0.3), seed_rest_plan(40, 10)),
+                 (rng.integers(0, 5, (2, 48)), [22, 23], NoiseParams(5, 0.2),
+                  seed_rest_plan(48, 12))]
+        want = [oracle_module._answer_rows(*call) for call in calls]
+        for (labels, seeds, params, plan), rows in zip(calls, want):
+            pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+            for row, truth, seed in zip(rows, labels, seeds):
+                assert row.tolist() == oracle_answers_by_definition(
+                    truth, pairs, params.k, params.delta, seed)
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+        for labels, seeds, params, plan in calls:
+            assert oracle_module._workers(len(_tile_plans(plan, len(labels)))) == 2
+        start, got = threading.Barrier(len(calls)), [[] for _ in calls]
+
+        def caller(c):
+            start.wait(10)
+            for _ in range(20):
+                got[c].append(oracle_module._answer_rows(*calls[c]).tobytes())
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        for answers, rows in zip(got, want):
+            assert answers == [rows.tobytes()] * 20
+        assert not [t for t in threading.enumerate() if t.name.startswith("cycalign-oracle")]
+
     def test_forked_child_answers_after_the_parent_used_the_pool(self, monkeypatch):
         # rows of 30 pairs in chunks of 15: 20 tiles, on 2 workers
         monkeypatch.setattr(oracle_module, "_BLOCK", 16)
@@ -523,7 +557,7 @@ class TestParallelTiles:
         labels, seeds = np.random.default_rng(9).integers(0, 4, (1, 40)), [7]
         assert oracle_module._workers(len(_tile_plans(plan, 1))) == 2
         want = oracle_module._answer_rows(labels, seeds, params, plan)
-        assert oracle_module._POOL is not None
+        assert threading.active_count() == 1  # the call's workers are gone before the fork
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_answer_in_child, args=(send, labels, seeds, params, plan))
@@ -554,27 +588,38 @@ for labels, plan in calls:
     assert len(list(plan._tiles(max(1, oracle._BLOCK // len(labels))))) == 1
     oracle._answer_rows(labels, range(len(labels)), NoiseParams(4, 0.3), plan)
 FaultyOracle(Labeling(calls[1][0][0], 4), NoiseParams(4, 0.3), 1).execute_plan(calls[1][1])
-print(threading.active_count(), oracle._POOL is None, "concurrent.futures" in sys.modules)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
 """
         done = _python(code)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "True", "False"]
+        assert done.stdout.split() == ["1", "False"]
 
-    def test_pool_does_not_hold_up_interpreter_exit(self):
+    def test_no_worker_outlives_a_call(self):
         # a whole multi-tile trial, on two workers whatever the CPU
-        # count: the idle pool thread is still there when the script
-        # ends, and the interpreter must exit at once and cleanly
+        # count: the thread count right after its answer call is the
+        # count before it, and the interpreter exits at once and cleanly
         code = """
 import threading
-from cycalign import NoiseParams, SeedConfig, oracle
-from cycalign.harness import run_trial_detailed
+from cycalign import NoiseParams, SeedConfig, harness, oracle
 oracle._usable_cpus = lambda: 2
-run_trial_detailed(3000, NoiseParams(4, 0.5), SeedConfig(), 1)
-print(threading.active_count())
+workers, answer_tiles = set(), oracle._answer_tiles
+def spy(*args, **kwargs):
+    workers.add(threading.get_ident())
+    answer_tiles(*args, **kwargs)
+oracle._answer_tiles = spy
+counts, answer_rows = [], harness._answer_rows
+def counted(*args, **kwargs):
+    before = threading.active_count()
+    rows = answer_rows(*args, **kwargs)
+    counts.append((before, threading.active_count()))
+    return rows
+harness._answer_rows = counted
+harness.run_trial_detailed(3000, NoiseParams(4, 0.5), SeedConfig(), 1)
+print(len(workers), counts, threading.active_count())
 """
         done = _python(code, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["2"]
+        assert done.stdout.strip() == "2 [(1, 1)] 1"
 
 
 class TestSeedValidation:

@@ -61,6 +61,9 @@ def test_deleted_names_are_gone():
     # are listed only by its lo and hi arrays
     assert not hasattr(QueryPlan, "from_arrays")
     assert "__iter__" not in vars(QueryPlan)
+    # the oracle's workers live for one call: no process-wide pool
+    for name in ("_POOL", "_POOL_LOCK", "_drop_pool", "_pool"):
+        assert not hasattr(oracle, name), f"oracle.{name}"
     # one exact tail engine: no grid pass per noise law beside it
     for name in ("tail_probabilities_exact", "_law_tails"):
         assert name not in cycalign.__all__
