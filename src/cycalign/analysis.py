@@ -63,8 +63,11 @@ _MLE_ENUMERATION_LIMIT = 10**7
 _MLE_CHUNK_CELLS = 1 << 22
 _TAIL_VOTE_LIMIT = 10**5
 _BAND_NATS = 40.0  # terms further below the largest are dropped
-_WALK_LINES = 64  # lines per group of a tail's walk
-_WALK_CHUNK = 16  # terms per array step of a group's walk
+_WALK_LINES = 256  # lines per group of a tail's walk
+# terms per array step of a group's walk: 64 ran ~20% faster still, but
+# numpy buffers a copy of the (lines x terms) array in each broadcast
+# step, so a walk's peak memory grows with it (~130 KB at 64 terms)
+_WALK_CHUNK = 16
 _MC_CHUNK = 1 << 14  # trials per array step of the Monte Carlo draws
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 

@@ -38,11 +38,17 @@ The form is either
 The block is the plan's pairs with i < s <= j, in row-major order;
 oriented_matrix reads it as a read-only view of the answers where they
 are consecutive, as in a seed x rest plan of seed s, else by one gather.
+
+_run_shares is the package's one way to run work on several threads:
+the oracle's tiles and the lemma check's Monte Carlo points go through
+it, each split into shares by its caller.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -265,6 +271,47 @@ _INT8 = np.dtype(np.int8)
 def _answer_dtype(k: int) -> np.dtype:
     """Smallest signed integer type that holds every value in [-k, k]."""
     return _INT8 if k <= 127 else np.min_scalar_type(-k - 1)
+
+
+def _usable_cpus() -> int:
+    """The size of the process's CPU affinity set, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shares(job, shares: Sequence) -> None:
+    """job(share) for every share, each on its own thread: the calling
+    thread runs shares[0], and one thread made for this call runs each
+    other share, so one share starts no thread.
+
+    The call waits for every thread to end, also when a share raises,
+    and then re-raises the error of the lowest-index share that failed,
+    so no thread outlives it. The threads are plain threading.Thread
+    (numpy imports threading already; concurrent.futures would add
+    ~0.27 MB to the process).
+    """
+    errors = [None] * len(shares)
+
+    def run(w: int) -> None:
+        try:
+            job(shares[w])
+        except BaseException as exc:  # re-raised by the caller below
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,), name=f"cycalign-worker-{w}")
+               for w in range(1, len(shares))]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _check_entries(lo: np.ndarray, hi: np.ndarray, n: int,

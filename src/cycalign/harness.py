@@ -12,6 +12,15 @@ each result equals that of the trial run alone.
 Failed recovery is data (a zero in the success column); an exception
 inside a batch is a bug and aborts the sweep with the cell and the
 batch's trial range.
+
+Two calls run on more than one thread, both through core._run_shares
+and each on threads of its own that end before it returns: an answer
+call of 16 tiles or more (a large trial's; see oracle) and the Monte
+Carlo points of run_lemma_check. The rest is serial. A sweep's answer
+calls have 7-15 tiles, and whole sweeps ran 15-25% slower on two
+workers. The MLE comparison's batches each draw their truths, which
+holds the GIL: with its batches split over two threads, its 1 000
+trials took ~100 ms against ~50 ms on one.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ from .core import (
     _as_int,
     _as_real,
     _as_seed,
+    _run_shares,
+    _usable_cpus,
 )
 from .oracle import _answer_rows
 from .recovery import (
@@ -354,6 +365,14 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     points the report carries no fit. The fit runs on the exact tails
     before the Monte Carlo points, so a grid whose tails it rejects
     raises before any draw.
+
+    The Monte Carlo points then run on W = min(usable CPUs, points)
+    threads, the calling thread among them (core._run_shares): point i
+    on worker i mod W. Each point draws from its own generator, seeded
+    from its index alone, so the report is the same bytes on any W.
+    numpy's binomial sampler releases the GIL, and on two vCPUs the
+    benchmark's five-point lemma_small check took ~115 -> ~85 ms in
+    process. A draw that raises is re-raised once every worker ends.
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
@@ -362,18 +381,23 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     # the fit reads only the exact tails, and each point's draws keep
     # their own seed whatever runs before them
     fit = fit_tail_exponent(specs, tails=exact_tails) if len(specs) >= 5 else None
-    points = []
-    for idx, (spec, exact) in enumerate(zip(specs, exact_tails)):
-        rng = np.random.default_rng(
-            _substream(derive_trial_seed(base_seed, ("lemma", idx), 0), "mc"))
-        mc = tail_probability_mc(spec, trials, rng)
-        points.append(LemmaPoint(
-            vote_count=spec.vote_count, k=spec.params.k,
-            delta=spec.params.delta, regime=tail_regime(spec.params),
-            predictor=tail_predictor(spec), exact_tail=exact,
-            mc_tail=mc.value, mc_half_width=mc.half_width,
-        ))
-    return LemmaCheckReport(points=tuple(points), fit=fit, trials=trials)
+    estimates = [None] * len(specs)
+
+    def draw(share: range) -> None:
+        for idx in share:
+            rng = np.random.default_rng(
+                _substream(derive_trial_seed(base_seed, ("lemma", idx), 0), "mc"))
+            estimates[idx] = tail_probability_mc(specs[idx], trials, rng)
+
+    workers = min(_usable_cpus(), len(specs))
+    _run_shares(draw, [range(w, len(specs), workers) for w in range(workers)])
+    points = tuple(LemmaPoint(
+        vote_count=spec.vote_count, k=spec.params.k,
+        delta=spec.params.delta, regime=tail_regime(spec.params),
+        predictor=tail_predictor(spec), exact_tail=exact,
+        mc_tail=mc.value, mc_half_width=mc.half_width,
+    ) for spec, exact, mc in zip(specs, exact_tails, estimates))
+    return LemmaCheckReport(points=points, fit=fit, trials=trials)
 
 
 def lemma_report_to_text(report: LemmaCheckReport) -> str:

@@ -49,10 +49,9 @@ rows; a tile's answers do not depend on which worker answers it or
 when, so the output is the same bytes on any W. Numpy's loops release
 the GIL but its call dispatch does not, so tiles stay full size: on
 two threads, tiles of a quarter of _BLOCK ran twice as slow as one
-thread. The extra workers are the threads of a ThreadPoolExecutor made
-for the call (concurrent.futures is imported only then); the call
-waits for all of them to end before it returns or raises, so no thread
-outlives a call.
+thread. The extra workers are threads made for the call by
+core._run_shares, which waits for all of them to end before the call
+returns or raises, so no thread outlives a call.
 
 Within a tile, the pair's part of the hash is computed once for all
 rows, and each row adds its own seed's base. Its key is built as
@@ -60,7 +59,9 @@ rows, and each row adds its own seed's base. Its key is built as
 j < 2^32 (true of any n whose labels fit in memory), so the constant
 rides on the tile's small operand. The hash is mixed in place in one
 uint64 buffer, with a second one as scratch, and the noise is added to
-g[lo] - g[hi] + k in a small signed type: int8 while 3k <= 127.
+g[lo] - g[hi] + k in a small signed type: int8 while 3k <= 127. Each
+of these buffers starts on a 64-byte line, so a call's speed does not
+depend on where malloc put them.
 
 Up to k = _THRESHOLD_MAX_K the noise is counted, not computed. Every
 step from x to the noise is monotone in x: the product by 2^-53 is
@@ -84,7 +85,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
@@ -95,6 +95,8 @@ from .core import (
     QueryTranscript,
     _answer_dtype,
     _as_seed,
+    _run_shares,
+    _usable_cpus,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -113,11 +115,6 @@ _THRESHOLD_MAX_K = 8
 # 15-25% slower on two workers, though each call alone timed faster;
 # calls of 16 tiles or more (a large trial's ~100) gain.
 _WORKER_TILES = 8
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _workers(tiles: int) -> int:
@@ -279,18 +276,22 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     answer = functools.partial(_answer_tiles, out=out, g_lo=g_lo, g_hi=g_hi, k=k,
                                law=law, bases=bases, thresholds=thresholds)
     workers = _workers(len(tiles))
-    if workers == 1:
-        answer(tiles)
-        return out
-    shares = [tiles[w::workers] for w in range(workers)]
-    from concurrent.futures import ThreadPoolExecutor  # not at import
-    # leaving the block waits for every worker, also when one raised
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="cycalign-oracle") as pool:
-        futures = [pool.submit(answer, share) for share in shares[1:]]
-        answer(shares[0])
-        for future in futures:
-            future.result()
+    _run_shares(answer, [tiles[w::workers] for w in range(workers)])
     return out
+
+
+def _empty_on_line(size: int, dtype) -> np.ndarray:
+    """np.empty(size, dtype), starting on a 64-byte cache line.
+
+    malloc aligns a block to 16 bytes only, so where a buffer starts
+    within its line hung on the heap's history. Off a line, _mix64 on a
+    tile's hash ran 15-35% slower (the AVX-512 loads straddle two lines),
+    and identical sweeps read up to ~20% apart between processes.
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 63, np.uint8)
+    lead = -raw.ctypes.data % 64
+    return raw[lead:lead + nbytes].view(dtype)
 
 
 def _answer_tiles(tiles, out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, k: int,
@@ -308,10 +309,12 @@ def _answer_tiles(tiles, out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, k:
         if rows * m > d.size:  # buffers for the largest tile, reused by the rest
             # the hash and its scratch share one block, which malloc keeps
             # for the next call; two blocks went back to the system at
-            # return and every call faulted their pages in again
-            both = np.empty(2 * rows * m, np.uint64)
-            z, tmp = both[:rows * m], both[rows * m:]
-            d = np.empty(rows * m, wide)
+            # return and every call faulted their pages in again. Each
+            # starts on a 64-byte line (_empty_on_line)
+            cut = -(-rows * m // 8) * 8
+            both = _empty_on_line(cut + rows * m, np.uint64)
+            z, tmp = both[:cut], both[cut:]
+            d = _empty_on_line(rows * m, wide)
         dt = d[:rows * m].reshape(rows, *shape)
         # np.take gathers along the node axis as fast as a 1-d index;
         # g[:, hi] goes through numpy's slower mixed-index path. Every
@@ -321,11 +324,8 @@ def _answer_tiles(tiles, out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, k:
         np.subtract(np.take(g_lo, lo, axis=1), g_at_hi, out=dt)
         if law is not None:
             zt, tt = z[:rows * m].reshape(dt.shape), tmp[:rows * m].reshape(dt.shape)
-            # the pair's part of the hash, once for all rows: a single
-            # row's keys are zt itself, so its base is added in place (a
-            # keys array that only overlaps zt would be copied first)
-            keys, scratch = ((zt, tt) if rows == 1 else
-                             (tmp[:m].reshape(shape), z[:m].reshape(shape)))
+            # the pair's part of the hash, once for all rows
+            keys, scratch = tmp[:m].reshape(shape), z[:m].reshape(shape)
             np.add((lo.view(np.uint64) << _SHIFT[32]) + _GOLDEN, hi.view(np.uint64), out=keys)
             _mix64(keys, scratch)
             np.add(keys, bases.reshape(rows, *(1,) * len(shape)), out=zt)

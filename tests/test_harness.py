@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -521,6 +523,67 @@ class TestLemmaCheck:
         assert calls == []
         run_lemma_check(specs[:4], trials=10)
         assert len(calls) == 4
+
+    # five points in one regime, each with Monte Carlo hits at 20 000 trials
+    GRID = [TailSpec(m, NoiseParams(3, 0.3)) for m in (4, 8, 12, 16, 20)]
+
+    def test_report_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # point i draws on worker i mod W, from its own generator
+        mc, reports = harness.tail_probability_mc, []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            ran = {}
+
+            def spy(spec, *args):
+                ran[spec.vote_count] = threading.current_thread().name
+                return mc(spec, *args)
+
+            monkeypatch.setattr(harness, "tail_probability_mc", spy)
+            report = run_lemma_check(self.GRID, trials=20_000, base_seed=7)
+            names = ["MainThread"] + [f"cycalign-worker-{w}" for w in range(1, cpus)]
+            assert [ran[s.vote_count] for s in self.GRID] == [names[i % cpus] for i in range(5)]
+            assert report.fit is not None and all(p.mc_tail > 0 for p in report.points)
+            reports.append((lemma_report_to_csv(report), lemma_report_to_text(report),
+                            lemma_report_to_json(report)))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_one_point_grid_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        seen, mc = [], harness.tail_probability_mc
+        monkeypatch.setattr(harness, "tail_probability_mc", lambda *args: seen.append(
+            (threading.current_thread().name, threading.active_count())) or mc(*args))
+        before = threading.active_count()
+        run_lemma_check(self.GRID[:1], trials=1000)
+        assert seen == [("MainThread", before)]
+
+    # on 3 workers the caller draws points 0 and 3, worker 1 points 1
+    # and 4, worker 2 point 2; of two failing workers, the lower one's
+    # error is raised
+    @pytest.mark.parametrize("failing,raised", [((0,), 0), ((2,), 2), ((4,), 4), ((2, 4), 4)])
+    def test_a_failing_draw_is_raised_after_every_worker_ends(self, monkeypatch,
+                                                              failing, raised):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        votes = [s.vote_count for s in self.GRID]
+        ended, mc = [], harness.tail_probability_mc
+
+        def draw_or_fail(spec, *args):
+            point = votes.index(spec.vote_count)
+            if point in failing:
+                raise RuntimeError(f"draw of point {point} failed")
+            time.sleep(0.1)  # the other workers end well after the failure
+            ended.append(point)
+            return mc(spec, *args)
+
+        monkeypatch.setattr(harness, "tail_probability_mc", draw_or_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^draw of point {raised} failed$"):
+            run_lemma_check(self.GRID, trials=1000)
+        # a worker stops at its failing point; the others draw all of theirs
+        stopped = {point % 3: point for point in sorted(failing, reverse=True)}
+        assert sorted(ended) == [point for point in range(5)
+                                 if point < stopped.get(point % 3, 5)]
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("cycalign-worker")]
 
     @pytest.mark.parametrize("fit,fit_json", [
         (None, "null"),

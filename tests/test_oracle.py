@@ -22,6 +22,7 @@ from cycalign import (
     QueryPlan,
     seed_rest_plan,
 )
+from cycalign import core
 from cycalign import oracle as oracle_module
 from cycalign.harness import full_pairwise_plan
 
@@ -369,6 +370,19 @@ class TestAnswerRows:
             assert row.tolist() == oracle_answers_by_definition(
                 truth, pairs, k, params.delta, seed, noiseless)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_hash_and_scratch_start_on_cache_lines(self, monkeypatch, rows):
+        # tiles of 57 and 3 x 57 cells: an odd count, so a buffer cut at
+        # rows * m cells would start its scratch half off a 64-byte line
+        starts, mix64 = [], oracle_module._mix64
+        monkeypatch.setattr(oracle_module, "_mix64", lambda z, tmp: starts.extend(
+            [z.ctypes.data % 64, tmp.ctypes.data % 64]) or mix64(z, tmp))
+        labels = np.random.default_rng(rows).integers(0, 4, (rows, 60))
+        oracle_module._answer_rows(labels, range(rows), NoiseParams(4, 0.3),
+                                   seed_rest_plan(60, 3))
+        # the first call mixes the rows' seed bases, before any tile
+        assert len(starts) == 6 and set(starts[2:]) == {0}
+
     def test_memory_stays_near_the_answer_rows(self):
         # besides the answer rows, only each worker's tile buffers (17
         # bytes a cell: the hash, its scratch and the int8 sum) over
@@ -547,7 +561,7 @@ class TestParallelTiles:
         assert not any(thread.is_alive() for thread in threads)
         for answers, rows in zip(got, want):
             assert answers == [rows.tobytes()] * 20
-        assert not [t for t in threading.enumerate() if t.name.startswith("cycalign-oracle")]
+        assert not [t for t in threading.enumerate() if t.name.startswith("cycalign-worker")]
 
     def test_forked_child_answers_after_the_parent_used_the_pool(self, monkeypatch):
         # rows of 30 pairs in chunks of 15: 20 tiles, on 2 workers
@@ -620,6 +634,89 @@ print(len(workers), counts, threading.active_count())
         done = _python(code, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "2 [(1, 1)] 1"
+
+
+class TestRunShares:
+    """core._run_shares, the one runner of both parallel callers (the
+    oracle's tiles and the lemma check's Monte Carlo points): the caller
+    runs share 0, a thread of the call's own each other share, and the
+    call raises only once every thread has ended."""
+
+    def test_each_share_runs_once_on_its_own_thread(self):
+        ran = []
+        core._run_shares(lambda share: ran.append((share, threading.current_thread().name)),
+                         ["a", "b", "c"])
+        assert sorted(ran) == [("a", "MainThread"), ("b", "cycalign-worker-1"),
+                               ("c", "cycalign-worker-2")]
+        assert threading.active_count() == 1
+
+    def test_one_share_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was made for one share")
+
+        monkeypatch.setattr(core.threading, "Thread", no_thread)
+        ran = []
+        core._run_shares(ran.append, [range(3)])
+        assert ran == [range(3)]
+
+    @pytest.mark.parametrize("failing,raised", [({0, 2}, 0), ({2, 1}, 1), ({3}, 3)])
+    def test_lowest_failing_share_is_raised_after_every_thread_ends(self, failing, raised):
+        ended = []
+
+        def job(share):
+            if share in failing:
+                raise RuntimeError(f"share {share} failed")
+            time.sleep(0.2)  # the other shares end well after the failures
+            ended.append(share)
+
+        with pytest.raises(RuntimeError, match=f"^share {raised} failed$"):
+            core._run_shares(job, [0, 1, 2, 3])
+        assert sorted(ended) == sorted({0, 1, 2, 3} - failing)
+        assert threading.active_count() == 1
+
+    def test_a_thread_that_cannot_start_leaves_none_running(self, monkeypatch):
+        class Thread(threading.Thread):
+            def start(self):
+                if self.name == "cycalign-worker-2":
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        monkeypatch.setattr(core.threading, "Thread", Thread)
+        ran = []
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            core._run_shares(lambda share: time.sleep(0.2) or ran.append(share), [0, 1, 2])
+        assert ran == [1] and threading.active_count() == 1
+
+    def test_both_callers_run_on_the_helpers_threads(self):
+        # a multi-tile answer call and a three-point lemma check, each on
+        # two workers: the extra thread is the helper's, it has ended when
+        # the call returns, and concurrent.futures, which would lengthen
+        # setup, is never imported
+        code = """
+import sys
+import threading
+import numpy as np
+from cycalign import NoiseParams, TailSpec, harness, oracle, seed_rest_plan
+oracle._usable_cpus = harness._usable_cpus = lambda: 2
+names, answer_tiles, mc = {}, oracle._answer_tiles, harness.tail_probability_mc
+def spy(call, job):
+    def run(*args, **kwargs):
+        names.setdefault(call, set()).add(threading.current_thread().name)
+        return job(*args, **kwargs)
+    return run
+oracle._answer_tiles = spy("oracle", answer_tiles)
+harness.tail_probability_mc = spy("lemma", mc)
+oracle._answer_rows(np.zeros((1, 3000), np.int64), [1], NoiseParams(4, 0.5), seed_rest_plan(3000, 737))
+after = [threading.active_count()]
+harness.run_lemma_check([TailSpec(m, NoiseParams(2, 0.3)) for m in (30, 40, 50)], 1000)
+after.append(threading.active_count())
+print(sorted(names["oracle"]), sorted(names["lemma"]), after,
+      "concurrent.futures" in sys.modules)
+"""
+        done = _python(code, timeout=60)
+        assert done.returncode == 0, done.stderr
+        workers = "['MainThread', 'cycalign-worker-1']"
+        assert done.stdout.strip() == f"{workers} {workers} [1, 1] False"
 
 
 class TestSeedValidation:
