@@ -38,6 +38,8 @@ The form is either
 The block is the plan's pairs with i < s <= j, in row-major order;
 oriented_matrix reads it as a read-only view of the answers where they
 are consecutive, as in a seed x rest plan of seed s, else by one gather.
+_windows is the one rule that cuts it into cache-sized tiles, the
+oracle's (QueryPlan._tiles) and the vote kernel's (see recovery).
 
 _run_shares is the package's one way to run work on several threads:
 the oracle's tiles and the lemma check's Monte Carlo points go through
@@ -314,6 +316,25 @@ def _run_shares(job, shares: Sequence) -> None:
             raise error
 
 
+def _windows(rows: int, cols: int, cells: int,
+             max_rows: int | None = None) -> Iterator[tuple[slice, slice]]:
+    """Windows (row slice, column slice) of a rows x cols array that
+    cover it in row-major order, each of at most max(cells, 1) cells:
+    whole rows while a row fits, up to max_rows of them, else one row
+    at a time in the fewest column chunks of equal width (the last may
+    be narrower)."""
+    cells = max(cells, 1)
+    if cols > cells:
+        width = -(-cols // -(-cols // cells))
+        for r in range(rows):
+            for c in range(0, cols, width):
+                yield slice(r, r + 1), slice(c, min(c + width, cols))
+    elif cols:
+        step = min(cells // cols, max_rows or cells)
+        for r in range(0, rows, step):
+            yield slice(r, min(r + step, rows)), slice(0, cols)
+
+
 def _check_entries(lo: np.ndarray, hi: np.ndarray, n: int,
                    ans: np.ndarray | None = None, k: int = 0) -> None:
     """Raise for the first entry t whose pair (lo[t], hi[t]) is not a
@@ -493,36 +514,28 @@ class QueryPlan:
         cols = slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] == pos.size - 1 else pos
         return answers[..., cols].reshape(shape)
 
-    def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _tiles(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
         """Pair arrays (lo, hi) that broadcast together to at most size
-        pairs each and cover the plan's pairs in its order, row-major
-        within a tile.
+        pairs each, with the position at of their first pair, covering
+        the plan's pairs in its order, row-major within a tile.
 
-        A seed x rest tile is an (r, 1) column of rows against the
-        (1, w) row of rest nodes, so no pair array is gathered or built
-        and indexing a (T, n) stack of labels with either broadcasts
-        over the leading T. It holds whole rows while a row fits in
-        size; a longer row is cut into column chunks of equal width,
-        one tile each and consecutive in plan order.
+        The tiles are the _windows of the s x (n - s) block for a seed x
+        rest plan, else of the pairs as one row. A seed x rest tile is an
+        (r, 1) column of rows against a (1, c) chunk of the row of rest
+        nodes, so no pair array is gathered or built and indexing a
+        (T, n) stack of labels with either broadcasts over the leading
+        T; tiles of the same columns share one chunk object.
         """
         s = self._s
         if s is None:
-            for a in range(0, self._lo.size, size):
-                yield self._lo[a:a + size], self._hi[a:a + size]
+            for _, cols in _windows(1, self._lo.size, size):
+                yield self._lo[cols], self._hi[cols], cols.start
             return
-        rest = np.arange(s, self.n, dtype=np.int64)[None]
-        if rest.size > size:
-            pieces = -(-rest.size // size)
-            width = -(-rest.size // pieces)
-            chunks = [rest[:, c:c + width] for c in range(0, rest.size, width)]
-            for r in range(s):
-                row = np.full((1, 1), r, dtype=np.int64)
-                for chunk in chunks:
-                    yield row, chunk
-            return
-        step = size // rest.size  # whole rows per tile
-        for r in range(0, s, step):
-            yield np.arange(r, min(r + step, s), dtype=np.int64)[:, None], rest
+        rest, views = np.arange(s, self.n, dtype=np.int64)[None], {}
+        for rows, cols in _windows(s, rest.size, size):
+            yield (np.arange(rows.start, rows.stop, dtype=np.int64)[:, None],
+                   views.setdefault(cols.start, rest[:, cols]),
+                   rows.start * rest.size + cols.start)
 
 
 class QueryTranscript:

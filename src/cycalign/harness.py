@@ -376,7 +376,7 @@ def run_lemma_check(specs: Sequence[TailSpec], trials: int,
     """
     specs = list(specs)
     check_lemma_grid(specs, trials)
-    base_seed = _as_seed(base_seed, "base_seed")
+    trials, base_seed = _as_int(trials, "trials"), _as_seed(base_seed, "base_seed")
     exact_tails = [tail_probability_exact(s) for s in specs]
     # the fit reads only the exact tails, and each point's draws keep
     # their own seed whatever runs before them

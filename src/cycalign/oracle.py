@@ -28,16 +28,18 @@ plan for a stack of T oracles under the same noise law, one row of
 answers per oracle. FaultyOracle.execute_plan is its one-row call; the
 small-instance MLE check answers a batch of trials with one call. The
 kernel never asks which form a plan has (see core): it answers the
-plan's tiles, pair arrays (lo, hi) that broadcast together, in the
-plan's order. A tile of a seed x rest plan is a column of seed rows
-against the row of rest nodes, so on that path no pair array is
-gathered or built. The noise of a pair depends only on its (i, j) and
-the seed, so a pair's answer is the same in any plan and in any row
-answered with the same seed.
+plan's tiles, pair arrays (lo, hi) that broadcast together, each with
+the position of its first pair, in the plan's order. A tile of a
+seed x rest plan is a column of seed rows against a chunk of the row
+of rest nodes, so on that path no pair array is gathered or built. The
+noise of a pair depends only on its (i, j) and the seed, so a pair's
+answer is the same in any plan and in any row answered with the same
+seed.
 
-A tile holds at most _BLOCK / T pairs (a rest row longer than that is
-cut into column chunks), and it runs one fused pass over buffers sized
-to the largest tile's T rows and reused by the rest.
+A tile holds at most _BLOCK / T pairs, cut by core._windows, the rule
+that also cuts the vote kernel's tiles (whole rows while a row fits,
+else column chunks of equal width), and it runs one fused pass over
+buffers sized to the largest tile's T rows and reused by the rest.
 
 The tiles of one call run on W = min(usable CPUs, tiles // 8) workers
 (_WORKER_TILES), the calling thread among them: usable CPUs is the size
@@ -269,10 +271,7 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
         _mix64(bases, np.empty_like(bases))
         thresholds = None if floats else _noise_thresholds(k, params.delta)
     out = np.empty((rows, len(plan)), dtype=_answer_dtype(k))
-    tiles, at = [], 0
-    for lo, hi in plan._tiles(max(1, _BLOCK // rows)):
-        tiles.append((lo, hi, at))
-        at += math.prod(np.broadcast(lo, hi).shape)
+    tiles = list(plan._tiles(max(1, _BLOCK // rows)))
     answer = functools.partial(_answer_tiles, out=out, g_lo=g_lo, g_hi=g_hi, k=k,
                                law=law, bases=bases, thresholds=thresholds)
     workers = _workers(len(tiles))

@@ -43,6 +43,8 @@ subtracted, indexed or widened, and each plane is summed in the
 block's memory order: along its rows in step 2, down them in step 3.
 Above k = 16, where k - 1 planes cost more than one pass, a bincount
 over row * 2k + (a - ref + k) counts every residue without a modulus.
+Both cut the block by core._windows, the oracle's tile rule, into
+windows of about _VOTE_BLOCK bytes: no vote temporary grows with a row.
 """
 
 from __future__ import annotations
@@ -62,25 +64,19 @@ from .core import (
     _as_int,
     _as_real,
     _check_size,
+    _windows,
 )
 from .oracle import FaultyOracle
 
-# Bytes of temporaries per vote tile (bool plane cells, or intp cell
-# indices for the bincount): a tile stays in cache instead of streaming
-# the whole vote matrix through memory.
+# Bytes of temporaries per vote window (bool plane cells, or intp cell
+# indices for the bincount): a window stays in cache instead of
+# streaming the whole vote matrix through memory.
 _VOTE_BLOCK = 1 << 19
 
 # Largest k counted by equality planes. Their cost grows with k, one
 # bincount's does not: on n = 10^4 blocks the planes took ~0.5-0.75x
 # the bincount's time at k = 16 and up to ~1.5x at k = 32.
 _PLANES_MAX_K = 16
-
-# Up to _PLANES_MAX_K, a stack of at most (k - 1) times this many votes
-# is still counted by one bincount: there the planes' fixed cost per
-# plane and tile outweighs their speed per vote (about even at k = 2 on
-# 2 048 votes, 3-8x slower at k = 16 on up to 30 000; in-process timing
-# on a 2-vCPU Xeon guest).
-_BINCOUNT_VOTES_PER_PLANE = 1 << 11
 
 # The most 0/1 cells one uint8, or one byte lane of a uint64, can count.
 _U8_MAX = 255
@@ -206,15 +202,12 @@ def _vote_rows(a: np.ndarray, k: int,
     matrices; winners and margins are (..., rows), and ties go to the
     smallest label. This is the package's one vote kernel. Up to
     k = _PLANES_MAX_K it counts equality planes (_plane_counts), above
-    it, and on stacks of at most (k - 1) * _BINCOUNT_VOTES_PER_PLANE
-    votes, one bincount (_bincount_counts), whose cost does not grow
-    with k; both work a tile of about _VOTE_BLOCK bytes at a time.
+    it one bincount (_bincount_counts), whose cost does not grow with
+    k; both work a window of about _VOTE_BLOCK bytes at a time.
     """
     a, ref = np.asarray(a), np.asarray(ref)
     shape = np.broadcast(a, ref).shape
-    planes = (k <= _PLANES_MAX_K
-              and math.prod(shape) > (k - 1) * _BINCOUNT_VOTES_PER_PLANE)
-    count = _plane_counts if planes else _bincount_counts
+    count = _plane_counts if k <= _PLANES_MAX_K else _bincount_counts
     counts = count(a, ref, k, shape)
     # the running top two over the contiguous count planes; a label
     # takes the lead only with a strictly larger count
@@ -237,50 +230,52 @@ def _plane_counts(a, ref, k: int, shape) -> np.ndarray:
     anchor row in step 2, the seed labels in step 3) and the larger
     one, the answer block, is only compared with them: it is never
     subtracted, indexed or widened. The count of c = 0 is width minus
-    the others. Each plane is summed in the block's memory order.
+    the others. Each plane is summed in the block's memory order, a
+    core._windows window of the block's memory at a time.
     """
     *lead, rows, width = shape
-    c = np.arange(1, k).reshape(k - 1, *(1,) * max(2, a.ndim, ref.ndim))
+    c = np.arange(1, k).reshape(k - 1, *(1,) * len(shape))
     if a.size >= ref.size:
         block, targets = a, (ref + c) % k
     else:
         block, targets = ref, (a - c) % k
     targets = targets.astype(block.dtype)  # labels < k fit the block's type
-    stack = math.prod(lead)
+    block, targets = np.broadcast_to(block, shape), np.broadcast_to(targets, (k - 1, *shape))
+    cells = _VOTE_BLOCK // math.prod(lead)
     counts = np.zeros((k, *lead, rows), dtype=np.intp)  # each plane's counts contiguous
-    if block.ndim > 1 and abs(block.strides[-2]) < abs(block.strides[-1]):
+    eq = np.empty(0, dtype=bool)  # grown to the largest window
+    if abs(block.strides[-2]) < abs(block.strides[-1]):
         # The votes of a row run down the block's memory rows (step 3):
         # sum up to _U8_MAX whole memory rows at a time in uint8, which
         # cannot overflow, and add those sums into the counts.
         block, targets = block.swapaxes(-1, -2), targets.swapaxes(-1, -2)
-        chunk = min(_U8_MAX, width, max(1, _VOTE_BLOCK // (stack * rows)))
-        step = min(rows, max(1, _VOTE_BLOCK // (stack * chunk)))
-        eq = np.empty((*lead, chunk, step), dtype=bool)
-        for i in range(0, rows, step):
-            for j in range(0, width, chunk):
-                tile = _part(_part(block, -1, i, step), -2, j, chunk)
-                goal = _part(_part(targets, -1, i, step), -2, j, chunk)
-                e = eq[..., :min(chunk, width - j), :min(step, rows - i)]
-                for v in range(1, k):
-                    np.equal(tile, goal[v - 1], out=e)
-                    counts[v, ..., i:i + step] += e.view(np.uint8).sum(axis=-2, dtype=np.uint8)
+        for j, i in _windows(width, rows, cells, _U8_MAX):
+            tile, goal = block[..., j, i], targets[..., j, i]
+            eq = eq if eq.size >= tile.size else np.empty(tile.size, dtype=bool)
+            e = eq[:tile.size].reshape(tile.shape)
+            for v in range(1, k):
+                np.equal(tile, goal[v - 1], out=e)
+                counts[v, ..., i] += e.view(np.uint8).sum(axis=-2, dtype=np.uint8)
     else:
         # The votes of a row run along its memory row (step 2): read the
         # plane's bytes as uint64 words, which add byte lane by byte lane
         # without a carry for up to _U8_MAX words, then add each sum's
         # 8 lanes.
-        step = min(rows, max(1, _VOTE_BLOCK // (stack * width)))
-        chunks = -(-width // (8 * _U8_MAX))
-        words = -(-width // (8 * chunks))  # per chunk, at most _U8_MAX
-        eq = np.zeros((*lead, step, 8 * words * chunks), dtype=bool)  # the pad stays 0
-        lanes = eq.view(np.uint64).reshape(*lead, step, chunks, words)
-        for i in range(0, rows, step):
-            r = min(step, rows - i)
-            tile, goal = _part(block, -2, i, step), _part(targets, -2, i, step)
+        for i, j in _windows(rows, width, cells):
+            tile, goal = block[..., i, j], targets[..., i, j]
+            *_, r, w = tile.shape
+            sums = -(-w // (8 * _U8_MAX))
+            words = -(-w // (8 * sums))  # per sum, at most _U8_MAX
+            size = math.prod(lead) * r * 8 * words * sums
+            # zeros, not empty: empty read ~0.12 MB more peak RSS on sweeps
+            eq = eq if eq.size >= size else np.zeros(size, dtype=bool)
+            e = eq[:size].reshape(*lead, r, 8 * words * sums)
+            e[..., w:] = False  # the pad past w counts no vote
+            lanes = e.view(np.uint64).reshape(*lead, r, sums, words)
             for v in range(1, k):
-                np.equal(tile, goal[v - 1], out=eq[..., :r, :width])
-                counts[v, ..., i:i + r] = (lanes[..., :r, :, :].sum(axis=-1)
-                                           .view(np.uint8).sum(axis=-1, dtype=np.intp))
+                np.equal(tile, goal[v - 1], out=e[..., :w])
+                counts[v, ..., i] += (lanes.sum(axis=-1).view(np.uint8)
+                                      .sum(axis=-1, dtype=np.intp))
     counts[0] = width - counts[1:].sum(axis=0)
     return counts
 
@@ -290,30 +285,22 @@ def _bincount_counts(a, ref, k: int, shape) -> np.ndarray:
 
     a - ref + k lies in (0, 2k), so one bincount over
     row * 2k + (a - ref + k) needs no modulus; the count of residue v
-    is then raw[v] + raw[v + k]. The intp cell indices are built a tile
-    of whole rows at a time, the same rows of every matrix.
+    is then raw[v] + raw[v + k]. The intp cell indices are built a
+    core._windows window at a time, the same window of every matrix.
     """
     *lead, rows, width = shape
-    step = min(rows, max(1, _VOTE_BLOCK // (8 * math.prod(lead) * width)))
-    counts = np.empty((k, *lead, rows), dtype=np.intp)
-    for i in range(0, rows, step):
-        cells = np.subtract(_part(a, -2, i, step), _part(ref, -2, i, step), dtype=np.intp)
+    a, ref = np.broadcast_to(a, shape), np.broadcast_to(ref, shape)
+    counts = np.zeros((k, *lead, rows), dtype=np.intp)
+    for i, j in _windows(rows, width, _VOTE_BLOCK // (8 * math.prod(lead))):
+        cells = np.subtract(a[..., i, j], ref[..., i, j], dtype=np.intp)
         tile = cells.shape[:-1]
         cells += np.arange(k, 2 * k * math.prod(tile), 2 * k).reshape(*tile, 1)
         # order="K" reads the cells in memory order, so a transposed ref
         # is not copied; the counts do not depend on the order
         raw = np.bincount(cells.ravel(order="K"),
                           minlength=2 * k * math.prod(tile)).reshape(*tile, 2 * k)
-        counts[..., i:i + step] = np.moveaxis(raw[..., :k] + raw[..., k:], -1, 0)
+        counts[..., i] += np.moveaxis(raw[..., :k] + raw[..., k:], -1, 0)
     return counts
-
-
-def _part(x: np.ndarray, axis: int, i: int, step: int) -> np.ndarray:
-    """x[i:i + step] along axis -1 or -2, or x whole where it
-    broadcasts along that axis (it is missing or of size 1)."""
-    if x.ndim < -axis or x.shape[axis] == 1:
-        return x
-    return x[..., i:i + step, :] if axis == -2 else x[..., i:i + step]
 
 
 def seed_rest_plan(n: int, seed_count: int) -> QueryPlan:

@@ -25,7 +25,7 @@ from cycalign import (
     seed_rest_plan,
     shift_labeling,
 )
-from cycalign.core import _as_int
+from cycalign.core import _as_int, _windows
 
 
 class TestNoiseParams:
@@ -869,3 +869,50 @@ class TestQueryPlan:
         assert canonical_pair(5, 2) == (2, 5)
         with pytest.raises(IdentityPairError):
             canonical_pair(3, 3)
+
+
+class TestWindows:
+    """core._windows, the one rule that cuts the seed x rest block into
+    the oracle's tiles and the vote kernel's."""
+
+    @given(st.integers(0, 12), st.integers(0, 40), st.integers(-2, 60),
+           st.none() | st.integers(1, 8))
+    def test_cover_in_row_major_order(self, rows, cols, cells, max_rows):
+        windows = list(_windows(rows, cols, cells, max_rows))
+        covered = [(r, c) for rs, cs in windows
+                   for r in range(rows)[rs] for c in range(cols)[cs]]
+        assert covered == [(r, c) for r in range(rows) for c in range(cols)]
+        limit = max(cells, 1)
+        sizes = [(len(range(rows)[rs]), len(range(cols)[cs])) for rs, cs in windows]
+        assert all(0 < r * c <= limit for r, c in sizes)
+        if cols <= limit:  # whole rows, as many as fit, up to max_rows
+            step = min(limit // cols, max_rows or rows) if cols else 0
+            assert all(c == cols for _, c in sizes)
+            assert all(r == step for r, _ in sizes[:-1])
+        else:  # one row at a time, in the fewest chunks of equal width
+            chunks = -(-cols // limit)
+            assert len(sizes) == rows * chunks
+            for r in range(rows):
+                widths = [c for _, c in sizes[r * chunks:(r + 1) * chunks]]
+                assert widths[:-1] == [-(-cols // chunks)] * (chunks - 1)
+                assert sum(widths) == cols and widths[-1] <= widths[0]
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           st.integers(1, 100))
+    def test_plan_tiles_are_the_windows(self, ns, size):
+        n, s = ns
+        plan = seed_rest_plan(n, s)
+        tiles, windows = list(plan._tiles(size)), list(_windows(s, n - s, size))
+        assert len(tiles) == len(windows)
+        for (lo, hi, at), (rows, cols) in zip(tiles, windows):
+            assert lo.tolist() == [[r] for r in range(s)[rows]]
+            assert hi.tolist() == [list(range(s, n)[cols])]
+            assert at == rows.start * (n - s) + cols.start
+        # tiles of the same columns share one chunk of the rest row
+        assert len({id(hi) for _, hi, _ in tiles}) == len({c.start for _, c in windows})
+        # a plan of explicit pairs is cut as one row of its pairs
+        pairs = QueryPlan(np.column_stack((plan.lo, plan.hi)), n)
+        for (lo, hi, at), (_, cols) in zip(pairs._tiles(size), _windows(1, len(plan), size),
+                                           strict=True):
+            assert (lo.tolist(), hi.tolist(), at) == (plan.lo[cols].tolist(),
+                                                     plan.hi[cols].tolist(), cols.start)

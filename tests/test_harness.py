@@ -503,6 +503,14 @@ class TestLemmaCheck:
         with pytest.raises(ValueError, match=f"trials must be integers, got {trials!r}"):
             run_lemma_check([TailSpec(30, NoiseParams(2, 0.3))], trials=trials)
 
+    @pytest.mark.parametrize("trials", [np.int64(1000), 1000.0])
+    def test_integral_trials_are_stored_as_int(self, trials):
+        specs = [TailSpec(30, NoiseParams(2, 0.3))]
+        report = run_lemma_check(specs, trials=trials, base_seed=3)
+        assert type(report.trials) is int and report.trials == 1000
+        assert lemma_report_to_json(report).endswith('"trials": 1000\n}\n')
+        assert report == run_lemma_check(specs, trials=1000, base_seed=3)
+
     @pytest.mark.parametrize("base_seed", [2.7, "5", None])
     def test_bad_base_seed_rejected_by_name(self, base_seed):
         with pytest.raises(ValueError,

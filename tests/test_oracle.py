@@ -425,10 +425,14 @@ def _python(code, timeout=120):
 
 def _tile_plans(plan, rows):
     """Each tile of a call on rows answer rows as an explicit plan of
-    its pairs, in tile order."""
-    tiles = plan._tiles(max(1, oracle_module._BLOCK // rows))
-    return [QueryPlan(np.stack(np.broadcast_arrays(lo, hi), axis=-1).reshape(-1, 2), plan.n)
-            for lo, hi in tiles]
+    its pairs, in tile order; checks that each tile starts at the count
+    of pairs before it."""
+    plans = []
+    for lo, hi, at in plan._tiles(max(1, oracle_module._BLOCK // rows)):
+        assert at == sum(map(len, plans))
+        pairs = np.stack(np.broadcast_arrays(lo, hi), axis=-1).reshape(-1, 2)
+        plans.append(QueryPlan(pairs, plan.n))
+    return plans
 
 
 def _answer_in_child(conn, labels, seeds, params, plan):

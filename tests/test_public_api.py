@@ -64,6 +64,10 @@ def test_deleted_names_are_gone():
     # the oracle's workers live for one call: no process-wide pool
     for name in ("_POOL", "_POOL_LOCK", "_drop_pool", "_pool"):
         assert not hasattr(oracle, name), f"oracle.{name}"
+    # one window rule cuts the block (core._windows), and the vote
+    # kernel picks its count by k alone
+    for name in ("_part", "_BINCOUNT_VOTES_PER_PLANE"):
+        assert not hasattr(recovery, name), f"recovery.{name}"
     # one exact tail engine: no grid pass per noise law beside it
     for name in ("tail_probabilities_exact", "_law_tails"):
         assert name not in cycalign.__all__
@@ -93,6 +97,17 @@ def test_only_the_plan_reads_its_form():
     for module in (oracle, recovery, analysis, harness, cli):
         source = Path(module.__file__).read_text()
         assert not re.search(r"\._s\b", source), module.__name__
+
+
+def test_only_the_window_rule_cuts_the_block():
+    # the oracle's and the vote kernel's tiles are core._windows: no
+    # stepped range, step or chunk size, or running offset beside it
+    cut = re.compile(r"\brange\([^)]*,[^)]*,|\b(step|chunk)s?\s*=|\bat\s*\+=")
+    for function in (recovery._plane_counts, recovery._bincount_counts, QueryPlan._tiles,
+                     oracle._answer_rows):
+        source = inspect.getsource(function)
+        assert not cut.search(source), function.__qualname__
+        assert ("_tiles(" if function is oracle._answer_rows else "_windows(") in source
 
 
 def test_readme_quickstart_runs():

@@ -48,21 +48,6 @@ from oracles import (
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
 
 
-def _vote_rows(a, k, ref=0):
-    """The vote kernel, checked against the same call with the count
-    planes forced wherever k allows them: small test stacks go to the
-    bincount, so without this they would never reach the planes."""
-    winners, margins = recovery._vote_rows(a, k, ref)
-    per_plane = recovery._BINCOUNT_VOTES_PER_PLANE
-    recovery._BINCOUNT_VOTES_PER_PLANE = 0
-    try:
-        forced = recovery._vote_rows(a, k, ref)
-    finally:
-        recovery._BINCOUNT_VOTES_PER_PLANE = per_plane
-    assert winners.tolist() == forced[0].tolist() and margins.tolist() == forced[1].tolist()
-    return winners, margins
-
-
 class TestSeedSize:
     def test_explicit_override(self):
         cfg = SeedConfig(explicit_size=10)
@@ -162,7 +147,7 @@ class TestPlurality:
 
     @staticmethod
     def _winner(values, k):
-        winners, _ = _vote_rows(np.array([values]), k)
+        winners, _ = recovery._vote_rows(np.array([values]), k)
         return int(winners[0])
 
     @pytest.mark.parametrize("values,k,want", [
@@ -189,7 +174,7 @@ class TestPlurality:
 class TestVoteRows:
     @staticmethod
     def _check(votes, k):
-        winners, margins = _vote_rows(votes, k)
+        winners, margins = recovery._vote_rows(votes, k)
         rows = votes.tolist()
         assert winners.tolist() == [plurality_by_count(r, k) for r in rows]
         assert margins.tolist() == [plurality_margin_by_count(r, k) for r in rows]
@@ -210,7 +195,7 @@ class TestVoteRows:
             rng.shuffle(row)
             rows.append(row)
         votes = np.array(rows)
-        _, margins = _vote_rows(votes, k)
+        _, margins = recovery._vote_rows(votes, k)
         assert (margins == 0).all()
         self._check(votes, k)
 
@@ -222,14 +207,14 @@ class TestVoteRows:
         self._check(np.asfortranarray(base), 4)
 
     def test_single_column_has_full_margin(self):
-        winners, margins = _vote_rows(np.array([[2], [0]]), 3)
+        winners, margins = recovery._vote_rows(np.array([[2], [0]]), 3)
         assert winners.tolist() == [2, 0] and margins.tolist() == [1, 1]
 
     @staticmethod
     def _check_against_ref(a, ref, k):
         # (a - ref) % k in int64: the reduction the kernel does without %
         votes = (np.asarray(a, dtype=np.int64) - np.asarray(ref, dtype=np.int64)) % k
-        winners, margins = _vote_rows(a, k, ref)
+        winners, margins = recovery._vote_rows(a, k, ref)
         rows = votes.tolist()
         assert winners.tolist() == [plurality_by_count(r, k) for r in rows]
         assert margins.tolist() == [plurality_margin_by_count(r, k) for r in rows]
@@ -303,7 +288,7 @@ class TestVoteCounts:
         # a width over 8 * 255 bytes puts the row of a plane in two word chunks
         for rows, width in [(1, 1), (7, 5), (40, 60), (3, 2100)]:
             a, ref = _vote_layout(layout, k, rows, width, rng)
-            winners, margins = _vote_rows(a, k, ref)
+            winners, margins = recovery._vote_rows(a, k, ref)
             want = plurality_by_one_hot(a, ref, k)
             assert winners.tolist() == want[0].tolist()
             assert margins.tolist() == want[1].tolist()
@@ -315,19 +300,19 @@ class TestVoteCounts:
         s, w = 300, 50
         rng = np.random.default_rng(k)
         block = np.repeat(rng.integers(0, k, (1, w)), s, axis=0).astype(np.int8)
-        winners, margins = _vote_rows(np.zeros((1, s), dtype=np.int64), k, block.T)
+        winners, margins = recovery._vote_rows(np.zeros((1, s), dtype=np.int64), k, block.T)
         assert winners.tolist() == (-block[0] % k).tolist()
         assert margins.tolist() == [s] * w
         # the same along a row: over 2 * 8 * 255 equal votes, three word chunks
         row = np.tile(block[:1], (2, 2 * 8 * 255 // w + 1))
-        winners, margins = _vote_rows(row, k, row[:1])
+        winners, margins = recovery._vote_rows(row, k, row[:1])
         assert winners.tolist() == [0, 0]
         assert margins.tolist() == [row.shape[1]] * 2
 
 
 class TestCountKernels:
-    """The two count kernels agree, and _vote_rows picks the bincount
-    for a stack of few votes per plane and the planes above it."""
+    """The two count kernels agree, and _vote_rows picks the planes up
+    to k = _PLANES_MAX_K and the bincount above, whatever the stack."""
 
     @pytest.mark.parametrize("k", range(2, recovery._PLANES_MAX_K + 1))
     def test_agree_on_tiny_stacks(self, k):
@@ -343,22 +328,20 @@ class TestCountKernels:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 16])
     def test_choice_by_votes_per_plane(self, k, monkeypatch):
+        # the choice depends on k alone: planes up to _PLANES_MAX_K on a
+        # stack of one vote or of many, one bincount above
         used = []
         for name in ("_plane_counts", "_bincount_counts"):
             count = getattr(recovery, name)
             monkeypatch.setattr(recovery, name,
                                 lambda *args, name=name, count=count:
                                 used.append(name) or count(*args))
-        limit = (k - 1) * recovery._BINCOUNT_VOTES_PER_PLANE
         rng = np.random.default_rng(k)
-        for rows, want in [(1, "_bincount_counts"), (limit, "_bincount_counts"),
-                           (limit + 1, "_plane_counts")]:
-            used.clear()
-            recovery._vote_rows(rng.integers(0, k, (rows, 1)), k)
-            assert used == [want], rows
-        used.clear()
-        recovery._vote_rows(rng.integers(0, 17, (limit + 1, 1)), 17)
-        assert used == ["_bincount_counts"]
+        for kk, want in [(k, "_plane_counts"), (recovery._PLANES_MAX_K + 1, "_bincount_counts")]:
+            for rows in (1, 40_000):
+                used.clear()
+                recovery._vote_rows(rng.integers(0, kk, (rows, 1)), kk)
+                assert used == [want], (kk, rows)
 
 
 class TestVoteStacks:
@@ -376,12 +359,12 @@ class TestVoteStacks:
             dtype = np.int8 if k <= 127 else np.int16
             a = rng.integers(0, k, (t, rows, width)).astype(dtype)
             for ref in (a[:, :1], rng.integers(0, k, (t, width, rows)).transpose(0, 2, 1)):
-                winners, margins = _vote_rows(a, k, ref)
+                winners, margins = recovery._vote_rows(a, k, ref)
                 want = plurality_by_one_hot(a, ref, k)
                 assert winners.tolist() == want[0].tolist()
                 assert margins.tolist() == want[1].tolist()
                 for i in range(t):
-                    alone = _vote_rows(a[i], k, ref[i])
+                    alone = recovery._vote_rows(a[i], k, ref[i])
                     assert winners[i].tolist() == alone[0].tolist()
                     assert margins[i].tolist() == alone[1].tolist()
 
@@ -418,7 +401,7 @@ class TestVoteTopTwo:
         for a, b in [(((votes + ref) % k).astype(np.int8), ref.astype(np.int8)),
                      (labels, ((labels - votes) % k).astype(np.int8)
                       .transpose(0, 2, 1).copy().transpose(0, 2, 1))]:
-            winners, margins = _vote_rows(a, k, b)
+            winners, margins = recovery._vote_rows(a, k, b)
             assert winners.dtype == margins.dtype == np.intp
             assert winners.tolist() == want[0].tolist()
             assert margins.tolist() == want[1].tolist()
