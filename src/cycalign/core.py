@@ -43,13 +43,15 @@ oracle's (QueryPlan._tiles) and the vote kernel's (see recovery).
 
 _run_shares is the package's one way to run work on several threads:
 the oracle's tiles and the lemma check's Monte Carlo points go through
-it, each split into shares by its caller.
+it, each split into shares by its caller. _run_forked is its one way to
+run work in several processes: a sweep's cells go through it.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
+import pickle
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -314,6 +316,83 @@ def _run_shares(job, shares: Sequence) -> None:
     for error in errors:
         if error is not None:
             raise error
+
+
+def _run_forked(job, shares: Sequence) -> list:
+    """[job(share) for share in shares], each other share in a process
+    of its own: one os.fork child made for this call per share but the
+    first runs job(share), sends its pickled result back through a pipe
+    and leaves by os._exit, while the caller runs shares[0].
+
+    A child that fails or sends no result has its share run again by
+    the caller, after every child has been reaped, so a deterministic
+    job raises the error of the lowest-index share that fails, or
+    returns what a serial run returns. Every child is reaped before the
+    call returns or raises. The call forks only where os.fork exists,
+    there is more than one share and no other Python thread is alive
+    (a child keeps only the forking thread, and any lock another thread
+    held stays locked in it); otherwise it runs the shares one after
+    another.
+
+    Processes here and threads in _run_shares: a sweep's numpy calls are
+    small and hold the GIL for their dispatch, so its cells ran 15-25%
+    slower on two threads, while each process has a GIL of its own. The
+    oracle's tiles and the Monte Carlo draws spend their time in numpy
+    loops that release the GIL and write their results in place, which
+    threads share and a child would have to send back.
+    """
+    if not hasattr(os, "fork") or len(shares) < 2 or threading.active_count() > 1:
+        return [job(share) for share in shares]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(job, share))
+        first = job(shares[0])
+    finally:
+        sent = [_reap(child) for child in children]
+    return [first] + [job(share) if data is None else pickle.loads(data)
+                      for share, data in zip(shares[1:], sent)]
+
+
+def _fork_share(job, share):
+    """(pid, read end of its pipe) of a child forked to run job(share)
+    and send its pickled result, or None where no child could be made."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:  # the child: whatever happens, it ends here
+        status = 1
+        try:
+            os.close(read)
+            data = pickle.dumps(job(share), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _reap(child) -> bytes | None:
+    """What child sent, once it has ended; None if it was never made,
+    failed or sent nothing."""
+    if child is None:
+        return None
+    pid, read = child
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data if data and os.waitstatus_to_exitcode(status) == 0 else None
 
 
 def _windows(rows: int, cols: int, cells: int,

@@ -16,11 +16,20 @@ batch's trial range.
 Two calls run on more than one thread, both through core._run_shares
 and each on threads of its own that end before it returns: an answer
 call of 16 tiles or more (a large trial's; see oracle) and the Monte
-Carlo points of run_lemma_check. The rest is serial. A sweep's answer
-calls have 7-15 tiles, and whole sweeps ran 15-25% slower on two
-workers. The MLE comparison's batches each draw their truths, which
-holds the GIL: with its batches split over two threads, its 1 000
-trials took ~100 ms against ~50 ms on one.
+Carlo points of run_lemma_check. A sweep's cells run in processes
+instead, through core._run_forked: its numpy calls are small and hold
+the GIL for their dispatch, so whole sweeps ran 15-25% slower on two
+threads, while on two processes sweep_boundary's pass took ~23% less
+(0.087 -> 0.067 s, medians of 10 benchmark runs on two vCPUs). The
+calling process runs one share of the cells and a child forked for
+the call each other share; every child is reaped before run_sweep
+returns or raises. Where os.fork is missing or another Python thread
+is alive, the cells run one after another in the calling process.
+Each cell's wall_time_seconds is timed in the process that ran it.
+The MLE comparison is serial: its batches each draw their truths,
+which holds the GIL, so with its batches split over two threads its
+1 000 trials took ~100 ms against ~50 ms on one, and in processes they
+showed no clear gain.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from .core import (
     _as_int,
     _as_real,
     _as_seed,
+    _run_forked,
     _run_shares,
     _usable_cpus,
 )
@@ -239,16 +249,22 @@ def check_sweep(config: SweepConfig) -> None:
 
 
 def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRecord]:
-    """One ExperimentRecord per valid (n, k, delta, constant_c) cell.
+    """One ExperimentRecord per valid (n, k, delta, constant_c) cell, in
+    grid order.
 
-    Each cell sizes its seed and builds its plan once, so it warns at
-    most once, and runs its trials in batches (_run_trials). A cell that
-    NoiseParams or seed_size rejects is skipped with their message
-    logged; an error in a batch raises RuntimeError("trials 0..9 of cell
-    (n=200, k=4, delta=0.3, c=40.0) failed") chained to it. Deterministic
-    for a fixed config (timing column aside), whatever the batch size.
+    Every cell is sized first, in grid order and in the calling
+    process, so each warns at most once, and a cell that NoiseParams or
+    seed_size rejects is skipped with their message logged. The valid
+    cells then run on min(usable CPUs, cells) processes
+    (core._run_forked), split so that each holds about the same number
+    of answers, s (n - s) times trials; each cell builds its plan once,
+    runs its trials in batches (_run_trials) and is timed in the process
+    that runs it. An error in a batch raises RuntimeError("trials 0..9
+    of cell (n=200, k=4, delta=0.3, c=40.0) failed") chained to it.
+    Deterministic for a fixed config (timing column aside), whatever the
+    batch size or the number of processes.
     """
-    records = []
+    cells = []
     grid = itertools.product(config.n_values, config.k_values,
                              config.delta_values, config.constant_c_values)
     for n, k, delta, constant_c in grid:
@@ -260,6 +276,10 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
             logger.warning("skipping cell (n=%s, k=%s, delta=%s, c=%s): %s",
                            n, k, delta, constant_c, exc)
             continue
+        cells.append((n, params, constant_c, s))
+
+    def run_cell(n: int, params: NoiseParams, constant_c: float, s: int) -> ExperimentRecord:
+        k, delta = params.k, params.delta
         cell = (n, k, delta, constant_c, config.budget_scale)
         start = time.perf_counter()
         successes = 0
@@ -278,13 +298,28 @@ def run_sweep(config: SweepConfig, noiseless: bool = False) -> list[ExperimentRe
                 ) from exc
             successes += int(np.count_nonzero(hamming == 0))
             hamming_total += int(hamming.sum())
-        records.append(ExperimentRecord(
+        return ExperimentRecord(
             n=n, k=k, delta=float(delta), constant_c=float(constant_c),
             seed_size=s, query_count=s * (n - s),
             trials=config.trials, successes=successes,
             mean_hamming=hamming_total / config.trials,
             wall_time_seconds=time.perf_counter() - start,
-        ))
+        )
+
+    # the heaviest cell first, each to the share with the fewest answers
+    answers = [s * (n - s) * config.trials for n, _, _, s in cells]
+    shares = [[] for _ in range(min(_usable_cpus(), len(cells)))]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(cells)), key=lambda i: -answers[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += answers[i]
+    shares = [sorted(share) for share in shares]
+    records = [None] * len(cells)
+    done = _run_forked(lambda share: [run_cell(*cells[i]) for i in share], shares)
+    for share, share_records in zip(shares, done):
+        for i, record in zip(share, share_records):
+            records[i] = record
     return records
 
 

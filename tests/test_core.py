@@ -1,7 +1,9 @@
 """Domain-type contracts: labelings, shifts, plans, transcripts."""
 
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from cycalign import (
     seed_rest_plan,
     shift_labeling,
 )
+from cycalign import core
 from cycalign.core import _as_int, _windows
 
 
@@ -916,3 +919,91 @@ class TestWindows:
                                            strict=True):
             assert (lo.tolist(), hi.tolist(), at) == (plan.lo[cols].tolist(),
                                                      plan.hi[cols].tolist(), cols.start)
+
+
+class TestRunForked:
+    """core._run_forked: the caller runs share 0 and a forked child each
+    other share; a child that fails or sends nothing has its share run
+    again by the caller, and no child outlives the call."""
+
+    @staticmethod
+    def forks(monkeypatch):
+        pids, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+        return pids
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_each_other_share_runs_in_its_own_child(self, monkeypatch):
+        pids = self.forks(monkeypatch)
+        got = core._run_forked(lambda share: (share, os.getpid()), ["a", "b", "c"])
+        assert got == [("a", os.getpid()), ("b", pids[0]), ("c", pids[1])]
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        self.assert_no_child_left()
+
+    def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(self):
+        got = core._run_forked(lambda share: np.full(1 << 20, share, np.uint8), [1, 2])
+        assert [(a.size, np.unique(a).tolist()) for a in got] == [(1 << 20, [1]),
+                                                                (1 << 20, [2])]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["one_share", "thread", "no_os_fork"])
+    def test_runs_serially_where_it_may_not_fork(self, monkeypatch, case):
+        pids = self.forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        shares = [0] if case == "one_share" else [0, 1, 2]
+        if case == "thread":
+            thread.start()
+        elif case == "no_os_fork":
+            monkeypatch.delattr(os, "fork")
+        try:
+            got = core._run_forked(lambda share: (share, os.getpid()), shares)
+        finally:
+            release.set()
+            if thread.ident is not None:
+                thread.join()
+        assert got == [(share, os.getpid()) for share in shares] and pids == []
+
+    def test_a_share_that_cannot_fork_runs_in_the_caller(self, monkeypatch):
+        fork = os.fork
+        calls = []
+
+        def flaky():
+            calls.append(len(calls))
+            if calls[-1] == 0:
+                raise BlockingIOError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", flaky)
+        got = core._run_forked(lambda share: (share, os.getpid()), [0, 1, 2])
+        assert [share for share, _ in got] == [0, 1, 2] and len(calls) == 2
+        assert got[1][1] == os.getpid() != got[2][1]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failing,raised", [({1, 2}, 1), ({2}, 2), ({0, 2}, 0)])
+    def test_the_lowest_failing_share_is_raised_by_the_caller(self, failing, raised):
+        def job(share):
+            if share in failing:
+                raise ArithmeticError(f"share {share} failed in {os.getpid()}")
+            return share
+
+        with pytest.raises(ArithmeticError,
+                           match=f"^share {raised} failed in {os.getpid()}$"):
+            core._run_forked(job, [0, 1, 2, 3])
+        self.assert_no_child_left()
+
+    def test_a_child_that_sends_nothing_has_its_share_run_again(self):
+        caller = os.getpid()
+
+        def job(share):
+            if os.getpid() != caller and share == 2:
+                os._exit(0)  # ends without a result, as a killed child would
+            return share, os.getpid() == caller
+
+        got = core._run_forked(job, [0, 1, 2])
+        assert got == [(0, True), (1, False), (2, True)]
+        self.assert_no_child_left()

@@ -1,6 +1,7 @@
 """Harness contracts: trials, sweeps, reports, config parsing."""
 
 import itertools
+import os
 import re
 import threading
 import time
@@ -49,6 +50,14 @@ from cycalign.harness import (CSV_HEADER, lemma_report_to_csv, lemma_report_to_j
                               lemma_report_to_text)
 
 pytestmark = pytest.mark.filterwarnings("ignore::cycalign.ValidityRegimeWarning")
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    # run_sweep forks workers, and each must be reaped before it returns
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSeedDerivation:
@@ -288,6 +297,8 @@ class TestRunSweep:
                                              (7, [7, 4])])
     def test_batches_equal_a_per_trial_reference(self, monkeypatch, batch, sizes,
                                                  noiseless, budget_scale):
+        # one process, so that every answer call reaches the counter
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(harness, "_BATCH_TRIALS", batch)
         rows = []
         answer_rows = harness._answer_rows
@@ -440,6 +451,164 @@ class TestRunSweep:
             records_to_csv(want, include_timing=False)
         assert records_to_json(got, include_timing=False) == \
             records_to_json(want, include_timing=False)
+
+
+# sweep_boundary's grid: 18 cells of 10 trials, 7 below the validity boundary
+BOUNDARY_GRID = SweepConfig(n_values=(200, 400, 800), k_values=(2, 4),
+                            delta_values=(0.2, 0.3, 0.45), trials=10, base_seed=1)
+
+
+def _fork_spy(monkeypatch):
+    """The pids of the children that run_sweep forks from now on."""
+    pids, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    return pids
+
+
+def _serial_sweep(config, noiseless=False):
+    """run_sweep's records on one process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_usable_cpus", lambda: 1)
+        patch.delattr(os, "fork")  # forks nothing
+        return run_sweep(config, noiseless)
+
+
+def _no_timing(records):
+    return [replace(r, wall_time_seconds=0.0) for r in records]
+
+
+class TestSweepWorkers:
+    """run_sweep sizes every cell in the calling process, then runs the
+    valid cells on min(usable CPUs, cells) processes (core._run_forked)."""
+
+    @pytest.mark.parametrize("budget_scale", [None, 0.5, 2.0])
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_forked_run_equals_the_serial_one(self, monkeypatch, noiseless, budget_scale):
+        cfg = SweepConfig(n_values=(12, 41), k_values=(2, 4, 9, 17),
+                          delta_values=(0.2, 0.45), trials=11, base_seed=5,
+                          budget_scale=budget_scale)
+        want = _serial_sweep(cfg, noiseless)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        pids = _fork_spy(monkeypatch)
+        got = run_sweep(cfg, noiseless)
+        assert len(pids) == 2 and len(got) == 16
+        assert _no_timing(got) == _no_timing(want) == sweep_by_trial(cfg, noiseless)
+        assert (records_to_csv(got, include_timing=False)
+                == records_to_csv(want, include_timing=False))
+        assert (records_to_json(got, include_timing=False)
+                == records_to_json(want, include_timing=False))
+
+    def test_cells_are_balanced_by_their_answers(self, monkeypatch):
+        # the heaviest cell first, each to the share with the fewest
+        # answers: n = 800 cells go three a share, then n = 400, n = 200
+        shares = []
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_run_forked",
+                            lambda job, parts: shares.extend(parts) or list(map(job, parts)))
+        records = run_sweep(replace(BOUNDARY_GRID, trials=1))
+        loads = [sum(records[i].query_count for i in share) for share in shares]
+        assert len(shares) == 2 and sorted(sum(shares, [])) == list(range(18))
+        assert all(share == sorted(share) for share in shares)
+        assert loads == [630_000, 630_000]
+
+    def test_each_cell_warns_once_in_the_calling_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pids = _fork_spy(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_sweep(BOUNDARY_GRID)
+        assert len(pids) == 1
+        below = [(r.n, r.k, r.delta) for r in records
+                 if r.delta < validity_threshold(r.n, r.k)]
+        assert len(below) == 7
+        assert [w.category for w in caught] == [ValidityRegimeWarning] * 7
+        assert len({str(w.message) for w in caught}) == 7
+
+    @pytest.mark.parametrize("no_fork", ["thread", "no_os_fork"])
+    def test_no_fork_beside_a_thread_or_without_os_fork(self, monkeypatch, no_fork):
+        want = records_to_csv(_serial_sweep(BOUNDARY_GRID), include_timing=False)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pids = _fork_spy(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if no_fork == "thread":
+            thread.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = run_sweep(BOUNDARY_GRID)
+        finally:
+            release.set()
+            if thread.ident is not None:
+                thread.join()
+        assert pids == []
+        assert records_to_csv(got, include_timing=False) == want
+        assert [w.category for w in caught] == [ValidityRegimeWarning] * 7
+        assert len({str(w.message) for w in caught}) == 7
+
+    def test_batch_error_in_a_child_is_raised_by_the_caller(self, monkeypatch, tmp_path):
+        # the n = 20 cell is the lighter one, so a child runs it; it fails
+        # there, and again when the caller runs its share once more
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pids = _fork_spy(monkeypatch)
+        ran = tmp_path / "failing-cell-pids"
+        answer_rows = harness._answer_rows
+
+        def failing(labels, *args):
+            if labels.shape[1] == 20:
+                with open(ran, "a") as out:
+                    out.write(f"{os.getpid()}\n")
+                raise ArithmeticError("synthetic")
+            return answer_rows(labels, *args)
+
+        monkeypatch.setattr(harness, "_answer_rows", failing)
+        cfg = SweepConfig(n_values=(40, 20), k_values=(2,), delta_values=(0.4,), trials=10)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "trials 0..9 of cell (n=20, k=2, delta=0.4, c=40.0) failed")) as info:
+            run_sweep(cfg)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert ran.read_text().split() == [str(pids[0]), str(os.getpid())]
+
+    def test_a_child_that_sends_nothing_has_its_cells_run_again(self, monkeypatch):
+        cfg = SweepConfig(n_values=(40, 20, 30), k_values=(2, 4), delta_values=(0.4,),
+                          trials=10, base_seed=3)
+        want = _serial_sweep(cfg)
+        caller = os.getpid()
+        answer_rows = harness._answer_rows
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return answer_rows(*args)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(harness, "_answer_rows", dying)
+        pids = _fork_spy(monkeypatch)
+        got = run_sweep(cfg)
+        assert len(pids) == 2
+        assert _no_timing(got) == _no_timing(want)
+
+    def test_a_failing_caller_share_reaps_every_child(self, monkeypatch):
+        # the caller runs the heaviest cell, n = 40, and fails in it while
+        # the children run the rest; the fixture checks that none is left
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        pids = _fork_spy(monkeypatch)
+        caller = os.getpid()
+        answer_rows = harness._answer_rows
+
+        def failing(labels, *args):
+            if os.getpid() == caller and labels.shape[1] == 40:
+                raise ArithmeticError("synthetic")
+            return answer_rows(labels, *args)
+
+        monkeypatch.setattr(harness, "_answer_rows", failing)
+        cfg = SweepConfig(n_values=(40, 20, 30), k_values=(2,), delta_values=(0.4,), trials=4)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "trials 0..3 of cell (n=40, k=2, delta=0.4, c=40.0) failed")):
+            run_sweep(cfg)
+        assert len(pids) == 2
 
 
 class TestRecordSerialization:
