@@ -42,8 +42,8 @@ _windows is the one rule that cuts it into cache-sized tiles, the
 oracle's (QueryPlan._tiles) and the vote kernel's (see recovery).
 
 _run_shares is the package's one way to run work on several threads:
-the oracle's tiles and the lemma check's Monte Carlo points go through
-it, each split into shares by its caller. _run_forked is its one way to
+the oracle's float-path tiles and the lemma check's Monte Carlo points
+go through it, each split into shares by its caller. _run_forked is its one way to
 run work in several processes: a sweep's cells go through it.
 """
 

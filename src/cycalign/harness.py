@@ -15,8 +15,8 @@ batch's trial range.
 
 Two calls run on more than one thread, both through core._run_shares
 and each on threads of its own that end before it returns: an answer
-call of 16 tiles or more (a large trial's; see oracle) and the Monte
-Carlo points of run_lemma_check. A sweep's cells run in processes
+call of 16 tiles or more on the float noise path (k > 8; see oracle)
+and the Monte Carlo points of run_lemma_check. A sweep's cells run in processes
 instead, through core._run_forked: its numpy calls are small and hold
 the GIL for their dispatch, so whole sweeps ran 15-25% slower on two
 threads, while on two processes sweep_boundary's pass took ~23% less

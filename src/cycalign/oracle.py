@@ -9,13 +9,30 @@ where the noise draw is 0 with probability 1/k + delta and each nonzero
 value with probability 1/k - delta/(k-1).
 
 Noise is derived statelessly from (rng_seed, i, j) with the SplitMix64
-finalizer mix: the seed's base is mix(rng_seed + golden), the pair's
-hash z = mix(base + mix(((i << 32) ^ j) + golden)) mod 2^64, and its
-top 53 bits x = z >> 11 give a uniform u = x * 2^-53 in [0, 1) that the
-inverse CDF of the law turns into the noise (_noise_minus_one, the
-definition). So a transcript depends only on the seed and the set of
-pairs, never on query order. This keeps any split of a plan into
-chunks, and any parallel schedule, byte-for-byte reproducible.
+finalizer mix, one finalizer per two answers: the seed's base is
+mix(rng_seed + golden), and the canonical pair (i, j) reads its 32 bits
+w from the hash z = mix(base + ((i << 32) ^ (j >> 1)) * golden) mod
+2^64, the low half of z when j is even and the high half when j is
+odd. So the sibling pairs (i, 2h) and (i, 2h + 1) share one hash and
+take its two halves. The uniform u = w * 2^-32 in [0, 1) goes through
+the inverse CDF of the law to the noise (_noise_minus_one, the
+definition), so every mass of the law is a multiple of 2^-32: within
+2^-32 of 1/k + delta and of (1 - 1/k - delta) / (k - 1). A transcript
+depends only on the seed and the set of pairs, never on query order.
+This keeps any split of a plan into chunks, and any parallel schedule,
+byte-for-byte reproducible.
+
+The hash is a keyed counter hash (Salmon et al., Parallel Random
+Numbers: As Easy as 1, 2, 3, SC 2011): base + key * golden is the
+SplitMix64 state at counter key of a stream started at base, and mix is
+its output function, whose halves are taken as independent 32-bit
+words. Within one oracle the keys (i << 32) ^ h are distinct and golden
+is odd, so no two hashes share an input. Two oracles' inputs meet only
+if their bases differ by golden * dkey for a key difference dkey that
+the plan can produce. A seed x rest plan of seed s on n nodes produces
+fewer than 2 s n of them (2 s - 1 row differences times fewer than n
+differences of h), so for mixed 64-bit bases the chance is below
+2 s n / 2^64 per pair of oracles: ~8e-13 at s = 737 and n = 10^4.
 
 An oracle answers one plan. Algorithm 1 is non-adaptive: its whole
 query set is fixed before any answer is seen, so it is one plan, and a
@@ -41,10 +58,14 @@ that also cuts the vote kernel's tiles (whole rows while a row fits,
 else column chunks of equal width), and it runs one fused pass over
 buffers sized to the largest tile's T rows and reused by the rest.
 
-The tiles of one call run on W = min(usable CPUs, tiles // 8) workers
-(_WORKER_TILES), the calling thread among them: usable CPUs is the size
-of the process's CPU affinity set, and a call of fewer than 16 tiles
-runs on the calling thread alone and starts no thread. Every worker
+The tiles of a call on the float path (k > _THRESHOLD_MAX_K) run on
+W = min(usable CPUs, tiles // 8) workers (_WORKER_TILES), the calling
+thread among them: usable CPUs is the size of the process's CPU
+affinity set, and a call of fewer than 16 tiles runs on the calling
+thread alone and starts no thread. A call that counts its noise by
+threshold compares runs on the calling thread alone: on a 2-vCPU guest
+its tiles ran 5-30% slower on two workers than on one, while the float
+path's ran ~35% faster (table in CHANGES.md). Every worker
 runs the same tile loop, _answer_tiles, over every W-th tile, with its
 own full-size buffers, and writes only its tiles' columns of the answer
 rows; a tile's answers do not depend on which worker answers it or
@@ -55,26 +76,34 @@ thread. The extra workers are threads made for the call by
 core._run_shares, which waits for all of them to end before the call
 returns or raises, so no thread outlives a call.
 
-Within a tile, the pair's part of the hash is computed once for all
-rows, and each row adds its own seed's base. Its key is built as
-((i << 32) + golden) + j, which equals ((i << 32) ^ j) + golden because
-j < 2^32 (true of any n whose labels fit in memory), so the constant
-rides on the tile's small operand. The hash is mixed in place in one
-uint64 buffer, with a second one as scratch, and the noise is added to
+A seed x rest tile is an (r, 1) column of seed rows against a (1, c)
+chunk of consecutive rest nodes, whose hashes are the (r, nh) grid over
+h = j >> 1, nh about c / 2. Its input splits, mod 2^64, into a row part
+(i << 32) * golden + base of shape (T, r, 1) and a column part
+h * golden of shape (1, nh), because (i << 32) ^ h = (i << 32) + h for
+h < 2^32 (true of any n whose labels fit in memory). One add of the two
+fills the tile's hash buffer and one mix finishes it, so each finalizer
+serves two answers. The buffer's uint32 view is then the (T, r, 2 nh)
+grid of answers' words in column order, low half first (on a big-endian
+host the halves are swapped first); a chunk that starts at an odd node
+starts one element in. A tile of explicit pairs hashes (i, j >> 1) per
+pair and shifts each hash right by 32 (j & 1) bits, so its word is the
+low half of every element. The hash is mixed in place in one uint64
+buffer with a second one as scratch, and the noise is added to
 g[lo] - g[hi] + k in a small signed type: int8 while 3k <= 127. Each
 of these buffers starts on a 64-byte line, so a call's speed does not
 depend on where malloc put them.
 
 Up to k = _THRESHOLD_MAX_K the noise is counted, not computed. Every
-step from x to the noise is monotone in x: the product by 2^-53 is
+step from w to the noise is monotone in w: the product by 2^-32 is
 exact, and subtracting p_zero, dividing by step > 0, the floor and the
-clip never reverse an order. So the noise is a step function of x with
-k - 1 least step points t_c (noise >= c exactly when x >= t_c), and
-x >= t_c exactly when z >= t_c << 11. _noise_thresholds finds the t_c
-once per law by bisection on _noise_minus_one itself, and the kernel
-adds each compare of z with t_c << 11 to the tile's sum, as the int8
-view of its bool plane. Above that k the k - 1 compares cost more than
-the float path, which the kernel then runs on x as the definition does.
+clip never reverse an order. So the noise is a step function of w with
+k - 1 least step points t_c in [0, 2^32) (noise >= c exactly when
+w >= t_c). _noise_thresholds finds the t_c once per law by bisection on
+_noise_minus_one itself, and the kernel adds each compare of the uint32
+view with t_c to the tile's sum, as the int8 view of its bool plane.
+Above that k the k - 1 compares cost more than the float path, which
+the kernel then runs on the same 32 bits as the definition does.
 
 The sum lies in [0, 3k). Two conditional subtractions of k, each the
 minimum of d and d - k read as unsigned (d - k wraps above d when
@@ -87,6 +116,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -104,18 +134,23 @@ from .core import (
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFT = {b: np.uint64(b) for b in (11, 27, 30, 31, 32)}  # shift counts
+_SHIFT = {b: np.uint64(b) for b in (1, 5, 27, 30, 31, 32)}  # shift counts
+# Index of a uint64's low half in its uint32 view
+_LOW = 0 if sys.byteorder == "little" else 1
 
-# Answers per tile, over all of its rows: the tile's buffers stay in
-# cache, where plan-sized temporaries would stream through memory.
-_BLOCK = 1 << 16
-# Largest k counted by threshold compares, ~0.4 ns an answer each
-# against ~3.4 ns for the float path (per-k table in CHANGES.md)
+# Answers per tile, over all of its rows: the tile's buffers (~9 bytes
+# an answer) stay in cache, where plan-sized temporaries would stream
+# through memory; 2^16 and 2^18 ran 10-40% slower (CHANGES.md).
+_BLOCK = 1 << 17
+# Largest k counted by threshold compares, ~0.2 ns an answer each on
+# one worker against ~3 ns for the float path on two (per-k table in
+# CHANGES.md)
 _THRESHOLD_MAX_K = 8
 
-# Fewest tiles a worker takes. Sweeps, whose calls have 7-15 tiles, ran
-# 15-25% slower on two workers, though each call alone timed faster;
-# calls of 16 tiles or more (a large trial's ~100) gain.
+# Fewest tiles a worker takes on the float path. Sweeps, whose calls
+# have 1-13 tiles, ran 15-25% slower on two workers, though each call
+# alone timed faster; calls of 16 tiles or more (a large trial's ~50)
+# gain.
 _WORKER_TILES = 8
 
 
@@ -162,33 +197,41 @@ def _noise_minus_one(u: np.ndarray, k: int, p_zero: float, step: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _noise_thresholds(k: int, delta: float) -> np.ndarray:
-    """The hashes t_c << 11 at which the noise of a law reaches c, for
-    c = 1 .. k - 1 up to the last value any 53-bit x reaches, read-only:
-    the noise of hash z is the number of them at or below z.
+    """The words t_c at which the noise of a law reaches c, for
+    c = 1 .. k - 1 up to the last value any 32-bit w reaches, as uint32,
+    read-only: the noise of word w is the number of them at or below w.
 
-    t_c is the least x in [0, 2^53) whose _noise_minus_one(x * 2^-53)
+    t_c is the least w in [0, 2^32) whose _noise_minus_one(w * 2^-32)
     is at least c - 1, found for every c at once by bisection; the map
-    is monotone in x (see the module docstring). Called only for a law
+    is monotone in w (see the module docstring). Called only for a law
     that has noise (_noise_law is not None).
     """
     p_zero, step = _noise_law(k, delta)
     want = np.arange(k - 1, dtype=np.float64)  # noise - 1 >= c - 1
     lo = np.zeros(k - 1, dtype=np.int64)
-    hi = np.full(k - 1, 1 << 53, dtype=np.int64)  # 2^53: never reached
+    hi = np.full(k - 1, 1 << 32, dtype=np.int64)  # 2^32: never reached
     while (lo < hi).any():
         mid = (lo + hi) >> 1
-        u = mid * 2.0**-53
+        u = mid * 2.0**-32
         _noise_minus_one(u, k, p_zero, step)
         reached = u >= want
         hi = np.where(reached, mid, hi)
         lo = np.where(reached, lo, mid + 1)
-    thresholds = lo[lo < 1 << 53].astype(np.uint64) << _SHIFT[11]
+    thresholds = lo[lo < 1 << 32].astype(np.uint32)
     thresholds.flags.writeable = False
     return thresholds
 
 
 class FaultyOracle:
     """Answers one plan of pairwise-difference queries about a hidden labeling.
+
+    The answer to the canonical pair (i, j) is (truth(i) - truth(j) +
+    noise) mod k. The noise comes from 32 bits of a SplitMix64 hash of
+    (rng_seed, i, j >> 1), its low half for even j and its high half
+    for odd j, through the inverse CDF of params' law (see the module
+    docstring). So the law is exact on a 32-bit grid: each mass is a
+    multiple of 2^-32, within 2^-32 of 1/k + delta for 0 and of
+    (1 - 1/k - delta) / (k - 1) for each other value.
 
     Parameters
     ----------
@@ -253,8 +296,9 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     params, seeds[t], noiseless).execute_plan(plan), byte for byte:
     labels is (T, n), seeds holds T integers, each read mod 2^64, and
     the result is (T, len(plan)) in the transcript's answer type. No
-    temporary is larger than a tile's T rows, and each of the call's
-    _workers(tiles) workers holds one tile's buffers.
+    temporary is larger than a tile's T rows, and each worker of the
+    call (_workers(tiles) on the float path, else one) holds one tile's
+    buffers.
     """
     k, rows = params.k, len(labels)
     law = None if noiseless else _noise_law(k, params.delta)
@@ -274,7 +318,7 @@ def _answer_rows(labels: np.ndarray, seeds, params: NoiseParams, plan: QueryPlan
     tiles = list(plan._tiles(max(1, _BLOCK // rows)))
     answer = functools.partial(_answer_tiles, out=out, g_lo=g_lo, g_hi=g_hi, k=k,
                                law=law, bases=bases, thresholds=thresholds)
-    workers = _workers(len(tiles))
+    workers = _workers(len(tiles)) if floats else 1
     _run_shares(answer, [tiles[w::workers] for w in range(workers)])
     return out
 
@@ -299,19 +343,27 @@ def _answer_tiles(tiles, out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, k:
     the tile loop that every worker of _answer_rows runs, with its own
     buffers sized to its largest tile and reused by the rest."""
     rows, wide = len(g_lo), g_lo.dtype
+    floats = law is not None and thresholds is None
     z = tmp = np.empty(0, dtype=np.uint64)
     d = np.empty(0, dtype=wide)
-    hi_seen = g_at_hi = None
+    hi_seen = g_at_hi = columns = None
     for lo, hi, at in tiles:
         shape = np.broadcast(lo, hi).shape
         m = math.prod(shape)
-        if rows * m > d.size:  # buffers for the largest tile, reused by the rest
-            # the hash and its scratch share one block, which malloc keeps
-            # for the next call; two blocks went back to the system at
-            # return and every call faulted their pages in again. Each
-            # starts on a 64-byte line (_empty_on_line)
-            cut = -(-rows * m // 8) * 8
-            both = _empty_on_line(cut + rows * m, np.uint64)
+        chunk = hi.ndim == 2  # a seed x rest tile: (r, 1) rows by a (1, c) chunk
+        if rows * m > d.size:
+            # buffers for the largest tile, reused by the rest: within a
+            # call every size below grows with m. The hash takes at most
+            # c // 2 + 1 cells a row of a chunk; z also holds the noise
+            # and the residue's scratch in the sum's type, tmp the float
+            # path's uniforms. The hash and its scratch share one block,
+            # which malloc keeps for the next call; two blocks went back
+            # to the system at return and every call faulted their pages
+            # in again. Each starts on a 64-byte line (_empty_on_line)
+            hashes = 0 if law is None else rows * (
+                shape[0] * (shape[1] // 2 + 1) if chunk else m)
+            cut = -(-max(hashes, -(-rows * m * wide.itemsize // 8)) // 8) * 8
+            both = _empty_on_line(cut + max(hashes, rows * m if floats else 0), np.uint64)
             z, tmp = both[:cut], both[cut:]
             d = _empty_on_line(rows * m, wide)
         dt = d[:rows * m].reshape(rows, *shape)
@@ -320,25 +372,49 @@ def _answer_tiles(tiles, out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, k:
         # tile of a seed x rest plan shares one rest row, gathered once.
         if hi is not hi_seen:
             hi_seen, g_at_hi = hi, np.take(g_hi, hi, axis=1)
+            if chunk and law is not None:  # the hash's column part, h * golden
+                first = int(hi[0, 0]) >> 1
+                columns = np.arange(first, (int(hi[0, -1]) >> 1) + 1, dtype=np.uint64)
+                columns *= _GOLDEN
         np.subtract(np.take(g_lo, lo, axis=1), g_at_hi, out=dt)
         if law is not None:
-            zt, tt = z[:rows * m].reshape(dt.shape), tmp[:rows * m].reshape(dt.shape)
-            # the pair's part of the hash, once for all rows
-            keys, scratch = tmp[:m].reshape(shape), z[:m].reshape(shape)
-            np.add((lo.view(np.uint64) << _SHIFT[32]) + _GOLDEN, hi.view(np.uint64), out=keys)
-            _mix64(keys, scratch)
-            np.add(keys, bases.reshape(rows, *(1,) * len(shape)), out=zt)
-            _mix64(zt, tt)
+            if chunk:
+                # row part (i << 32) * golden + base plus column part,
+                # mixed once: the (rows, r, 2 nh) words, the chunk's
+                # first node at its own parity
+                grid = (rows, shape[0], columns.size)
+                zt, tt = z[:math.prod(grid)].reshape(grid), tmp[:math.prod(grid)].reshape(grid)
+                row_part = (lo.view(np.uint64) << _SHIFT[32]) * _GOLDEN
+                np.add(row_part + bases.reshape(rows, 1, 1), columns, out=zt)
+                _mix64(zt, tt)
+                if _LOW:  # big-endian: swap the halves, so the low one is first
+                    np.left_shift(zt, _SHIFT[32], out=tt)
+                    zt >>= _SHIFT[32]
+                    zt |= tt
+                odd = int(hi[0, 0]) & 1
+                words = zt.view(np.uint32)[..., odd:odd + shape[1]]
+            else:
+                # per pair: key (i << 32) ^ (j >> 1), then the half j & 1
+                zt, tt = z[:rows * m].reshape(dt.shape), tmp[:rows * m].reshape(dt.shape)
+                key, half = tt[0], zt[0]
+                np.left_shift(lo.view(np.uint64), _SHIFT[32], out=key)
+                key |= np.right_shift(hi.view(np.uint64), _SHIFT[1], out=half)
+                key *= _GOLDEN
+                np.add(key, bases.reshape(rows, *(1,) * len(shape)), out=zt)
+                _mix64(zt, tt)
+                shift = np.bitwise_and(hi.view(np.uint64), _SHIFT[1], out=tt[0])
+                zt >>= np.left_shift(shift, _SHIFT[5], out=shift)  # 32 (j & 1) bits
+                words = zt.view(np.uint32).reshape(*dt.shape, 2)[..., _LOW]
             if thresholds is not None:
-                # noise >= c exactly when z >= t_c << 11: each compare
-                # adds its bool plane, over tmp, which is free from here
+                # noise >= c exactly when w >= t_c: each compare adds its
+                # bool plane, over tmp, which is free from here
                 plane = tmp.view(np.bool_)[:rows * m].reshape(dt.shape)
                 for threshold in thresholds:
-                    np.greater_equal(zt, threshold, out=plane)
+                    np.greater_equal(words, threshold, out=plane)
                     dt += plane.view(np.int8)
             else:
-                zt >>= _SHIFT[11]
-                u = np.multiply(zt, 2.0**-53, out=tt.view(np.float64))  # top 53 bits
+                u = np.multiply(words, 2.0**-32, out=tmp.view(np.float64)[:rows * m]
+                                .reshape(dt.shape))
                 _noise_minus_one(u, k, *law)
                 # noise - 1 over z, which is free from here
                 noise = z.view(wide)[:rows * m].reshape(dt.shape)

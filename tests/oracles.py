@@ -211,14 +211,15 @@ def splitmix64_finalize(z: int) -> int:
 def oracle_noise_by_definition(seed: int, i: int, j: int, k: int, delta: float) -> int:
     """The oracle's noise for the canonical pair (i, j), one pair at a time.
 
-    The seed's base is mix(seed + golden), the pair's key (i << 32) ^ j,
-    the hash mix(base + mix(key + golden)); its top 53 bits are the
-    uniform u. Value 0 owns u < 1/k + delta, then each nonzero value a
-    step of (1 - 1/k - delta) / (k - 1), the last one up to 1.
+    The seed's base is mix(seed + golden) and the pair's hash
+    z = mix(base + ((i << 32) ^ (j >> 1)) * golden); its low 32 bits
+    when j is even, else its high 32 bits, are w, and u = w * 2^-32.
+    Value 0 owns u < 1/k + delta, then each nonzero value a step of
+    (1 - 1/k - delta) / (k - 1), the last one up to 1.
     """
     base = splitmix64_finalize(((seed & _MASK64) + _GOLDEN64) & _MASK64)
-    key = splitmix64_finalize((((i << 32) ^ j) + _GOLDEN64) & _MASK64)
-    u = (splitmix64_finalize((base + key) & _MASK64) >> 11) * 2.0**-53
+    z = splitmix64_finalize((base + (((i << 32) ^ (j >> 1)) * _GOLDEN64)) & _MASK64)
+    u = ((z >> 32) if j & 1 else z & 0xFFFFFFFF) * 2.0**-32
     p_zero = 1.0 / k + delta
     if p_zero >= 1.0 or u < p_zero:
         return 0

@@ -31,18 +31,18 @@ from oracles import oracle_answers_by_definition
 
 def noise_from_uniform(u, k, delta):
     """The kernel's noise for uniforms u, by its threshold compares: the
-    hash of u's 53-bit grid point x = floor(u * 2^53) is z = x << 11, and
-    the noise counts the thresholds at or below z."""
-    z = np.floor(np.asarray(u, dtype=np.float64) * 2.0**53).astype(np.uint64) << np.uint64(11)
+    word of u's 32-bit grid point is w = floor(u * 2^32), and the noise
+    counts the thresholds at or below w."""
+    w = np.floor(np.asarray(u, dtype=np.float64) * 2.0**32).astype(np.uint32)
     if oracle_module._noise_law(k, delta) is None:
-        return np.zeros(z.shape, dtype=np.int64)
+        return np.zeros(w.shape, dtype=np.int64)
     thresholds = oracle_module._noise_thresholds(k, delta)
-    return (z[..., None] >= thresholds).sum(axis=-1, dtype=np.int64)
+    return (w[..., None] >= thresholds).sum(axis=-1, dtype=np.int64)
 
 
-def _float_noise(x, k, delta):
-    """The definition: the inverse CDF of the law at u = x * 2^-53."""
-    u = np.asarray(x, dtype=np.float64) * 2.0**-53
+def _float_noise(w, k, delta):
+    """The definition: the inverse CDF of the law at u = w * 2^-32."""
+    u = np.asarray(w, dtype=np.float64) * 2.0**-32
     oracle_module._noise_minus_one(u, k, *oracle_module._noise_law(k, delta))
     return u.astype(np.int64) + 1
 
@@ -87,13 +87,13 @@ def _noise_by_where(u, k, delta):
 @pytest.mark.parametrize("delta_of_k", [lambda k: 1e-12, lambda k: 1 / (2 * k),
                                         lambda k: 0.9 * (k - 1) / k])
 def test_noise_from_uniform_at_every_boundary_matches_the_select_form(k, delta_of_k):
-    # each cell edge p_zero + j * step, on the kernel's 53-bit grid, and
+    # each cell edge p_zero + j * step, on the kernel's 32-bit grid, and
     # its grid neighbours on both sides
     delta = delta_of_k(k)
     p_zero = 1.0 / k + delta
     edges = p_zero + np.arange(k) * ((1.0 - p_zero) / (k - 1))
-    x = np.floor(edges * 2.0**53)
-    u = np.concatenate([x - 1, x, x + 1, [0, 2.0**53 - 1]]) * 2.0**-53
+    w = np.floor(edges * 2.0**32)
+    u = np.concatenate([w - 1, w, w + 1, [0, 2.0**32 - 1]]) * 2.0**-32
     u = u[u < 1.0]
     got = noise_from_uniform(u, k, delta)
     assert got.dtype == np.int64
@@ -105,23 +105,29 @@ class TestNoiseThresholds:
 
     @pytest.mark.parametrize("k", range(2, oracle_module._THRESHOLD_MAX_K + 2))
     def test_compare_count_equals_the_float_path_at_each_step(self, k):
-        # on both sides of each step point t_c, with the 11 low bits of
-        # the hash all 0 and all 1; k = 2, delta = 0.25 puts p_zero on
-        # the grid, and p_zero = 1 - 2^-52 leaves two grid points above
-        # it, so the noise jumps and its top values are never reached
+        # on both sides of each step point t_c, read as the low half of
+        # a hash whose high half is all 0 and all 1; k = 2, delta = 0.25
+        # puts p_zero on the grid, and p_zero = 1 - 2^-31 leaves two grid
+        # points above it, so the noise jumps and its top values are
+        # never reached; p_zero = 1 - 1e-12 is above the last grid point,
+        # so no word has noise and there is no threshold
         deltas = [1e-12, 1 / (2 * k), (k - 1) / k - 1e-12, (k - 1) / k,
-                  (k - 1) / k - 2.0**-52]
+                  (k - 1) / k - 2.0**-31]
         for delta in deltas + ([0.25] if k == 2 else []):
             if oracle_module._noise_law(k, delta) is None:
                 continue  # value 0 owns all the mass: no noise to count
-            t = oracle_module._noise_thresholds(k, delta) >> np.uint64(11)
-            assert 1 <= len(t) <= k - 1 and (np.diff(t.astype(np.int64)) >= 0).all()
-            x = np.concatenate([t - np.uint64(1), t, np.array([0, 2**53 - 1], np.uint64)])
-            want = _float_noise(x, k, delta)
-            for low in (0, 2047):
-                z = (x << np.uint64(11)) | np.uint64(low)
-                got = (z[:, None] >= (t << np.uint64(11))).sum(axis=1)
-                assert got.tolist() == want.tolist(), (delta, low)
+            t = oracle_module._noise_thresholds(k, delta)
+            assert t.dtype == np.uint32
+            p_zero = 1.0 / k + delta
+            assert (len(t) == 0) == (p_zero > 1.0 - 2.0**-32)
+            assert len(t) <= k - 1 and (np.diff(t.astype(np.int64)) >= 0).all()
+            w = np.concatenate([t - np.uint32(1), t, np.array([0, 2**32 - 1], np.uint32)])
+            want = _float_noise(w, k, delta)
+            for high in (0, 2**32 - 1):
+                z = w.astype(np.uint64) | np.uint64(high << 32)
+                low = z.view(np.uint32).reshape(-1, 2)[:, oracle_module._LOW]
+                got = (low[:, None] >= t).sum(axis=1)
+                assert got.tolist() == want.tolist(), (delta, high)
             # the last step point is the largest noise any hash reaches
             assert want[-1] == len(t)
 
@@ -300,6 +306,9 @@ class TestAnswersByDefinition:
 
     PLANS = {
         "block": lambda: seed_rest_plan(41, 6),
+        # rest rows start at an odd node; at _BLOCK 7 and 50 they are cut
+        # into chunks that start at odd and even nodes
+        "block odd s": lambda: seed_rest_plan(41, 7),
         "explicit": lambda: _explicit_plan(60, 300, np.random.default_rng(3)),
         "triangle": lambda: full_pairwise_plan(23),
     }
@@ -335,6 +344,24 @@ class TestAnswersByDefinition:
                 for row, truth, row_seed in zip(got, rows, seeds):
                     assert row.tolist() == oracle_answers_by_definition(
                         truth, pairs, k, delta, row_seed, noiseless), (len(rows), delta)
+
+    @pytest.mark.parametrize("k", [4, 12])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunks_starting_at_odd_columns(self, monkeypatch, rows, k):
+        # rest rows of 52 and 53 nodes cut into chunks of 9 pairs at
+        # most: chunks start at both parities, each one's first answer
+        # from the high half of its hash when its first node is odd
+        monkeypatch.setattr(oracle_module, "_BLOCK", 9 * rows)
+        for plan in (seed_rest_plan(60, 8), seed_rest_plan(60, 7)):
+            starts = {int(hi[0, 0]) % 2 for _, hi, _ in plan._tiles(9)}
+            assert starts == {0, 1}
+            labels = np.random.default_rng(rows).integers(0, k, (rows, 60))
+            seeds = [2**63 + r for r in range(rows)]
+            pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+            got = oracle_module._answer_rows(labels, seeds, NoiseParams(k, 0.1), plan)
+            for row, truth, seed in zip(got, labels, seeds):
+                assert row.tolist() == oracle_answers_by_definition(
+                    truth, pairs, k, 0.1, seed)
 
     def test_negative_and_wide_seeds_are_taken_mod_2_64(self):
         plan = seed_rest_plan(20, 4)
@@ -372,45 +399,50 @@ class TestAnswerRows:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_hash_and_scratch_start_on_cache_lines(self, monkeypatch, rows):
-        # tiles of 57 and 3 x 57 cells: an odd count, so a buffer cut at
-        # rows * m cells would start its scratch half off a 64-byte line
+        # tiles of 3 x 57 answers, whose hashes fill 3 x 29 cells a row:
+        # an odd count, so a buffer cut at it would start its scratch half
+        # off a 64-byte line
         starts, mix64 = [], oracle_module._mix64
         monkeypatch.setattr(oracle_module, "_mix64", lambda z, tmp: starts.extend(
             [z.ctypes.data % 64, tmp.ctypes.data % 64]) or mix64(z, tmp))
         labels = np.random.default_rng(rows).integers(0, 4, (rows, 60))
         oracle_module._answer_rows(labels, range(rows), NoiseParams(4, 0.3),
                                    seed_rest_plan(60, 3))
-        # the first call mixes the rows' seed bases, before any tile
-        assert len(starts) == 6 and set(starts[2:]) == {0}
+        # the first call mixes the rows' seed bases, the second the
+        # tile's hashes, one mix for two answers
+        assert len(starts) == 4 and set(starts[2:]) == {0}
 
     def test_memory_stays_near_the_answer_rows(self):
-        # besides the answer rows, only each worker's tile buffers (17
-        # bytes a cell: the hash, its scratch and the int8 sum) over
+        # besides the answer rows, only each worker's tile buffers over
         # about _BLOCK cells of all rows together, 32 bytes a cell
-        # allowed, with the worker count the kernel takes for the call.
+        # allowed: ~9 bytes a cell on the compare path (k = 4: the hash
+        # and its scratch, half a cell each, and the int8 sum) on one
+        # worker, ~13 on the float path (k = 12: its uniforms take a
+        # whole cell) on the workers the kernel takes for the call.
         # Points: T = 4 rows of 810 000 answers in whole-row tiles, a
-        # one-tile call, and rest rows of 69 992-69 998 cells, longer
-        # than a tile, which the plan cuts into column chunks.
+        # one-tile call, and rest rows of 69 992 and 139 998 cells,
+        # longer than a tile, which the plan cuts into column chunks.
         block = oracle_module._BLOCK
-        for (n, s), t in [((3000, 300), 4), ((3000, 20), 1), ((70_000, 2), 1),
+        for (n, s), t in [((3000, 300), 4), ((3000, 20), 1), ((140_000, 2), 1),
                           ((70_000, 8), 4)]:
             plan = seed_rest_plan(n, s)
-            labels = np.random.default_rng(5).integers(0, 4, (t, n))
             tiles = len(list(plan._tiles(max(1, block // t))))
-            workers = oracle_module._workers(tiles)
             if (n, s) == (3000, 20):  # one tile: one worker, the one-tile bound
-                assert tiles == workers == 1
-            for noiseless in (False, True):
+                assert tiles == oracle_module._workers(tiles) == 1
+            for k, noiseless in [(4, False), (4, True), (12, False)]:
+                labels = np.random.default_rng(5).integers(0, k, (t, n))
+                floats = not noiseless and k > oracle_module._THRESHOLD_MAX_K
+                workers = oracle_module._workers(tiles) if floats else 1
                 tracemalloc.start()
                 try:
                     rows = oracle_module._answer_rows(labels, range(1, t + 1),
-                                                      NoiseParams(4, 0.3), plan, noiseless)
+                                                      NoiseParams(k, 0.3), plan, noiseless)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 assert rows.nbytes == t * len(plan)
                 assert peak <= rows.nbytes + workers * 32 * block, (
-                    f"n={n} s={s} T={t}: peak {peak / 1e6:.2f} MB, {workers} workers")
+                    f"n={n} s={s} T={t} k={k}: peak {peak / 1e6:.2f} MB, {workers} workers")
 
 
 def _python(code, timeout=120):
@@ -452,6 +484,31 @@ class TestParallelTiles:
         "row chunks": lambda: seed_rest_plan(60, 8),   # rows of 52: 5 chunks each
     }
 
+    @pytest.fixture(autouse=True)
+    def float_path(self, monkeypatch):
+        # only the float noise path runs a call's tiles on workers
+        monkeypatch.setattr(oracle_module, "_THRESHOLD_MAX_K", 0)
+
+    def test_compare_path_runs_on_the_calling_thread(self, monkeypatch):
+        # 20 tiles, which the float path would split over 2 workers
+        monkeypatch.setattr(oracle_module, "_BLOCK", 16)
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+        threads = []
+        answer_tiles = oracle_module._answer_tiles
+
+        def spy(tiles, *args, **kwargs):
+            threads.append(threading.get_ident())
+            answer_tiles(tiles, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "_answer_tiles", spy)
+        plan, labels = seed_rest_plan(40, 10), np.zeros((1, 40), dtype=np.int64)
+        assert oracle_module._workers(len(_tile_plans(plan, 1))) == 2
+        for max_k, calls in [(4, [threading.get_ident()]), (0, None)]:
+            monkeypatch.setattr(oracle_module, "_THRESHOLD_MAX_K", max_k)
+            threads.clear()
+            oracle_module._answer_rows(labels, [1], NoiseParams(4, 0.3), plan)
+            assert threads == calls if calls else len(set(threads)) == 2
+
     @pytest.mark.parametrize("form", sorted(PLANS))
     def test_equals_serial_tiles_and_definition(self, monkeypatch, form):
         # 12 pairs a tile at T = 3, on 3 workers whatever the CPU count
@@ -478,7 +535,9 @@ class TestParallelTiles:
             params = NoiseParams(5, delta)
             threads.clear()
             got = oracle_module._answer_rows(labels, seeds, params, plan)
-            assert len(threads) >= 2  # the call did run on more than one thread
+            # the call did run on more than one thread, but for a law
+            # without noise (delta = 0.8), which has no float path
+            assert len(threads) >= 2 if delta < 0.8 else len(threads) == 1
             threads.clear()
             serial = np.concatenate([oracle_module._answer_rows(labels, seeds, params, p)
                                      for p in subplans], axis=1)
@@ -613,13 +672,15 @@ print(threading.active_count(), "concurrent.futures" in sys.modules)
         assert done.stdout.split() == ["1", "False"]
 
     def test_no_worker_outlives_a_call(self):
-        # a whole multi-tile trial, on two workers whatever the CPU
-        # count: the thread count right after its answer call is the
+        # a whole multi-tile trial on the float path, on two workers
+        # whatever the CPU count: the thread count right after its answer call is the
         # count before it, and the interpreter exits at once and cleanly
         code = """
 import threading
 from cycalign import NoiseParams, SeedConfig, harness, oracle
 oracle._usable_cpus = lambda: 2
+oracle._THRESHOLD_MAX_K = 0  # the float path, which runs on workers
+oracle._BLOCK = 1 << 14  # in more than 16 tiles
 workers, answer_tiles = set(), oracle._answer_tiles
 def spy(*args, **kwargs):
     workers.add(threading.get_ident())
@@ -692,8 +753,8 @@ class TestRunShares:
         assert ran == [1] and threading.active_count() == 1
 
     def test_both_callers_run_on_the_helpers_threads(self):
-        # a multi-tile answer call and a three-point lemma check, each on
-        # two workers: the extra thread is the helper's, it has ended when
+        # a multi-tile answer call on the float path and a three-point
+        # lemma check, each on two workers: the extra thread is the helper's, it has ended when
         # the call returns, and concurrent.futures, which would lengthen
         # setup, is never imported
         code = """
@@ -702,6 +763,8 @@ import threading
 import numpy as np
 from cycalign import NoiseParams, TailSpec, harness, oracle, seed_rest_plan
 oracle._usable_cpus = harness._usable_cpus = lambda: 2
+oracle._THRESHOLD_MAX_K = 0  # the float path, which runs on workers
+oracle._BLOCK = 1 << 14  # in more than 16 tiles
 names, answer_tiles, mc = {}, oracle._answer_tiles, harness.tail_probability_mc
 def spy(call, job):
     def run(*args, **kwargs):
@@ -723,6 +786,37 @@ print(sorted(names["oracle"]), sorted(names["lemma"]), after,
         assert done.stdout.strip() == f"{workers} {workers} [1, 1] False"
 
 
+class TestPinnedAnswers:
+    """The answers of two small instances as literals, from the per-pair
+    reference: any change to the noise definition fails here."""
+
+    # seed_rest_plan(12, 5): rows 0-4 against the odd and even columns
+    # 5-11, labels v % k for node v, seed 1
+    PINNED = {
+        (4, 0.3): [[2, 2, 1, 1, 1, 1, 1],
+                   [3, 3, 2, 3, 0, 3, 2],
+                   [1, 0, 3, 2, 1, 0, 3],
+                   [2, 1, 2, 3, 2, 1, 0],
+                   [3, 3, 3, 0, 3, 2, 2]],
+        (11, 0.2): [[5, 5, 4, 8, 9, 0, 0],  # the float path
+                    [6, 7, 5, 1, 3, 4, 4],
+                    [10, 7, 7, 5, 4, 7, 2],
+                    [0, 8, 3, 10, 6, 8, 3],
+                    [2, 4, 4, 0, 6, 5, 8]],
+    }
+
+    @pytest.mark.parametrize("law", sorted(PINNED))
+    def test_answers_of_a_small_instance(self, law):
+        k, delta = law
+        labels = [v % k for v in range(12)]
+        plan = seed_rest_plan(12, 5)
+        t = _oracle(labels, k, delta=delta, seed=1).execute_plan(plan)
+        assert t.oriented_matrix(range(5), range(5, 12)).tolist() == self.PINNED[law]
+        pairs = list(zip(plan.lo.tolist(), plan.hi.tolist()))
+        want = oracle_answers_by_definition(labels, pairs, k, delta, 1)
+        assert np.ravel(self.PINNED[law]).tolist() == want
+
+
 class TestSeedValidation:
     @pytest.mark.parametrize("seed", [2.7, float("nan"), "5", b"5", None])
     def test_bad_seed_rejected_by_name(self, seed):
@@ -741,21 +835,36 @@ class TestSeedValidation:
 
 class TestNoiseDistribution:
     def test_residuals_follow_the_law(self):
-        # chi-square over >= 1e5 answered pairs at significance 1e-3
-        n, k, delta = 800, 4, 0.2
-        rng = np.random.default_rng(17)
-        labels = rng.integers(0, k, n)
-        oracle = FaultyOracle(Labeling(labels, k), NoiseParams(k, delta), 23)
-        t = oracle.execute_plan(seed_rest_plan(n, 200))
-        assert len(t) >= 100_000
-        triples = np.array(list(t.items()))
-        lo, hi, ans = triples[:, 0], triples[:, 1], triples[:, 2]
-        residual = (ans - (labels[lo] - labels[hi])) % k
-        counts = np.bincount(residual, minlength=k)
-        params = NoiseParams(k, delta)
-        expected = np.array([params.p_zero] + [params.p_nonzero] * (k - 1))
-        result = stats.chisquare(counts, expected * len(t))
-        assert result.pvalue >= 1e-3
+        # chi-square over >= 1e5 answered pairs at significance 1e-3, on
+        # the compare path and (k > _THRESHOLD_MAX_K) the float path
+        n, s = 800, 200
+        for k, delta in [(2, 0.1), (4, 0.2), (7, 0.05), (12, 0.1), (40, 0.3)]:
+            labels = np.random.default_rng(17 + k).integers(0, k, n)
+            oracle = FaultyOracle(Labeling(labels, k), NoiseParams(k, delta), 23)
+            t = oracle.execute_plan(seed_rest_plan(n, s))
+            assert len(t) >= 100_000
+            answers = t.oriented_matrix(range(s), range(s, n)).astype(np.int64)
+            residual = (answers - (labels[:s, None] - labels[None, s:])) % k
+            counts = np.bincount(residual.ravel(), minlength=k)
+            params = NoiseParams(k, delta)
+            expected = np.array([params.p_zero] + [params.p_nonzero] * (k - 1))
+            result = stats.chisquare(counts, expected * len(t))
+            assert result.pvalue >= 1e-3, (k, delta)
+
+    # k = 12 is above _THRESHOLD_MAX_K, on the float noise path
+    @pytest.mark.parametrize("k,delta", [(2, 0.25), (4, 0.2), (12, 0.05)])
+    def test_sibling_pairs_draw_independent_noise(self, k, delta):
+        # the pairs (i, 2h) and (i, 2h + 1) take the two halves of one
+        # hash: the k x k table of their noises, over 10^5 sibling
+        # pairs of an all-zero truth, passes a chi-square test of
+        # independence at significance 1e-3
+        n, s = 2100, 100
+        t = _oracle([0] * n, k, delta=delta, seed=29).execute_plan(seed_rest_plan(n, s))
+        noise = t.oriented_matrix(range(s), range(s, n)).astype(np.int64)
+        even, odd = noise[:, 0::2].ravel(), noise[:, 1::2].ravel()  # s is even
+        table = np.bincount(even * k + odd, minlength=k * k).reshape(k, k)
+        assert table.sum() == 100_000
+        assert stats.chi2_contingency(table).pvalue >= 1e-3
 
     # (40, 0.01) is above _THRESHOLD_MAX_K, on the float noise path
     @pytest.mark.parametrize("k,delta", [(2, 0.25), (3, 0.2), (8, 0.5), (40, 0.01)])
